@@ -10,7 +10,6 @@ detokenization exact.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -349,10 +348,3 @@ def load_vocab(path):
         special_tokens=tuple(specials[k][1] for k in ("pad", "occ", "eot")),
     )
     return v.check()
-
-
-def vocab_sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()

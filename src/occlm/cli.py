@@ -51,10 +51,6 @@ TRAIN_FIELDS = ("batch_size", "max_epochs", "base_lr", "warmup_fraction",
                 "occlusion_loss_weight")
 
 
-def file_sha256(path):
-    return metrics.file_sha256(path)
-
-
 # ---------------------------------------------------------------------------
 # Run manifests
 # ---------------------------------------------------------------------------
@@ -186,20 +182,23 @@ def _require(args, *names):
             raise ConfigError(f"missing required input: --{name.replace('_', '-')}")
 
 
-def _load_split(data_dir, name):
-    path = os.path.join(data_dir, f"{name}.txt")
-    if not os.path.exists(path):
-        raise DataError(f"missing split file: {path}")
-    return list(corpus.read_lines(path)), path
+def _pack_splits(data_dir, vocab, block_size):
+    """Pack <data_dir>/train.txt and valid.txt; returns (train, valid, hashes)."""
+    packed, hashes = [], {}
+    for name in ("train", "valid"):
+        path = os.path.join(data_dir, f"{name}.txt")
+        if not os.path.exists(path):
+            raise DataError(f"missing split file: {path}")
+        packed.append(corpus.pack(list(corpus.read_lines(path)), vocab, block_size))
+        hashes[path] = metrics.file_sha256(path)
+    return packed[0], packed[1], hashes
 
 
 def _build_datasets(args, model_cfg, objective=None, train_cfg=None):
     """Shared pretrain/finetune setup: vocab, packed splits, and hashes."""
     _require(args, "data", "vocab", "out")
     vocab = bpe.load_vocab(args.vocab)
-    vocab_hash = bpe.vocab_sha256(args.vocab)
-    train_lines, train_path = _load_split(args.data, "train")
-    valid_lines, valid_path = _load_split(args.data, "valid")
+    vocab_hash = metrics.file_sha256(args.vocab)
 
     if objective == "standard" and train_cfg["occlusion_prob"] not in (0, 0.0):
         if args.occlusion_prob is not None:
@@ -213,12 +212,9 @@ def _build_datasets(args, model_cfg, objective=None, train_cfg=None):
 
     mcfg = model.ModelConfig(vocab_size=vocab.size, **model_cfg).check()
     tcfg = train.TrainConfig(**train_cfg).check()
-    train_ds = corpus.pack(train_lines, vocab, mcfg.block_size)
-    valid_ds = corpus.pack(valid_lines, vocab, mcfg.block_size)
-    data_hashes = {
-        train_path: file_sha256(train_path),
-        valid_path: file_sha256(valid_path),
-    }
+    train_ds, valid_ds, data_hashes = _pack_splits(
+        args.data, vocab, mcfg.block_size
+    )
     return vocab, vocab_hash, mcfg, tcfg, train_ds, valid_ds, data_hashes
 
 
@@ -306,7 +302,7 @@ def cmd_tokenizer(args):
     if target is None:
         target = 512
     lines = list(corpus.read_lines(args.data))
-    data_hash = file_sha256(args.data)
+    data_hash = metrics.file_sha256(args.data)
     run_id = make_run_id(
         "tokenizer", {"target_size": target}, {args.data: data_hash}, "",
         args.deterministic,
@@ -324,7 +320,7 @@ def cmd_tokenizer(args):
 def cmd_corpus(args):
     _require(args, "data", "out_dir")
     spec = corpus.SplitSpec(
-        args.train_frac, args.valid_frac, args.test_frac, seed=args.seed or 0
+        args.train_frac, args.valid_frac, args.test_frac, seed=args.seed
     ).check()
     lines = list(corpus.read_lines(args.data))
     if not args.no_clean:
@@ -365,12 +361,11 @@ def cmd_finetune(args):
 def cmd_eval(args):
     _require(args, "checkpoint", "vocab", "split")
     vocab = bpe.load_vocab(args.vocab)
-    vocab_hash = bpe.vocab_sha256(args.vocab)
+    vocab_hash = metrics.file_sha256(args.vocab)
     lines = list(corpus.read_lines(args.split))
-    params, header, _ = model.load_checkpoint(
-        args.checkpoint, expect_vocab_hash=vocab_hash
-    )
-    ds = corpus.pack(lines, vocab, params.config.block_size)
+    # metrics.evaluate loads the full checkpoint; packing needs only the header
+    header = model.read_checkpoint_header(args.checkpoint)
+    ds = corpus.pack(lines, vocab, header["config"]["block_size"])
     split_name = args.split_name or os.path.splitext(
         os.path.basename(args.split)
     )[0]
@@ -402,7 +397,7 @@ def cmd_sweep(args):
     if not os.path.exists(vocab_path):
         raise DataError(f"missing vocabulary: {vocab_path}")
     vocab = bpe.load_vocab(vocab_path)
-    vocab_hash = bpe.vocab_sha256(vocab_path)
+    vocab_hash = metrics.file_sha256(vocab_path)
     with open(args.spec, encoding="utf-8") as fh:
         raw = json.load(fh)
     # spec files omit vocab_size; it always comes from the actual vocabulary
@@ -412,12 +407,9 @@ def cmd_sweep(args):
             f"spec pins vocab_size {declared} but {vocab_path} has {vocab.size}"
         )
     spec = sweep.spec_from_dict(raw)
-    train_lines, train_path = _load_split(args.data, "train")
-    valid_lines, valid_path = _load_split(args.data, "valid")
-    block = spec.base_model.block_size
-    train_ds = corpus.pack(train_lines, vocab, block)
-    valid_ds = corpus.pack(valid_lines, vocab, block)
-    data_hashes = {p: file_sha256(p) for p in (train_path, valid_path)}
+    train_ds, valid_ds, data_hashes = _pack_splits(
+        args.data, vocab, spec.base_model.block_size
+    )
 
     parallel = 0 if args.deterministic else (args.parallel or 0)
     resolved = {"command": "sweep", "spec": sweep.spec_to_dict(spec),
@@ -454,7 +446,7 @@ def cmd_sweep(args):
 def cmd_generate(args):
     _require(args, "checkpoint", "vocab", "prompt")
     vocab = bpe.load_vocab(args.vocab)
-    vocab_hash = bpe.vocab_sha256(args.vocab)
+    vocab_hash = metrics.file_sha256(args.vocab)
     params, _, _ = model.load_checkpoint(
         args.checkpoint, expect_vocab_hash=vocab_hash
     )
@@ -552,8 +544,8 @@ def _add_common(p):
     p.add_argument("--preset", choices=sorted(PRESETS),
                    help="built-in preset name")
     p.add_argument("--deterministic", action="store_true",
-                   help="single-threaded bit-reproducible mode")
-    p.add_argument("--seed", type=int, dest="seed")
+                   help="content-addressed run ids and byte-identical "
+                        "artifacts for identical inputs")
 
 
 def _add_model_flags(p):
@@ -566,6 +558,7 @@ def _add_model_flags(p):
 
 
 def _add_train_flags(p):
+    p.add_argument("--seed", type=int, dest="seed")
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--max-epochs", type=int, dest="max_epochs")
     p.add_argument("--base-lr", type=float, dest="base_lr")
@@ -613,6 +606,7 @@ def build_parser():
     p.add_argument("--valid-frac", type=float, dest="valid_frac", default=0.1)
     p.add_argument("--test-frac", type=float, dest="test_frac", default=0.1)
     p.add_argument("--no-clean", action="store_true", dest="no_clean")
+    p.add_argument("--seed", type=int, default=0, help="split shuffle seed")
     _add_common(p)
     p.set_defaults(func=cmd_corpus)
 
@@ -662,7 +656,8 @@ def build_parser():
     p.add_argument("--vocab", help="vocabulary path (default <data>/vocab.tsv)")
     p.add_argument("--out", help="sweep output directory")
     p.add_argument("--parallel", type=int, default=0,
-                   help="worker count for parallel trials")
+                   help="worker count for parallel trials "
+                        "(ignored with --deterministic)")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 

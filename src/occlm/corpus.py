@@ -205,7 +205,7 @@ class TokenDataset:
 
     windows[:, :-1] are inputs, windows[:, 1:] the shifted targets; the final
     partial window is padded with pad_id, and padded target positions are
-    excluded from the loss via loss_ignore().
+    excluded from the loss via the ignore mask batch() returns.
     """
 
     windows: np.ndarray
@@ -219,15 +219,6 @@ class TokenDataset:
 
     def __len__(self):
         return self.windows.shape[0]
-
-    def inputs(self, idx):
-        return self.windows[idx, :-1]
-
-    def targets(self, idx):
-        return self.windows[idx, 1:]
-
-    def loss_ignore(self, idx):
-        return self.windows[idx, 1:] == self.pad_id
 
     def batch(self, indices):
         w = self.windows[np.asarray(indices)]

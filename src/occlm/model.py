@@ -287,33 +287,16 @@ def save_checkpoint(path, params, vocab_hash, metadata=None, extras=None):
             fh.write(np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")).tobytes())
 
 
-def read_checkpoint_header(path):
-    """Parse just the JSON header; no tensor payloads are read."""
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(len(CKPT_MAGIC))
-            if magic != CKPT_MAGIC:
-                raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
-            size = int.from_bytes(fh.read(8), "little")
-            header = json.loads(fh.read(size).decode("utf-8"))
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if header.get("format_version") != CKPT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {header.get('format_version')}"
-        )
-    return header
+def _read_checkpoint(path, payload=True):
+    """Shared reader: magic, header size, JSON header, format version and
+    config, then (with payload) the tensor and extra blobs in header order.
 
-
-def load_checkpoint(path, expect_config=None, expect_vocab_hash=None):
-    """Read a checkpoint; fails loudly on corruption or config/hash mismatch.
-
-    Returns (params, header_dict, extras_dict).
+    Returns (header, config, tensors, extras); any malformed or truncated
+    part raises CheckpointError.
     """
     try:
         with open(path, "rb") as fh:
-            magic = fh.read(len(CKPT_MAGIC))
-            if magic != CKPT_MAGIC:
+            if fh.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
                 raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
             size = int.from_bytes(fh.read(8), "little")
             header = json.loads(fh.read(size).decode("utf-8"))
@@ -322,7 +305,9 @@ def load_checkpoint(path, expect_config=None, expect_vocab_hash=None):
                     f"unsupported checkpoint version {header.get('format_version')}"
                 )
             config = config_from_dict(header["config"])
-            tensors = {}
+            tensors, extras = {}, {}
+            if not payload:
+                return header, config, tensors, extras
             for entry in header["tensors"]:
                 shape = tuple(entry["shape"])
                 n_bytes = int(np.prod(shape)) * 4 if shape else 4
@@ -333,7 +318,6 @@ def load_checkpoint(path, expect_config=None, expect_vocab_hash=None):
                 tensors[entry["name"]] = T.Tensor(
                     data.copy(), requires_grad=True, name=entry["name"]
                 )
-            extras = {}
             for entry in header["extras"]:
                 shape = tuple(entry["shape"])
                 dt = np.dtype(entry["dtype"])
@@ -342,8 +326,22 @@ def load_checkpoint(path, expect_config=None, expect_vocab_hash=None):
                 if len(raw) != n_bytes:
                     raise CheckpointError(f"{path} truncated at extra {entry['name']}")
                 extras[entry["name"]] = np.frombuffer(raw, dtype=dt).reshape(shape).copy()
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    return header, config, tensors, extras
+
+
+def read_checkpoint_header(path):
+    """Parse just the JSON header; no tensor payloads are read."""
+    return _read_checkpoint(path, payload=False)[0]
+
+
+def load_checkpoint(path, expect_config=None, expect_vocab_hash=None):
+    """Read a checkpoint; fails loudly on corruption or config/hash mismatch.
+
+    Returns (params, header_dict, extras_dict).
+    """
+    header, config, tensors, extras = _read_checkpoint(path)
 
     expected_names = list(param_shapes(config))
     if list(tensors) != expected_names:

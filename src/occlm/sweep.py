@@ -277,9 +277,10 @@ def run_sweep(
 ):
     """Execute (or resume) every trial; returns (best record, leaderboard).
 
-    Existing trial_<k>/record.json files are loaded instead of re-run, so a
-    crashed sweep picks up at its first missing trial. The best record is the
-    leaderboard head that finished with a checkpoint.
+    Readable trial_<k>/record.json files are loaded instead of re-run, so a
+    crashed sweep picks up at its first missing trial; a truncated or invalid
+    record counts as missing. The best record is the leaderboard head that
+    finished with a checkpoint.
     """
     spec.check()
     if len(train_ds) == 0 or len(valid_ds) == 0:
@@ -290,11 +291,11 @@ def run_sweep(
     missing = []
     for k in range(spec.trial_count):
         rec_path = os.path.join(_trial_dir(out_dir, k), "record.json")
-        if os.path.exists(rec_path):
+        try:
             with open(rec_path, encoding="utf-8") as fh:
                 records[k] = record_from_dict(json.load(fh))
-        else:
-            missing.append(k)
+        except (OSError, ValueError, KeyError, TypeError, ConfigError):
+            missing.append(k)  # absent, truncated or invalid: re-run
 
     def _run(k):
         return run_trial(spec, k, train_ds, valid_ds, out_dir, vocab_hash, run_id)

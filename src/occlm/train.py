@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -526,40 +524,20 @@ def _check_sink_fields(fields):
 class MetricsSink:
     """Append-only JSONL metrics writer.
 
-    Records flow through a bounded queue to a writer thread; when the queue
-    is full, emit() blocks rather than dropping, so history stays complete.
+    emit() writes and flushes its record, so the record is in the file when
+    emit() returns and a write error raises from emit() itself.
     """
 
-    _CLOSE = object()
-
-    def __init__(self, path, maxsize=1024):
+    def __init__(self, path):
         self._fh = open(path, "a", encoding="utf-8", newline="\n")
-        self._q = queue.Queue(maxsize=maxsize)
-        self._err = None
-        self._thread = threading.Thread(target=self._drain, daemon=True)
-        self._thread.start()
-
-    def _drain(self):
-        while True:
-            rec = self._q.get()
-            if rec is self._CLOSE:
-                break
-            try:
-                self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
-            except Exception as exc:  # surfaced on close
-                self._err = exc
 
     def emit(self, **fields):
         _check_sink_fields(fields)
-        self._q.put(fields)  # blocks when full; drops are forbidden
+        self._fh.write(json.dumps(fields, sort_keys=True) + "\n")
+        self._fh.flush()
 
     def close(self):
-        self._q.put(self._CLOSE)
-        self._thread.join()
-        self._fh.flush()
         self._fh.close()
-        if self._err is not None:
-            raise self._err
 
     def __enter__(self):
         return self

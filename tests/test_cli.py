@@ -6,7 +6,7 @@ import stat
 
 import pytest
 
-from occlm import bpe, cli, demo, model
+from occlm import cli, demo, metrics, model
 from occlm.errors import ConfigError
 
 DESK_FLAGS = [
@@ -76,6 +76,18 @@ def test_missing_data_exit_1_names_input(capsys, tmp_path):
     )
     assert rc == 1
     assert "--data" in capsys.readouterr().err
+
+
+def test_seed_only_on_commands_that_read_it(capsys, smoke):
+    assert cli.dispatch(
+        ["eval", "--checkpoint", smoke["ckpt"], "--vocab", smoke["vocab"],
+         "--split", os.path.join(smoke["work"], "valid.txt"), "--seed", "1"]
+    ) == 2
+    assert "usage" in capsys.readouterr().err.lower()
+    for command in ("tokenizer", "generate", "quickstart", "sweep"):
+        assert cli.dispatch([command, "--seed", "1"]) == 2
+    for command in ("corpus", "pretrain", "finetune"):
+        assert cli.dispatch([command, "--seed", "1"]) == 1  # parsed; input missing
 
 
 def test_missing_checkpoint_file_exit_1(capsys, smoke):
@@ -173,7 +185,7 @@ def test_manifest_written_and_finalized(smoke):
     )
     assert manifest["status"] == "ok"
     assert manifest["finished_at"]
-    assert manifest["vocab_hash"] == bpe.vocab_sha256(smoke["vocab"])
+    assert manifest["vocab_hash"] == metrics.file_sha256(smoke["vocab"])
     assert set(manifest["data_hashes"]) == {
         os.path.join(smoke["work"], "train.txt"),
         os.path.join(smoke["work"], "valid.txt"),
@@ -242,6 +254,24 @@ def test_eval_rejects_mixed_provenance(capsys, smoke, tmp_path):
     )
     assert rc == 1
     assert "vocab" in capsys.readouterr().err.lower()
+
+
+def test_eval_loads_checkpoint_once(smoke, tmp_path, monkeypatch):
+    calls = []
+    original = model.load_checkpoint
+
+    def counting(*a, **kw):
+        calls.append(a[0])
+        return original(*a, **kw)
+
+    monkeypatch.setattr(model, "load_checkpoint", counting)
+    rc = cli.dispatch(
+        ["eval", "--checkpoint", smoke["ckpt"], "--vocab", smoke["vocab"],
+         "--split", os.path.join(smoke["work"], "valid.txt"),
+         "--out", str(tmp_path / "report.json")]
+    )
+    assert rc == 0
+    assert calls == [smoke["ckpt"]]
 
 
 def test_eval_report_contents(smoke):

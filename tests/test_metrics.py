@@ -519,7 +519,7 @@ def test_evaluate_end_to_end(tmp_path, memorized_setup):
     path = str(tmp_path / "model.ckpt")
     vocab_path = str(tmp_path / "vocab.tsv")
     bpe.save_vocab(vocab, vocab_path)
-    vh = bpe.vocab_sha256(vocab_path)
+    vh = metrics.file_sha256(vocab_path)
     model.save_checkpoint(path, params, vh, metadata={"run_id": "from-header"})
 
     report = metrics.evaluate(

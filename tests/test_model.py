@@ -321,6 +321,26 @@ def test_checkpoint_garbage_fails(tmp_path):
         model.load_checkpoint(path)
 
 
+def test_checkpoint_missing_config_field_fails(tmp_path):
+    import json
+
+    p = model.init(TINY, seed=0)
+    path = tmp_path / "m.ckpt"
+    model.save_checkpoint(path, p, vocab_hash="h")
+    raw = path.read_bytes()
+    start = len(model.CKPT_MAGIC) + 8
+    size = int.from_bytes(raw[len(model.CKPT_MAGIC):start], "little")
+    header = json.loads(raw[start:start + size])
+    del header["config"]["vocab_size"]
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(model.CKPT_MAGIC + len(blob).to_bytes(8, "little")
+                     + blob + raw[start + size:])
+    with pytest.raises(CheckpointError, match="vocab_size"):
+        model.load_checkpoint(path)
+    with pytest.raises(CheckpointError, match="vocab_size"):
+        model.read_checkpoint_header(path)
+
+
 def test_checkpoint_truncated_fails(tmp_path):
     p = model.init(TINY, seed=0)
     path = tmp_path / "m.ckpt"

@@ -208,6 +208,20 @@ def test_sweep_deterministic_across_directories(tmp_path):
     assert [r.best_valid_loss for r in a] == [r.best_valid_loss for r in b]
 
 
+def _resume_counting_trials(spec, ds, out, monkeypatch):
+    """Re-run the sweep in out; returns (sorted re-run trial ids, board)."""
+    ran = []
+    original = sweep.run_trial
+
+    def counting(spec_, k, *a, **kw):
+        ran.append(k)
+        return original(spec_, k, *a, **kw)
+
+    monkeypatch.setattr(sweep, "run_trial", counting)
+    _, board = sweep.run_sweep(spec, ds, ds, out)
+    return sorted(ran), board
+
+
 def test_sweep_resumes_only_missing_trials(tmp_path, monkeypatch):
     spec = make_spec()
     ds = tiny_dataset()
@@ -218,16 +232,28 @@ def test_sweep_resumes_only_missing_trials(tmp_path, monkeypatch):
 
     shutil.rmtree(os.path.join(out, "trial_1"))
     shutil.rmtree(os.path.join(out, "trial_3"))
-    ran = []
-    original = sweep.run_trial
+    ran, after = _resume_counting_trials(spec, ds, out, monkeypatch)
+    assert ran == [1, 3]
+    assert [r.best_valid_loss for r in after] == [
+        r.best_valid_loss for r in before
+    ]
 
-    def counting(spec_, k, *a, **kw):
-        ran.append(k)
-        return original(spec_, k, *a, **kw)
 
-    monkeypatch.setattr(sweep, "run_trial", counting)
-    _, after = sweep.run_sweep(spec, ds, ds, out)
-    assert sorted(ran) == [1, 3]
+def test_sweep_reruns_trials_with_damaged_records(tmp_path, monkeypatch):
+    spec = make_spec()
+    ds = tiny_dataset()
+    out = str(tmp_path / "s")
+    _, before = sweep.run_sweep(spec, ds, ds, out)
+
+    truncated = os.path.join(out, "trial_1", "record.json")
+    raw = open(truncated, encoding="utf-8").read()
+    with open(truncated, "w", encoding="utf-8") as fh:
+        fh.write(raw[: len(raw) // 2])
+    with open(os.path.join(out, "trial_3", "record.json"), "w",
+              encoding="utf-8") as fh:
+        fh.write('{"trial_id": 3}')
+    ran, after = _resume_counting_trials(spec, ds, out, monkeypatch)
+    assert ran == [1, 3]
     assert [r.best_valid_loss for r in after] == [
         r.best_valid_loss for r in before
     ]
