@@ -7,6 +7,13 @@ gradual unfreezing (`train`), perplexity/BLEU evaluation (`metrics`),
 random hyperparameter sweeps (`sweep`), and the `occlm` CLI (`cli`).
 """
 
+import os
+
+# One OpenBLAS thread unless the environment says otherwise. Set before
+# numpy loads: at this package's shapes a second BLAS thread only costs, and
+# large training steps use the second core through row shards instead.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from . import errors  # noqa: F401  (import order: errors first, no deps)

@@ -119,8 +119,16 @@ def load_config_source(name):
                 f"unknown preset {preset!r}; available: {sorted(PRESETS)}"
             )
         return PRESETS[preset]
-    with open(name, encoding="utf-8") as fh:
-        return json.load(fh)
+    return _load_json(name)
+
+
+def _load_json(path):
+    """Parse a JSON input file; malformed JSON is a ConfigError naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def resolve_configs(args, train_defaults=None, model_defaults=None):
@@ -398,8 +406,7 @@ def cmd_sweep(args):
         raise DataError(f"missing vocabulary: {vocab_path}")
     vocab = bpe.load_vocab(vocab_path)
     vocab_hash = metrics.file_sha256(vocab_path)
-    with open(args.spec, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _load_json(args.spec)
     # spec files omit vocab_size; it always comes from the actual vocabulary
     declared = raw.get("base_model", {}).setdefault("vocab_size", vocab.size)
     if declared != vocab.size:

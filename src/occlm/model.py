@@ -73,10 +73,6 @@ class ParameterSet:
     def items(self):
         return self._tensors.items()
 
-    def zero_grads(self):
-        for t in self._tensors.values():
-            t.zero_grad()
-
     def n_params(self):
         return sum(t.size for t in self._tensors.values())
 

@@ -273,8 +273,16 @@ def matmul(a, b):
     out_data = np.matmul(a.data, b.data)
 
     def back(g, sink):
-        sink(a, np.matmul(g, b.data.swapaxes(-1, -2)))
-        sink(b, np.matmul(a.data.swapaxes(-1, -2), g))
+        if b.ndim == 2:
+            # fold a's stack into the rows of one product per gradient instead
+            # of per-item products (summed afterwards for b); pays at training
+            # sizes, where the stack is large
+            g_rows = g.reshape(-1, b.shape[1])
+            sink(a, (g_rows @ b.data.T).reshape(a.shape))
+            sink(b, a.data.reshape(-1, b.shape[0]).T @ g_rows)
+        else:
+            sink(a, np.matmul(g, b.data.swapaxes(-1, -2)))
+            sink(b, np.matmul(a.data.swapaxes(-1, -2), g))
 
     return _result(out_data, "matmul", (a, b), back)
 
@@ -336,36 +344,43 @@ def softmax_lastdim(x):
     """Softmax over the last dimension, computed with max-subtraction."""
     if x.ndim == 0 or x.shape[-1] < 1:
         raise ShapeError(f"softmax needs a non-empty last dimension, got shape {x.shape}")
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out_data = e / e.sum(axis=-1, keepdims=True)
-    s = out_data
+    s = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def back(g, sink):
-        inner = (g * s).sum(axis=-1, keepdims=True)
-        sink(x, s * (g - inner))
+        dx = g * s
+        inner = dx.sum(axis=-1, keepdims=True)
+        np.subtract(g, inner, out=dx)
+        dx *= s
+        sink(x, dx)
 
-    return _result(out_data, "softmax_lastdim", (x,), back)
+    return _result(s, "softmax_lastdim", (x,), back)
 
 
 @_op
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize the last dimension to zero mean / unit variance, then affine."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = np.square(xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + DTYPE(eps))
-    xhat = centered * inv
-    out_data = xhat * gain.data + bias.data
+    xhat *= inv
+    out_data = xhat * gain.data
+    out_data += bias.data
     d = x.shape[-1]
 
     def back(g, sink):
-        sink(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+        tmp = g * xhat
+        sink(gain, tmp.reshape(-1, d).sum(axis=0))
         sink(bias, g.reshape(-1, d).sum(axis=0))
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        sink(x, inv * (dxhat - m1 - xhat * m2))
+        tmp *= gain.data
+        m2 = tmp.mean(axis=-1, keepdims=True)
+        dx = g * gain.data
+        dx -= dx.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, m2, out=tmp)
+        dx -= tmp
+        dx *= inv
+        sink(x, dx)
 
     return _result(out_data, "layer_norm", (x, gain, bias), back)
 
@@ -374,13 +389,31 @@ def layer_norm(x, gain, bias, eps=1e-5):
 def gelu(x):
     """GELU activation (tanh approximation, the GPT-2 variant)."""
     v = x.data
-    inner = GELU_C * (v + DTYPE(0.044715) * v * v * v)
-    t = np.tanh(inner)
-    out_data = 0.5 * v * (1.0 + t)
+    t = v * v  # t = tanh(C (v + 0.044715 v^3)), built in one buffer
+    t *= DTYPE(0.044715)
+    t += 1
+    t *= v
+    t *= DTYPE(GELU_C)
+    np.tanh(t, out=t)
+    out_data = t + 1
+    out_data *= v
+    out_data *= 0.5
 
     def back(g, sink):
-        dinner = GELU_C * (1.0 + 3.0 * DTYPE(0.044715) * v * v)
-        sink(x, g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner))
+        # d/dv = 0.5 (1 + t) + 0.5 v (1 - t^2) C (1 + 3 * 0.044715 v^2)
+        dinner = v * v
+        dinner *= DTYPE(3.0 * 0.044715)
+        dinner += 1
+        dinner *= DTYPE(GELU_C)
+        dinner *= v
+        dx = t * t
+        np.subtract(1, dx, out=dx)
+        dx *= dinner
+        dx += t
+        dx += 1
+        dx *= 0.5
+        dx *= g
+        sink(x, dx)
 
     return _result(out_data, "gelu", (x,), back)
 
@@ -407,12 +440,12 @@ def dropout(x, p, train, rng):
         return x
     if rng is None:
         raise ContractError("dropout with train=True and p>0 needs an rng")
-    keep = (rng.random(x.shape) >= p).astype(DTYPE)
-    factor = DTYPE(1.0 / (1.0 - p))
-    out_data = x.data * keep * factor
+    mask = (rng.random(x.shape) >= p).astype(DTYPE)
+    mask *= DTYPE(1.0 / (1.0 - p))
+    out_data = x.data * mask
 
     def back(g, sink):
-        sink(x, g * keep * factor)
+        sink(x, g * mask)
 
     return _result(out_data, "dropout", (x,), back)
 
@@ -471,20 +504,22 @@ def cross_entropy(logits, targets, ignore_mask=None, weights=None):
             raise DataError("cross_entropy: all loss weights are zero")
     denom = DTYPE(w.sum())
 
+    # one full-vocab exp; the normalised softmax is kept for backward
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     safe_targets = np.where(valid, targets, 0)
-    picked = np.take_along_axis(z - lse, safe_targets[..., None], axis=-1)[..., 0]
+    picked = np.take_along_axis(z, safe_targets[..., None], axis=-1)[..., 0]
+    soft = np.exp(z, out=z)
+    total = soft.sum(axis=-1, keepdims=True)
+    soft /= total
+    picked -= np.log(total[..., 0])
     out_data = np.asarray(-(picked * w).sum() / denom, dtype=DTYPE)
 
     def back(g, sink):
-        soft = np.exp(z - lse)
-        grad = soft * (w / denom)[..., None]
-        np.subtract.at(
-            grad,
-            tuple(np.indices(targets.shape)) + (safe_targets,),
-            w / denom,
-        )
-        sink(logits, grad * g)
+        w_norm = w / denom
+        grad = soft * w_norm[..., None]
+        # each row has exactly one target, so fancy-index subtraction is safe
+        grad[np.indices(targets.shape, sparse=True) + (safe_targets,)] -= w_norm
+        grad *= g
+        sink(logits, grad)
 
     return _result(out_data, "cross_entropy", (logits,), back)

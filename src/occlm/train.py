@@ -9,9 +9,14 @@ the surrounding left context.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,12 +158,166 @@ def _occlusion_weights(flags, weight):
     return w
 
 
+# Rows x sequence length x d_model of one row shard from which a training step
+# splits its minibatch into two shards on two threads. Median step, two shards
+# vs one, three rounds each on a 2-vCPU x86_64 VM with one OpenBLAS thread
+# (2 layers, 2 heads, dropout 0.1, occlusion 0.3): 16x64x64 = 65,536 (the
+# ac4 config) 53-55 vs 91-97 ms; 12x64x64 = 49,152 42-48 vs 65-70 ms;
+# 8x64x64 = 32,768 32-34 vs 43-46 ms; 8x32x64 = 16,384 23-26 vs 21-24 ms,
+# slower; 8x32x32 = 8,192 (the sweep's 1-layer shape) 11 vs 6-8 ms, slower.
+SHARD_MIN_SIZE = 32_768
+
+_shard_pool = None
+
+
+def _keep_heap_pages():
+    """Keep freed heap pages in the process (glibc only; elsewhere a no-op).
+
+    Without this the shard worker's malloc arena gives freed pages back to
+    the kernel every step and faults them in again: on a 2-vCPU x86_64 VM an
+    ac4 step then took ~16,500 minor faults and a 77-81 ms median, against
+    ~440 faults and 56-59 ms with it. Set once, when the shard worker
+    starts."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: heap, not mmap, below 32 MiB
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: keep up to 1 GiB of free top
+
+
+def _shard_worker():
+    """The one persistent thread that runs shard 1, or None when a second
+    thread would not pay: fewer than 2 usable cores, more than one BLAS
+    thread, or a caller off the main thread (a sweep --parallel worker).
+    Which thread runs a shard never changes a number."""
+    global _shard_pool
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    if (cores < 2 or os.environ.get("OPENBLAS_NUM_THREADS") != "1"
+            or threading.current_thread() is not threading.main_thread()):
+        return None
+    if _shard_pool is None:
+        _shard_pool = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="occlm-shard",
+            initializer=_keep_heap_pages,
+        )
+    return _shard_pool
+
+
+class _SharedDraws:
+    """Dropout randomness for row shards: the k-th random(shape) call of any
+    shard gets that shard's rows of the k-th full-batch draw from rng. Draws
+    happen in call order, so the masks and rng's final state equal those of
+    an unsharded forward. A draw is freed once every shard has taken it."""
+
+    def __init__(self, rng, bounds):
+        self.rng = rng
+        self.bounds = bounds
+        self.lock = threading.Lock()
+        self.pending = {}  # call index -> [full draw, shards yet to take it]
+
+    def take(self, k, j, shape):
+        with self.lock:
+            entry = self.pending.get(k)
+            if entry is None:
+                full = self.rng.random((self.bounds[-1],) + tuple(shape[1:]))
+                entry = self.pending[k] = [full, len(self.bounds) - 1]
+            entry[1] -= 1
+            if entry[1] == 0:
+                del self.pending[k]
+        return entry[0][self.bounds[j]:self.bounds[j + 1]]
+
+
+class _ShardDraws:
+    """Duck-typed `Generator.random` for shard j of a _SharedDraws."""
+
+    def __init__(self, shared, j):
+        self.shared = shared
+        self.j = j
+        self.calls = 0
+
+    def random(self, shape):
+        self.calls += 1
+        return self.shared.take(self.calls - 1, self.j, shape)
+
+
+def shard_count(x, d_model):
+    """2 when half the minibatch x is at least SHARD_MIN_SIZE, else 1."""
+    rows, seq = np.shape(x)
+    return 2 if (rows // 2) * seq * d_model >= SHARD_MIN_SIZE else 1
+
+
+def loss_and_grads(params, x, batch, weights, rng, n_shards):
+    """Training loss and parameter grads of one minibatch, run as n_shards
+    (1 or 2) row shards; a shard without loss weight makes it one shard.
+
+    Each shard runs forward, cross-entropy and backward on its own tape and
+    its own leaf tensors (sharing the parameter data), and backpropagates its
+    loss times d_j / D, where d_j is its loss weight and D the batch's. The
+    loss is the d_j / D-weighted sum of shard losses and the grads are the
+    shard grads summed in shard order, so both equal the unsharded ones up to
+    float32 rounding. Shard 1 runs on the shard worker when there is one;
+    both shards finish before an error from either propagates. Returns
+    (loss, name -> grad or None).
+    """
+    rows = len(x)
+    bounds = (0, rows) if n_shards == 1 else (0, (rows + 1) // 2, rows)
+    loss_w = ~batch.ignore if weights is None else weights * ~batch.ignore
+    d = [float(loss_w[lo:hi].sum(dtype=np.float64))
+         for lo, hi in zip(bounds, bounds[1:])]
+    if 0.0 in d:
+        bounds, d = (0, rows), [sum(d)]
+    total = sum(d)
+    draws = _SharedDraws(rng, bounds)
+
+    def run(j):
+        part = slice(bounds[j], bounds[j + 1])
+        leaves = {
+            name: T.Tensor(t.data, requires_grad=True, name=name)
+            for name, t in params.items()
+        }
+        shard = model.ParameterSet(params.config, leaves)
+        with T.Tape() as tape:
+            logits = model.forward(shard, params.config, x[part], train=True,
+                                   rng=_ShardDraws(draws, j))
+            loss = T.cross_entropy(
+                logits, batch.targets[part], ignore_mask=batch.ignore[part],
+                weights=None if weights is None else weights[part],
+            )
+            T.backward(T.scale(loss, d[j] / total), tape)
+        return float(loss.data), {n: t.grad for n, t in leaves.items()}
+
+    worker = _shard_worker() if len(d) > 1 else None
+    if worker is None:
+        results = [run(j) for j in range(len(d))]
+    else:
+        pending = worker.submit(run, 1)
+        try:
+            first = run(0)
+        finally:
+            wait([pending])
+        results = [first, pending.result()]
+
+    loss = sum(d_j / total * loss_j for d_j, (loss_j, _) in zip(d, results))
+    grads = {}
+    for name in params.names():
+        shard_grads = [g[name] for _, g in results if g[name] is not None]
+        grads[name] = functools.reduce(np.add, shard_grads) if shard_grads else None
+    return loss, grads
+
+
 def train_step(params, state, batch, cfg, lr=None, batch_index=None):
     """One forward/backward/AdamW update on a Batch. Returns (loss, state).
 
     Only parameters allowed by state.freeze_mask move; frozen parameters and
     their moments stay bit-identical. Decoupled weight decay is scaled by lr
-    and applied to matrix-shaped parameters only."""
+    and applied to matrix-shaped parameters only. Large minibatches run as
+    two row shards (see loss_and_grads); occlusion is drawn for the full
+    batch first, and dropout draws full-batch masks in the same order as an
+    unsharded step."""
     lr = cfg.base_lr if lr is None else lr
     x = batch.inputs
     flags = None
@@ -170,17 +329,11 @@ def train_step(params, state, batch, cfg, lr=None, batch_index=None):
     if flags is not None and cfg.occlusion_loss_weight != 1.0:
         weights = _occlusion_weights(flags, cfg.occlusion_loss_weight)
 
-    params.zero_grads()
     try:
-        with T.Tape() as tape:
-            logits = model.forward(
-                params, params.config, x, train=True, rng=state.rng
-            )
-            loss = T.cross_entropy(
-                logits, batch.targets, ignore_mask=batch.ignore, weights=weights
-            )
-            T.backward(loss, tape)
-        loss_val = float(loss.data)
+        loss_val, grads = loss_and_grads(
+            params, x, batch, weights, state.rng,
+            shard_count(x, params.config.d_model),
+        )
     except NumericsError as exc:
         raise DivergenceError(
             f"non-finite value during training step: {exc}",
@@ -191,6 +344,8 @@ def train_step(params, state, batch, cfg, lr=None, batch_index=None):
             "training loss is not finite",
             step=state.step, lr=lr, batch_index=batch_index,
         )
+    for name, grad in grads.items():
+        params[name].grad = grad
 
     trainable = state.freeze_mask.trainable_names(params)
     if cfg.grad_clip is not None:

@@ -90,6 +90,19 @@ def test_seed_only_on_commands_that_read_it(capsys, smoke):
         assert cli.dispatch([command, "--seed", "1"]) == 1  # parsed; input missing
 
 
+def test_pretrain_malformed_config_exit_1(capsys, smoke, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"model": ')
+    rc = cli.dispatch(
+        ["pretrain", "--data", smoke["work"], "--vocab", smoke["vocab"],
+         "--out", str(tmp_path / "x.ckpt"), "--config", str(cfg)] + DESK_FLAGS
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(cfg) in err
+    assert "Traceback" not in err
+
+
 def test_missing_checkpoint_file_exit_1(capsys, smoke):
     rc = cli.dispatch(
         ["eval", "--checkpoint", str(smoke["root"] / "nope.ckpt"),
@@ -403,6 +416,19 @@ def test_sweep_vocab_size_mismatch_rejected(capsys, smoke, tmp_path):
     )
     assert rc == 1
     assert "vocab_size" in capsys.readouterr().err
+
+
+def test_sweep_malformed_spec_exit_1(capsys, smoke, tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text('{"model": ')
+    rc = cli.dispatch(
+        ["sweep", "--spec", str(spec_path), "--data", smoke["work"],
+         "--vocab", smoke["vocab"], "--out", str(tmp_path / "sw3")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(spec_path) in err
+    assert "Traceback" not in err
 
 
 # -- quickstart -------------------------------------------------------------

@@ -8,6 +8,9 @@ early stopping, freezing, and resume contracts are exercised directly.
 import json
 import math
 import os
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 
 from occlm import bpe, corpus, demo, metrics, model, train
 from occlm import tensor as T
-from occlm.errors import ConfigError, ContractError, DivergenceError
+from occlm.errors import ConfigError, ContractError, DivergenceError, NumericsError
 
 SPECIALS = (0, 1, 2)  # pad, occ, eot
 OCC = 1
@@ -662,3 +665,106 @@ def test_golden_loss_trajectory(ac4_train_ds, occlusion_prob):
         losses.append(loss)
     np.testing.assert_allclose(losses, GOLDEN_LOSSES[occlusion_prob],
                                rtol=0, atol=GOLDEN_ATOL)
+
+
+# ---------------------------------------------------------------------------
+# row shards
+# ---------------------------------------------------------------------------
+
+
+def _ac4_setup(ds, **train_over):
+    mcfg = model.ModelConfig(vocab_size=ds.vocab_size, block_size=64,
+                             d_model=64, n_layers=2, n_heads=2, dropout=0.1,
+                             ffn_mult=4)
+    tcfg = train.TrainConfig(batch_size=32, base_lr=3e-3, seed=0, **train_over)
+    params = model.init(mcfg, seed=0)
+    return params, train.init_state(params, tcfg), tcfg
+
+
+@pytest.mark.parametrize("train_over", [
+    {},
+    {"occlusion_prob": 0.3},
+    {"occlusion_prob": 0.3, "occlusion_loss_weight": 2.0},
+], ids=["standard", "occlusion", "occlusion-weighted"])
+def test_two_shard_step_matches_one_shard(ac4_train_ds, monkeypatch, train_over):
+    batch = ac4_train_ds.minibatch(np.arange(32))
+    assert train.shard_count(batch.inputs, 64) == 2
+    runs = []
+    for min_size in (train.SHARD_MIN_SIZE, 10**12):
+        monkeypatch.setattr(train, "SHARD_MIN_SIZE", min_size)
+        params, state, tcfg = _ac4_setup(ac4_train_ds, **train_over)
+        loss, _ = train.train_step(params, state, batch, tcfg, lr=1e-3)
+        grads = {n: params[n].grad for n in params.names()}
+        runs.append((loss, grads, state.rng.bit_generator.state))
+    (loss2, grads2, rng2), (loss1, grads1, rng1) = runs
+    assert abs(loss2 - loss1) <= 1e-6
+    for name in grads1:
+        np.testing.assert_allclose(grads2[name], grads1[name],
+                                   rtol=1e-5, atol=1e-6, err_msg=name)
+    assert rng2 == rng1
+
+
+def test_shard_worker_and_inline_are_bit_identical(ac4_train_ds, monkeypatch):
+    finals = []
+    for worker in (ThreadPoolExecutor(max_workers=1), None):
+        monkeypatch.setattr(train, "_shard_worker", lambda: worker)
+        params, state, tcfg = _ac4_setup(ac4_train_ds, occlusion_prob=0.3)
+        for step in range(3):
+            batch = ac4_train_ds.minibatch(np.arange(step * 32, step * 32 + 32))
+            train.train_step(params, state, batch, tcfg, lr=1e-3)
+        finals.append({n: params[n].data.copy() for n in params.names()})
+        if worker is not None:
+            worker.shutdown()
+    for name in finals[0]:
+        np.testing.assert_array_equal(finals[0][name], finals[1][name],
+                                      err_msg=name)
+
+
+def test_padded_second_half_runs_one_shard(ac4_train_ds, monkeypatch):
+    full = ac4_train_ds.minibatch(np.arange(32))
+    ignore = full.ignore.copy()
+    ignore[16:] = True
+    batch = corpus.Batch(full.inputs, full.targets, ignore, full.occ_id,
+                         full.special_ids)
+    rows_seen = []
+    forward = model.forward
+
+    def counting_forward(params, config, ids, **kw):
+        rows_seen.append(len(ids))
+        return forward(params, config, ids, **kw)
+
+    monkeypatch.setattr(model, "forward", counting_forward)
+    params, state, tcfg = _ac4_setup(ac4_train_ds)
+    loss, _ = train.train_step(params, state, batch, tcfg, lr=1e-3)
+    assert rows_seen == [32]
+    monkeypatch.setattr(train, "SHARD_MIN_SIZE", 10**12)
+    params, state, tcfg = _ac4_setup(ac4_train_ds)
+    assert train.train_step(params, state, batch, tcfg, lr=1e-3)[0] == loss
+
+
+def test_sharded_step_error_waits_for_both_shards(ac4_train_ds, monkeypatch):
+    worker = ThreadPoolExecutor(max_workers=1)
+    monkeypatch.setattr(train, "_shard_worker", lambda: worker)
+    forward, backward = model.forward, T.backward
+    worker_done = []
+
+    def forward_failing_on_caller(params, config, ids, **kw):
+        if threading.current_thread() is threading.main_thread():
+            raise NumericsError("injected")
+        return forward(params, config, ids, **kw)
+
+    def slow_backward(loss, tape):
+        time.sleep(0.2)
+        backward(loss, tape)
+        worker_done.append(True)
+
+    monkeypatch.setattr(model, "forward", forward_failing_on_caller)
+    monkeypatch.setattr(T, "backward", slow_backward)
+    params, state, tcfg = _ac4_setup(ac4_train_ds)
+    batch = ac4_train_ds.minibatch(np.arange(32))
+    with pytest.raises(DivergenceError) as err:
+        train.train_step(params, state, batch, tcfg, lr=1e-3, batch_index=7)
+    assert worker_done == [True]
+    assert err.value.step == 0
+    assert err.value.batch_index == 7
+    worker.shutdown()
