@@ -8,10 +8,9 @@ p=0.3, and the best of {0.1, 0.3} vs 0.5.
 """
 
 import argparse
-import json
 import time
 
-from occlm import bpe, corpus, demo, model, train
+from occlm import artifacts, bpe, corpus, demo, model, train
 
 PROBS = (0.0, 0.1, 0.3, 0.5)
 
@@ -89,8 +88,7 @@ def main():
             "low_p_beats_05": low_wins,
             "seeds": n,
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        artifacts.write_json(args.out, payload)
         print(f"wrote {args.out}")
 
 

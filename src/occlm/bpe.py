@@ -14,6 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
+from . import artifacts
 from .errors import ConfigError, DataError, EncodingError, TokenIndexError
 
 # each word grabs the single space before it; other whitespace runs stand alone
@@ -287,8 +288,7 @@ def save_vocab(v, path, run_id=None):
     lines.append("[merges]")
     for a, b in v.merges:
         lines.append(f"{a}\t{b}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    artifacts.write_text(path, "\n".join(lines) + "\n")
 
 
 def load_vocab(path):
@@ -308,7 +308,7 @@ def load_vocab(path):
     merges = []
     target_size = None
     known = ("[specials]", "[target_size]", "[tokens]", "[merges]")
-    for line in lines[1:]:
+    for line_no, line in enumerate(lines[1:], start=2):
         # '#' starts a comment only in the preamble; '#' is a real token later
         if not line or (section is None and line.startswith("#")):
             continue
@@ -318,19 +318,24 @@ def load_vocab(path):
                 raise DataError(f"unknown vocab section {line!r}")
             section = line
             continue
-        if section == "[specials]":
-            name, sid, tok = line.split("\t")
-            specials[name] = (int(sid), tok)
-        elif section == "[target_size]":
-            target_size = int(line)
-        elif section == "[tokens]":
-            tok, sid = line.rsplit("\t", 1)
-            token_to_id[tok] = int(sid)
-        elif section == "[merges]":
-            a, b = line.split("\t")
-            merges.append((a, b))
-        else:
-            raise DataError(f"vocab line outside any section: {line!r}")
+        try:
+            if section == "[specials]":
+                name, sid, tok = line.split("\t")
+                specials[name] = (int(sid), tok)
+            elif section == "[target_size]":
+                target_size = int(line)
+            elif section == "[tokens]":
+                tok, sid = line.rsplit("\t", 1)
+                token_to_id[tok] = int(sid)
+            elif section == "[merges]":
+                a, b = line.split("\t")
+                merges.append((a, b))
+            else:
+                raise DataError(f"vocab line outside any section: {line!r}")
+        except ValueError as exc:  # wrong field count or a non-integer id
+            raise DataError(
+                f"{path} line {line_no}: malformed {section} entry {line!r}"
+            ) from exc
     if target_size is None or set(specials) != {"pad", "occ", "eot"}:
         raise DataError(f"vocab file {path} is missing sections")
 

@@ -10,16 +10,17 @@ the first step and finalizes it on exit, error exits included.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
 import os
-import stat
 import sys
 import time
 from dataclasses import dataclass
 
-from . import __version__, bpe, corpus, demo, metrics, model, sweep, train
+from . import (__version__, artifacts, bpe, corpus, demo, metrics, model,
+               sweep, train)
 from .errors import ConfigError, DataError, OcclmError
 
 PRESETS = {
@@ -69,9 +70,6 @@ class RunManifest:
     finished_at: str = ""
     status: str = "running"
 
-    def to_json(self):
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
-
 
 def _now():
     return time.strftime("%Y-%m-%dT%H:%M:%S%z")
@@ -89,21 +87,24 @@ def make_run_id(command, resolved, data_hashes, vocab_hash, deterministic):
     return f"{time.strftime('%Y%m%d-%H%M%S')}-{os.urandom(3).hex()}"
 
 
-def _ensure_parent(path):
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-
-
 def write_manifest(path, manifest):
-    _ensure_parent(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(manifest.to_json() + "\n")
+    artifacts.write_json(path, dataclasses.asdict(manifest))
 
 
-def finalize_manifest(path, manifest, status):
-    manifest.status = status
-    manifest.finished_at = _now()
+@contextlib.contextmanager
+def manifest_run(path, **fields):
+    """Write a RunManifest before the body runs and finalize it after: status
+    "ok" when the body returns, "error" when it raises."""
+    manifest = RunManifest(version=__version__, started_at=_now(), **fields)
     write_manifest(path, manifest)
+    status = "error"
+    try:
+        yield
+        status = "ok"
+    finally:
+        manifest.status = status
+        manifest.finished_at = _now()
+        write_manifest(path, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -119,16 +120,16 @@ def load_config_source(name):
                 f"unknown preset {preset!r}; available: {sorted(PRESETS)}"
             )
         return PRESETS[preset]
-    return _load_json(name)
+    return _json_object(name)
 
 
-def _load_json(path):
-    """Parse a JSON input file; malformed JSON is a ConfigError naming it."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+def _json_object(path):
+    """A JSON input file whose top level must be an object."""
+    obj = artifacts.read_json(path)
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path} must hold a JSON object, "
+                          f"got {type(obj).__name__}")
+    return obj
 
 
 def resolve_configs(args, train_defaults=None, model_defaults=None):
@@ -242,22 +243,12 @@ def _run_training(args, command, train_defaults=None, model_defaults=None,
     run_id = make_run_id(command, resolved, data_hashes, vocab_hash,
                          args.deterministic)
     manifest_path = args.out + ".manifest.json"
-    manifest = RunManifest(
-        run_id=run_id,
+    with manifest_run(
+        manifest_path, run_id=run_id,
         command_line=[command] + list(args.raw_argv),
-        resolved_config=resolved,
-        vocab_hash=vocab_hash,
-        data_hashes=data_hashes,
-        seed=tcfg.seed,
-        version=__version__,
-        started_at=_now(),
-    )
-    write_manifest(manifest_path, manifest)
-
-    metrics_path = args.metrics or args.out + ".metrics.jsonl"
-    _ensure_parent(metrics_path)
-    status = "error"
-    try:
+        resolved_config=resolved, vocab_hash=vocab_hash,
+        data_hashes=data_hashes, seed=tcfg.seed,
+    ):
         if finetune_from is not None:
             params, header, _ = model.load_checkpoint(
                 finetune_from, expect_config=mcfg, expect_vocab_hash=vocab_hash
@@ -266,6 +257,7 @@ def _run_training(args, command, train_defaults=None, model_defaults=None,
         else:
             params = model.init(mcfg, seed=tcfg.seed)
             runner = train.fit
+        metrics_path = args.metrics or args.out + ".metrics.jsonl"
         with train.MetricsSink(metrics_path) as sink:
             best, state = runner(
                 params, train_ds, valid_ds, tcfg, sink=sink, run_id=run_id
@@ -282,9 +274,6 @@ def _run_training(args, command, train_defaults=None, model_defaults=None,
                 "stop_reason": state.stop_reason,
             },
         )
-        status = "ok"
-    finally:
-        finalize_manifest(manifest_path, manifest, status)
     print(
         f"{command}: {state.epoch} epochs ({state.stop_reason}), "
         f"best valid loss {state.best_valid_loss:.4f} "
@@ -316,7 +305,6 @@ def cmd_tokenizer(args):
         args.deterministic,
     )
     vocab = bpe.train_bpe(lines, target_size=target)
-    _ensure_parent(args.out)
     bpe.save_vocab(vocab, args.out, run_id=run_id)
     print(
         f"tokenizer: {vocab.size} tokens ({len(vocab.merges)} merges) "
@@ -335,17 +323,13 @@ def cmd_corpus(args):
         lines = list(corpus.clean(lines))
     train_l, valid_l, test_l = corpus.split(lines, spec)
     named = {"train": train_l, "valid": valid_l, "test": test_l}
-    os.makedirs(args.out_dir, exist_ok=True)
     vocab = bpe.load_vocab(args.vocab) if args.vocab else None
     for name, split_lines in named.items():
-        path = os.path.join(args.out_dir, f"{name}.txt")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in split_lines:
-                fh.write(line + "\n")
+        artifacts.write_text(os.path.join(args.out_dir, f"{name}.txt"),
+                             "".join(line + "\n" for line in split_lines))
     stats = corpus.stats(named, vocab=vocab)
-    with open(os.path.join(args.out_dir, "stats.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(corpus.stats_to_json(stats) + "\n")
+    artifacts.write_text(os.path.join(args.out_dir, "stats.json"),
+                         corpus.stats_to_json(stats) + "\n")
     print(corpus.render_stats_table(stats))
     return 0
 
@@ -366,6 +350,13 @@ def cmd_finetune(args):
     )
 
 
+def _gen_config(args):
+    return metrics.GenerationConfig(
+        max_new_tokens=args.max_new_tokens, strategy=args.strategy,
+        temperature=args.temperature, top_k=args.top_k, seed=args.gen_seed,
+    ).check()
+
+
 def cmd_eval(args):
     _require(args, "checkpoint", "vocab", "split")
     vocab = bpe.load_vocab(args.vocab)
@@ -377,13 +368,7 @@ def cmd_eval(args):
     split_name = args.split_name or os.path.splitext(
         os.path.basename(args.split)
     )[0]
-    gen = metrics.GenerationConfig(
-        max_new_tokens=args.max_new_tokens,
-        strategy=args.strategy,
-        temperature=args.temperature,
-        top_k=args.top_k,
-        seed=args.gen_seed,
-    ).check()
+    gen = _gen_config(args)
     report = metrics.evaluate(
         args.checkpoint, ds, split=split_name, vocab=vocab,
         vocab_hash=vocab_hash,
@@ -392,9 +377,7 @@ def cmd_eval(args):
     )
     text = report.to_json()
     if args.out:
-        _ensure_parent(args.out)
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+        artifacts.write_text(args.out, text + "\n")
     print(text)
     return 0
 
@@ -406,14 +389,14 @@ def cmd_sweep(args):
         raise DataError(f"missing vocabulary: {vocab_path}")
     vocab = bpe.load_vocab(vocab_path)
     vocab_hash = metrics.file_sha256(vocab_path)
-    raw = _load_json(args.spec)
+    raw = _json_object(args.spec)
     # spec files omit vocab_size; it always comes from the actual vocabulary
-    declared = raw.get("base_model", {}).setdefault("vocab_size", vocab.size)
-    if declared != vocab.size:
-        raise ConfigError(
-            f"spec pins vocab_size {declared} but {vocab_path} has {vocab.size}"
-        )
+    if isinstance(raw.get("base_model"), dict):
+        raw["base_model"].setdefault("vocab_size", vocab.size)
     spec = sweep.spec_from_dict(raw)
+    if spec.base_model.vocab_size != vocab.size:
+        raise ConfigError(f"spec pins vocab_size {spec.base_model.vocab_size} "
+                          f"but {vocab_path} has {vocab.size}")
     train_ds, valid_ds, data_hashes = _pack_splits(
         args.data, vocab, spec.base_model.block_size
     )
@@ -423,25 +406,17 @@ def cmd_sweep(args):
                 "parallel": parallel}
     run_id = make_run_id("sweep", resolved, data_hashes, vocab_hash,
                          args.deterministic)
-    os.makedirs(args.out, exist_ok=True)
-    manifest_path = os.path.join(args.out, "manifest.json")
-    manifest = RunManifest(
+    with manifest_run(
+        os.path.join(args.out, "manifest.json"),
         run_id=run_id, command_line=["sweep"] + list(args.raw_argv),
         resolved_config=resolved, vocab_hash=vocab_hash,
-        data_hashes=data_hashes, seed=spec.seed, version=__version__,
-        started_at=_now(),
-    )
-    write_manifest(manifest_path, manifest)
-    status = "error"
-    try:
+        data_hashes=data_hashes, seed=spec.seed,
+    ):
         best, board = sweep.run_sweep(
             spec, train_ds, valid_ds, args.out, vocab_hash=vocab_hash,
             run_id=run_id, parallel=parallel,
         )
         sweep.write_sweep_report(os.path.join(args.out, "report.json"), board)
-        status = "ok"
-    finally:
-        finalize_manifest(manifest_path, manifest, status)
     print(
         f"sweep: best trial {best.trial_id} "
         f"(valid loss {best.best_valid_loss:.4f}, {best.stop_reason}); "
@@ -457,13 +432,7 @@ def cmd_generate(args):
     params, _, _ = model.load_checkpoint(
         args.checkpoint, expect_vocab_hash=vocab_hash
     )
-    gen = metrics.GenerationConfig(
-        max_new_tokens=args.max_new_tokens,
-        strategy=args.strategy,
-        temperature=args.temperature,
-        top_k=args.top_k,
-        seed=args.gen_seed,
-    ).check()
+    gen = _gen_config(args)
     prompt_ids = bpe.encode(vocab, args.prompt).ids
     out = metrics.generate(params, params.config, vocab, prompt_ids, gen)
     print(bpe.decode(vocab, out))
@@ -527,16 +496,11 @@ def cmd_quickstart(args):
         raise ConfigError(
             f"refusing to overwrite {existing[0]} (use --force)"
         )
-    os.makedirs(os.path.join(out, "corpus"), exist_ok=True)
     demo.write_corpus(targets[0], 4800, seed=0, style="mono")
     demo.write_corpus(targets[1], 800, seed=0, style="news")
-    with open(targets[2], "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(QUICKSTART_CONFIG, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    with open(targets[3], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(COMPARE_SH)
-    os.chmod(targets[3], os.stat(targets[3]).st_mode | stat.S_IXUSR
-             | stat.S_IXGRP | stat.S_IXOTH)
+    artifacts.write_json(targets[2], QUICKSTART_CONFIG)
+    artifacts.write_text(targets[3], COMPARE_SH)
+    os.chmod(targets[3], os.stat(targets[3]).st_mode | 0o111)  # a+x
     print(f"quickstart: corpus, config.json, compare.sh -> {out}")
     return 0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import artifacts
 from .errors import ConfigError
 
 NOUNS = [
@@ -93,6 +94,5 @@ def make_sentences(n, seed=0, style="mono"):
 
 def write_corpus(path, n, seed=0, style="mono"):
     lines = make_sentences(n, seed=seed, style=style)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    artifacts.write_text(path, "\n".join(lines) + "\n")
     return lines

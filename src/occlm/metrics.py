@@ -213,12 +213,6 @@ def bleu_eval_protocol(params, config, vocab, sentences, prompt_frac=0.25, gen=N
     )
 
 
-def write_transcript(path, pairs):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for ref, hyp in pairs:
-            fh.write(f"REF:\t{ref}\nGEN:\t{hyp}\n")
-
-
 # ---------------------------------------------------------------------------
 # Aggregate report
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from . import artifacts
 from . import tensor as T
 from .errors import CheckpointError, ConfigError, LengthError, TokenIndexError
 
@@ -272,15 +273,13 @@ def save_checkpoint(path, params, vocab_hash, metadata=None, extras=None):
         ],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        for n in names:
-            fh.write(np.ascontiguousarray(params[n].data, dtype="<f4").tobytes())
-        for n, a in extras.items():
-            a = np.asarray(a)
-            fh.write(np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")).tobytes())
+    parts = [CKPT_MAGIC, len(blob).to_bytes(8, "little"), blob]
+    for n in names:
+        parts.append(np.ascontiguousarray(params[n].data, dtype="<f4").tobytes())
+    for n, a in extras.items():
+        a = np.asarray(a)
+        parts.append(np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<")).tobytes())
+    artifacts.write_bytes(path, b"".join(parts))
 
 
 def _read_checkpoint(path, payload=True):

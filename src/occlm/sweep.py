@@ -8,7 +8,6 @@ in a worker pool: trials share nothing but the read-only datasets.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
 import time
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics, model, train
+from . import artifacts, metrics, model, train
 from .errors import ConfigError, DivergenceError, SweepError
 
 SAMPLED_KEYS = ("base_lr", "n_layers", "n_heads", "dropout", "occlusion_prob")
@@ -199,17 +198,15 @@ def run_trial(spec, trial_id, train_ds, valid_ds, out_dir, vocab_hash, run_id):
     """
     tcfg, mcfg, sampled = sample_trial(spec, trial_id)
     tdir = _trial_dir(out_dir, trial_id)
-    os.makedirs(tdir, exist_ok=True)
-    with open(os.path.join(tdir, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "trial_id": trial_id,
-                "sampled": sampled,
-                "model": dataclasses.asdict(mcfg),
-                "train": dataclasses.asdict(tcfg),
-            },
-            fh, sort_keys=True, indent=2,
-        )
+    artifacts.write_json(
+        os.path.join(tdir, "config.json"),
+        {
+            "trial_id": trial_id,
+            "sampled": sampled,
+            "model": dataclasses.asdict(mcfg),
+            "train": dataclasses.asdict(tcfg),
+        },
+    )
 
     params = model.init(mcfg, seed=sampled["init_seed"])
     trial_run_id = f"{run_id}/trial_{trial_id}"
@@ -252,8 +249,7 @@ def run_trial(spec, trial_id, train_ds, valid_ds, out_dir, vocab_hash, run_id):
             metadata={"run_id": trial_run_id, "trial_id": trial_id,
                       "sampled": sampled},
         )
-    with open(os.path.join(tdir, "record.json"), "w", encoding="utf-8") as fh:
-        json.dump(record_to_dict(rec), fh, sort_keys=True, indent=2)
+    artifacts.write_json(os.path.join(tdir, "record.json"), record_to_dict(rec))
     return rec
 
 
@@ -285,15 +281,13 @@ def run_sweep(
     spec.check()
     if len(train_ds) == 0 or len(valid_ds) == 0:
         raise SweepError("sweep needs nonempty train and validation datasets")
-    os.makedirs(out_dir, exist_ok=True)
 
     records = {}
     missing = []
     for k in range(spec.trial_count):
         rec_path = os.path.join(_trial_dir(out_dir, k), "record.json")
         try:
-            with open(rec_path, encoding="utf-8") as fh:
-                records[k] = record_from_dict(json.load(fh))
+            records[k] = record_from_dict(artifacts.read_json(rec_path))
         except (OSError, ValueError, KeyError, TypeError, ConfigError):
             missing.append(k)  # absent, truncated or invalid: re-run
 
@@ -309,10 +303,8 @@ def run_sweep(
             records[k] = _run(k)
 
     board = leaderboard_order(records.values())
-    with open(os.path.join(out_dir, "leaderboard.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump([record_to_dict(r) for r in board], fh, sort_keys=True,
-                  indent=2)
+    artifacts.write_json(os.path.join(out_dir, "leaderboard.json"),
+                         [record_to_dict(r) for r in board])
 
     best = next(
         (
@@ -328,18 +320,17 @@ def run_sweep(
         raise SweepError(
             f"no trial completed: all {spec.trial_count} diverged"
         )
-    with open(os.path.join(out_dir, "best.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "trial_id": best.trial_id,
-                "checkpoint": os.path.join(
-                    f"trial_{best.trial_id}", "checkpoint.ckpt"
-                ),
-                "best_valid_loss": best.best_valid_loss,
-                "best_valid_ppl": best.best_valid_ppl,
-            },
-            fh, sort_keys=True, indent=2,
-        )
+    artifacts.write_json(
+        os.path.join(out_dir, "best.json"),
+        {
+            "trial_id": best.trial_id,
+            "checkpoint": os.path.join(
+                f"trial_{best.trial_id}", "checkpoint.ckpt"
+            ),
+            "best_valid_loss": best.best_valid_loss,
+            "best_valid_ppl": best.best_valid_ppl,
+        },
+    )
     return best, board
 
 
@@ -382,14 +373,8 @@ def sweep_report(records):
 
 def write_sweep_report(path, records):
     report = sweep_report(records)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
+    artifacts.write_json(path, report)
     return report
-
-
-def load_sweep_report(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 # --- SweepSpec (de)serialization for `occlm sweep --spec file.json` ---------
@@ -404,12 +389,16 @@ def spec_to_dict(spec):
 
 def spec_from_dict(d):
     d = dict(d)
-    base_model = model.config_from_dict(d.pop("base_model"))
-    base_train = train.TrainConfig(**d.pop("base_train"))
-    known = {f.name for f in dataclasses.fields(SweepSpec)}
-    unknown = set(d) - known
-    if unknown:
-        raise ConfigError(f"unknown sweep fields: {sorted(unknown)}")
+    model_d, train_d = d.pop("base_model", None), d.pop("base_train", None)
+    if not (isinstance(model_d, dict) and isinstance(train_d, dict)):
+        raise ConfigError("a sweep spec needs base_model and base_train objects")
+    for what, given, cls in (("base_train", train_d, train.TrainConfig),
+                             ("sweep", d, SweepSpec)):
+        unknown = set(given) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
+    base_model = model.config_from_dict(model_d)
+    base_train = train.TrainConfig(**train_d)
     for name in ("lr_range", "n_layers_choices", "n_heads_choices",
                  "dropout_choices", "occlusion_prob_choices"):
         if name in d:

@@ -684,6 +684,7 @@ class MetricsSink:
     """
 
     def __init__(self, path):
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         self._fh = open(path, "a", encoding="utf-8", newline="\n")
 
     def emit(self, **fields):

@@ -213,6 +213,26 @@ def test_load_rejects_garbage(tmp_path):
         bpe.load_vocab(p)
 
 
+@pytest.mark.parametrize("section, bad", [
+    ("[specials]", "pad\tzero\t<pad>"),
+    ("[target_size]", "big"),
+    ("[tokens]", "abc"),
+    ("[tokens]", "abc\t7x"),
+    ("[merges]", "a\tb\tc"),
+])
+def test_load_malformed_line_names_path_and_line(tmp_path, vocab, section, bad):
+    good = tmp_path / "good.vocab"
+    bpe.save_vocab(vocab, good)
+    lines = good.read_text(encoding="utf-8").splitlines()
+    at = lines.index(section) + 1
+    lines.insert(at, bad)
+    p = tmp_path / "bad.vocab"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"line {at + 1}\b") as exc:
+        bpe.load_vocab(p)
+    assert str(p) in str(exc.value)
+
+
 def test_specials_never_produced_by_merges(vocab):
     for a, b in vocab.merges:
         assert (a + b) not in vocab.special_tokens

@@ -431,6 +431,48 @@ def test_sweep_malformed_spec_exit_1(capsys, smoke, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, content, expect", [
+    ("tokenizer", "[1, 2]", "JSON object"),
+    ("pretrain", "[1, 2]", "JSON object"),
+    ("sweep", "[1, 2]", "JSON object"),
+    ("sweep", '{"base_train": {}}', "base_model"),
+    ("sweep", '{"base_model": {"block_size": 32, "d_model": 32, '
+              '"n_heads": 2}, "base_train": {"epochs": 2}}', "epochs"),
+])
+def test_malformed_config_or_spec_exit_1(capsys, smoke, tmp_path, command,
+                                         content, expect):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    argv = {
+        "tokenizer": ["tokenizer", "--data", smoke["raw"],
+                      "--out", str(tmp_path / "v.tsv"), "--config", str(path)],
+        "pretrain": ["pretrain", "--data", smoke["work"], "--vocab",
+                     smoke["vocab"], "--out", str(tmp_path / "x.ckpt"),
+                     "--config", str(path)] + DESK_FLAGS,
+        "sweep": ["sweep", "--spec", str(path), "--data", smoke["work"],
+                  "--vocab", smoke["vocab"], "--out", str(tmp_path / "sw")],
+    }[command]
+    assert cli.dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert expect in err
+    assert "Traceback" not in err
+
+
+def test_eval_malformed_vocab_exit_1(capsys, smoke, tmp_path):
+    bad = tmp_path / "vocab.tsv"
+    text = open(smoke["vocab"], encoding="utf-8").read()
+    bad.write_text(text.replace("[tokens]\n", "[tokens]\nabc\tnot-an-id\n", 1),
+                   encoding="utf-8")
+    rc = cli.dispatch(
+        ["eval", "--checkpoint", smoke["ckpt"], "--vocab", str(bad),
+         "--split", os.path.join(smoke["work"], "valid.txt")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "Traceback" not in err
+
+
 # -- quickstart -------------------------------------------------------------
 
 

@@ -467,17 +467,6 @@ def test_protocol_prompt_frac_validation(memorized_setup):
         metrics.bleu_eval_protocol(params, cfg, vocab, [sentence], prompt_frac=1.0)
 
 
-def test_write_transcript_format(tmp_path, memorized_setup):
-    sentence, vocab, cfg, params, _ = memorized_setup
-    result = metrics.bleu_eval_protocol(params, cfg, vocab, [sentence] * 2)
-    path = tmp_path / "transcript.txt"
-    metrics.write_transcript(str(path), result.pairs)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 4
-    assert lines[0].startswith("REF:\t")
-    assert lines[1].startswith("GEN:\t")
-
-
 # ---------------------------------------------------------------------------
 # EvalReport and evaluate()
 # ---------------------------------------------------------------------------

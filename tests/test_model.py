@@ -341,6 +341,26 @@ def test_checkpoint_missing_config_field_fails(tmp_path):
         model.read_checkpoint_header(path)
 
 
+def test_checkpoint_save_failure_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    model.save_checkpoint(path, model.init(TINY, seed=0), vocab_hash="h")
+    before = path.read_bytes()
+    real, calls = np.ascontiguousarray, []
+
+    def fail_on_third(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise OSError("device full")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "ascontiguousarray", fail_on_third)
+    with pytest.raises(OSError, match="device full"):
+        model.save_checkpoint(path, model.init(TINY, seed=1), vocab_hash="h")
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
 def test_checkpoint_truncated_fails(tmp_path):
     p = model.init(TINY, seed=0)
     path = tmp_path / "m.ckpt"

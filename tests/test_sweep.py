@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from occlm import corpus, model, sweep, train
+from occlm import artifacts, corpus, model, sweep, train
 from occlm.errors import ConfigError, SweepError
 
 SPECIALS = (0, 1, 2)
@@ -136,6 +136,19 @@ def test_spec_round_trips_through_dict():
         bad = sweep.spec_to_dict(spec)
         bad["surprise"] = 1
         sweep.spec_from_dict(bad)
+
+
+@pytest.mark.parametrize("damage", [
+    "unknown_train_field", "no_base_model", "no_base_train",
+])
+def test_spec_from_dict_rejects_malformed_sections(damage):
+    d = sweep.spec_to_dict(make_spec())
+    if damage == "unknown_train_field":
+        d["base_train"]["n_epochs"] = 3
+    else:
+        del d[damage[3:]]
+    with pytest.raises(ConfigError):
+        sweep.spec_from_dict(d)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +360,7 @@ def test_sweep_report_round_trip(tmp_path):
     records = [_record(trial_id=k, best=1.0 + k) for k in range(3)]
     path = str(tmp_path / "report.json")
     written = sweep.write_sweep_report(path, records)
-    loaded = sweep.load_sweep_report(path)
+    loaded = artifacts.read_json(path)
     assert loaded == json.loads(json.dumps(written))
     assert [row["trial_id"] for row in loaded["table"]] == [0, 1, 2]
     assert set(loaded["curves"]) == {"0", "1", "2"}

@@ -589,6 +589,13 @@ def test_jsonl_sink_record_on_disk_when_emit_returns(tmp_path):
         sink.close()
 
 
+def test_jsonl_sink_creates_parent_directory(tmp_path):
+    path = tmp_path / "runs" / "a" / "metrics.jsonl"
+    with train.MetricsSink(str(path)) as sink:
+        sink.emit(**_record(1))
+    assert json.loads(path.read_text(encoding="utf-8"))["epoch"] == 1
+
+
 def test_fit_emits_train_and_valid_records_per_epoch():
     cfg = tiny_config()
     params = model.init(cfg, seed=0)
