@@ -120,7 +120,12 @@ def load_config_source(name):
                 f"unknown preset {preset!r}; available: {sorted(PRESETS)}"
             )
         return PRESETS[preset]
-    return _json_object(name)
+    layer = _json_object(name)
+    for section in ("model", "train", "tokenizer"):
+        if not isinstance(layer.get(section, {}), dict):
+            raise ConfigError(f"{name}: config section {section!r} must be a "
+                              f"JSON object, got {type(layer[section]).__name__}")
+    return layer
 
 
 def _json_object(path):
@@ -158,14 +163,11 @@ def resolve_configs(args, train_defaults=None, model_defaults=None):
         unknown = set(layer) - {"model", "train", "tokenizer"}
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-        for key, val in layer.get("model", {}).items():
-            if key not in model_cfg:
-                raise ConfigError(f"unknown model field {key!r}")
-            model_cfg[key] = val
-        for key, val in layer.get("train", {}).items():
-            if key not in train_cfg:
-                raise ConfigError(f"unknown train field {key!r}")
-            train_cfg[key] = val
+        for section, fields in (("model", model_cfg), ("train", train_cfg)):
+            for key, val in layer.get(section, {}).items():
+                if key not in fields:
+                    raise ConfigError(f"unknown {section} field {key!r}")
+                fields[key] = val
 
     env_seed = os.environ.get("OCCLM_SEED")
     if env_seed is not None:

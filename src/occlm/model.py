@@ -191,15 +191,16 @@ def forward(params, config, ids, train=False, rng=None):
         bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
         raise TokenIndexError(f"token id {bad} outside vocab of {config.vocab_size}")
 
-    tok = T.embedding_lookup(params["tok_emb"], ids)
-    pos = T.embedding_lookup(params["pos_emb"], np.arange(S))
-    x = T.dropout(T.add(tok, pos), config.dropout, train, rng)
-    for i in range(config.n_layers):
-        x = _block(params, config, i, x, train, rng)
-    x = T.layer_norm(x, params["ln_f.g"], params["ln_f.b"])
-    if config.tie_embeddings:
-        return T.matmul(x, T.transpose(params["tok_emb"], (1, 0)))
-    return T.matmul(x, params["head.w"])
+    with np.errstate(all="ignore"):  # the kernels' finite guard is the loud path
+        tok = T.embedding_lookup(params["tok_emb"], ids)
+        pos = T.embedding_lookup(params["pos_emb"], np.arange(S))
+        x = T.dropout(T.add(tok, pos), config.dropout, train, rng)
+        for i in range(config.n_layers):
+            x = _block(params, config, i, x, train, rng)
+        x = T.layer_norm(x, params["ln_f.g"], params["ln_f.b"])
+        if config.tie_embeddings:
+            return T.matmul(x, T.transpose(params["tok_emb"], (1, 0)))
+        return T.matmul(x, params["head.w"])
 
 
 def sequence_logprob(params, config, ids):

@@ -44,8 +44,7 @@ class SweepSpec:
     objective: str = "valid_loss"
 
     def check(self):
-        lo, hi = self.lr_range
-        if not (0 < lo <= hi):
+        if len(self.lr_range) != 2 or not 0 < self.lr_range[0] <= self.lr_range[1]:
             raise ConfigError(f"bad lr_range {self.lr_range}")
         if self.trial_count < 1:
             raise ConfigError(f"trial_count must be >= 1, got {self.trial_count}")
@@ -402,5 +401,8 @@ def spec_from_dict(d):
     for name in ("lr_range", "n_layers_choices", "n_heads_choices",
                  "dropout_choices", "occlusion_prob_choices"):
         if name in d:
+            if not (isinstance(d[name], (list, tuple)) and all(
+                    isinstance(v, (int, float)) for v in d[name])):
+                raise ConfigError(f"{name} must be a list of numbers, got {d[name]!r}")
             d[name] = tuple(d[name])
     return SweepSpec(base_model=base_model, base_train=base_train, **d).check()

@@ -5,7 +5,10 @@ module owns the differentiation. Ops executed while a Tape is active are
 recorded in execution order (which is already a topological order), and
 ``backward`` replays the tape once in reverse. Everything is float32; any
 op that produces a NaN/Inf raises immediately instead of letting it
-propagate (see FINITE_CHECKS).
+propagate (see FINITE_CHECKS). numpy's FP warnings are silenced once per
+engine pass (``model.forward``, each shard of ``train.loss_and_grads``,
+``backward``), so a kernel called outside one may warn before its
+NumericsError. Outputs keep numpy's strides: ``transpose`` returns a view.
 
 Tensors are immutable after creation except for gradient accumulation.
 A tape belongs to one training context; the active-tape stack is
@@ -132,39 +135,36 @@ def active_tape():
 def _check_finite(arr, op_name):
     if not FINITE_CHECKS:
         return
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         bad = np.argwhere(~np.isfinite(np.asarray(arr)))
         first = tuple(int(i) for i in bad[0]) if bad.size else ()
         raise NumericsError(f"{op_name} produced a non-finite value at index {first}")
 
 
-def _op(fn):
-    """Silence numpy FP warnings inside a kernel; the post-op finite guard is
-    the loud failure path, so transient inf/nan intermediates never warn."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        with np.errstate(all="ignore"):
-            return fn(*args, **kwargs)
-
-    return wrapper
-
-
 def _result(out_data, op_name, inputs, backward_fn):
-    """Wrap a kernel output; record on the active tape when grads are needed."""
-    out_data = np.asarray(out_data, dtype=DTYPE)
-    if out_data.ndim and not out_data.flags["C_CONTIGUOUS"]:
-        out_data = np.ascontiguousarray(out_data)
+    """Wrap a kernel output, keeping its strides (a transpose stays a view);
+    record it on the active tape when an input requires grad."""
+    if type(out_data) is not np.ndarray or out_data.dtype != DTYPE:
+        out_data = np.asarray(out_data, dtype=DTYPE)
     _check_finite(out_data, op_name)
     out = Tensor.__new__(Tensor)
     out.data = out_data
-    out.requires_grad = any(t.requires_grad for t in inputs)
-    out.grad = None
-    out.name = None
-    tape = active_tape()
-    if out.requires_grad and tape is not None:
-        tape.entries.append(_TapeEntry(out, backward_fn))
+    out.requires_grad = False
+    out.grad = out.name = None
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            tape = active_tape()
+            if tape is not None:
+                tape.entries.append(_TapeEntry(out, backward_fn))
+            break
     return out
+
+
+def _row_major(arr):
+    """arr, or a C-contiguous copy if its last axis is strided: BLAS sums a
+    transposed operand in another order at some sizes, moving the last bit."""
+    return arr if arr.strides[-1] == arr.itemsize else np.ascontiguousarray(arr)
 
 
 def _unbroadcast(grad, shape):
@@ -224,7 +224,6 @@ def backward(loss, tape=None):
 # ---------------------------------------------------------------------------
 
 
-@_op
 def add(a, b):
     """Elementwise sum with numpy broadcasting."""
     out_data = a.data + b.data
@@ -236,7 +235,6 @@ def add(a, b):
     return _result(out_data, "add", (a, b), back)
 
 
-@_op
 def mul(a, b):
     """Elementwise product with numpy broadcasting."""
     out_data = a.data * b.data
@@ -248,7 +246,6 @@ def mul(a, b):
     return _result(out_data, "mul", (a, b), back)
 
 
-@_op
 def scale(a, s):
     """Multiply by a python scalar."""
     s = float(s)
@@ -260,7 +257,6 @@ def scale(a, s):
     return _result(out_data, "scale", (a,), back)
 
 
-@_op
 def matmul(a, b):
     """Matrix product; supports batched stacks on either side.
 
@@ -270,7 +266,8 @@ def matmul(a, b):
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    out_data = np.matmul(a.data, b.data)
+    ad, bd = _row_major(a.data), _row_major(b.data)
+    out_data = np.matmul(ad, bd)
 
     def back(g, sink):
         if b.ndim == 2:
@@ -278,16 +275,15 @@ def matmul(a, b):
             # of per-item products (summed afterwards for b); pays at training
             # sizes, where the stack is large
             g_rows = g.reshape(-1, b.shape[1])
-            sink(a, (g_rows @ b.data.T).reshape(a.shape))
-            sink(b, a.data.reshape(-1, b.shape[0]).T @ g_rows)
+            sink(a, (g_rows @ bd.T).reshape(a.shape))
+            sink(b, ad.reshape(-1, b.shape[0]).T @ g_rows)
         else:
-            sink(a, np.matmul(g, b.data.swapaxes(-1, -2)))
-            sink(b, np.matmul(a.data.swapaxes(-1, -2), g))
+            sink(a, np.matmul(g, bd.swapaxes(-1, -2)))
+            sink(b, np.matmul(ad.swapaxes(-1, -2), g))
 
     return _result(out_data, "matmul", (a, b), back)
 
 
-@_op
 def reshape(x, shape):
     shape = tuple(shape)
     out_data = x.data.reshape(shape)
@@ -299,19 +295,17 @@ def reshape(x, shape):
     return _result(out_data, "reshape", (x,), back)
 
 
-@_op
 def transpose(x, axes):
     axes = tuple(axes)
-    out_data = np.transpose(x.data, axes)
-    inverse = tuple(np.argsort(axes))
+    out_data = x.data.transpose(axes)
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def back(g, sink):
-        sink(x, np.transpose(g, inverse))
+        sink(x, g.transpose(inverse))
 
     return _result(out_data, "transpose", (x,), back)
 
 
-@_op
 def sum_all(x):
     """Full reduction to a scalar."""
     out_data = x.data.sum(dtype=DTYPE)
@@ -322,7 +316,6 @@ def sum_all(x):
     return _result(out_data, "sum_all", (x,), back)
 
 
-@_op
 def embedding_lookup(table, ids):
     """Gather rows of a (V, d) table by an integer id grid."""
     ids = np.asarray(ids)
@@ -339,7 +332,6 @@ def embedding_lookup(table, ids):
     return _result(out_data, "embedding_lookup", (table,), back)
 
 
-@_op
 def softmax_lastdim(x):
     """Softmax over the last dimension, computed with max-subtraction."""
     if x.ndim == 0 or x.shape[-1] < 1:
@@ -358,25 +350,25 @@ def softmax_lastdim(x):
     return _result(s, "softmax_lastdim", (x,), back)
 
 
-@_op
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize the last dimension to zero mean / unit variance, then affine."""
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = np.square(xhat).mean(axis=-1, keepdims=True)
+    # sum / d is what ndarray.mean computes, without its Python wrapper
+    d = x.shape[-1]
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var = np.square(xhat).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + DTYPE(eps))
     xhat *= inv
     out_data = xhat * gain.data
     out_data += bias.data
-    d = x.shape[-1]
 
     def back(g, sink):
         tmp = g * xhat
         sink(gain, tmp.reshape(-1, d).sum(axis=0))
         sink(bias, g.reshape(-1, d).sum(axis=0))
         tmp *= gain.data
-        m2 = tmp.mean(axis=-1, keepdims=True)
+        m2 = tmp.sum(axis=-1, keepdims=True) / d
         dx = g * gain.data
-        dx -= dx.mean(axis=-1, keepdims=True)
+        dx -= dx.sum(axis=-1, keepdims=True) / d
         np.multiply(xhat, m2, out=tmp)
         dx -= tmp
         dx *= inv
@@ -385,7 +377,6 @@ def layer_norm(x, gain, bias, eps=1e-5):
     return _result(out_data, "layer_norm", (x, gain, bias), back)
 
 
-@_op
 def gelu(x):
     """GELU activation (tanh approximation, the GPT-2 variant)."""
     v = x.data
@@ -418,7 +409,6 @@ def gelu(x):
     return _result(out_data, "gelu", (x,), back)
 
 
-@_op
 def relu(x):
     out_data = np.maximum(x.data, 0.0)
 
@@ -428,7 +418,6 @@ def relu(x):
     return _result(out_data, "relu", (x,), back)
 
 
-@_op
 def dropout(x, p, train, rng):
     """Inverted dropout: zero with probability p and rescale by 1/(1-p).
 
@@ -450,7 +439,15 @@ def dropout(x, p, train, rng):
     return _result(out_data, "dropout", (x,), back)
 
 
-@_op
+@functools.lru_cache(maxsize=None)
+def _causal_allowed(t):
+    """The read-only (t, t) lower-triangular mask, built once per length
+    (so at most block_size masks are ever held)."""
+    allowed = np.tril(np.ones((t, t), dtype=bool))
+    allowed.flags.writeable = False
+    return allowed
+
+
 def causal_mask_fill(scores, fill_value=-1e9):
     """Replace entries above the diagonal of the last two dims with fill_value.
 
@@ -459,8 +456,7 @@ def causal_mask_fill(scores, fill_value=-1e9):
     """
     if scores.ndim < 2 or scores.shape[-1] != scores.shape[-2]:
         raise ShapeError(f"causal mask needs trailing square dims, got {scores.shape}")
-    t = scores.shape[-1]
-    allowed = np.tril(np.ones((t, t), dtype=bool))
+    allowed = _causal_allowed(scores.shape[-1])
     out_data = np.where(allowed, scores.data, DTYPE(fill_value))
 
     def back(g, sink):
@@ -469,7 +465,6 @@ def causal_mask_fill(scores, fill_value=-1e9):
     return _result(out_data, "causal_mask_fill", (scores,), back)
 
 
-@_op
 def cross_entropy(logits, targets, ignore_mask=None, weights=None):
     """Mean of -log softmax(logits)[target] over non-ignored positions.
 

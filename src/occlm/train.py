@@ -280,7 +280,7 @@ def loss_and_grads(params, x, batch, weights, rng, n_shards):
             for name, t in params.items()
         }
         shard = model.ParameterSet(params.config, leaves)
-        with T.Tape() as tape:
+        with T.Tape() as tape, np.errstate(all="ignore"):
             logits = model.forward(shard, params.config, x[part], train=True,
                                    rng=_ShardDraws(draws, j))
             loss = T.cross_entropy(

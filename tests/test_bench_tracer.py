@@ -5,14 +5,20 @@ in a traced benchmark run."""
 import importlib
 import os
 
-from occlm import cli, model
+import numpy as np
+
+from occlm import cli, corpus, model, train
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
-def test_tracer_installs_and_uninstalls(monkeypatch):
+def _tracing(monkeypatch):
     monkeypatch.syspath_prepend(os.path.abspath(PERFBENCH))
-    tracing = importlib.import_module("tracing")
+    return importlib.import_module("tracing")
+
+
+def test_tracer_installs_and_uninstalls(monkeypatch):
+    tracing = _tracing(monkeypatch)
     before = (model.save_checkpoint, cli.write_manifest)
     tracer = tracing.Tracer("t")
     tracer.install()
@@ -22,3 +28,26 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert (model.save_checkpoint, cli.write_manifest) == before
+
+
+def test_tracer_records_op_and_forward_spans_of_a_train_step(monkeypatch):
+    """The traced benchmark times each kernel and its tape entry's backward;
+    a change to how kernels record on the tape must keep both visible."""
+    tracing = _tracing(monkeypatch)
+    cfg = model.ModelConfig(vocab_size=16, block_size=8, d_model=8, n_layers=1,
+                            n_heads=2, dropout=0.0, ffn_mult=2).check()
+    tcfg = train.TrainConfig(batch_size=2, seed=0).check()
+    params = model.init(cfg, seed=0)
+    state = train.init_state(params, tcfg)
+    ids = np.arange(3, 19).reshape(2, 8) % 16
+    batch = corpus.Batch(ids, np.roll(ids, -1, axis=1),
+                         np.zeros(ids.shape, dtype=bool), 1, (0, 1, 2))
+    tracer = tracing.Tracer("t")
+    tracer.install()
+    try:
+        train.train_step(params, state, batch, tcfg)
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {"tensor.matmul.fwd", "tensor.matmul.bwd",
+            "model.forward.train"} <= names

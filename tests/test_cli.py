@@ -438,6 +438,11 @@ def test_sweep_malformed_spec_exit_1(capsys, smoke, tmp_path):
     ("sweep", '{"base_train": {}}', "base_model"),
     ("sweep", '{"base_model": {"block_size": 32, "d_model": 32, '
               '"n_heads": 2}, "base_train": {"epochs": 2}}', "epochs"),
+    ("pretrain", '{"model": [1]}', "section 'model'"),
+    ("pretrain", '{"train": "fast"}', "section 'train'"),
+    ("tokenizer", '{"tokenizer": 512}', "section 'tokenizer'"),
+    ("sweep", '{"lr_range": 0.1, "base_model": {"block_size": 32, '
+              '"d_model": 32, "n_heads": 2}, "base_train": {}}', "lr_range"),
 ])
 def test_malformed_config_or_spec_exit_1(capsys, smoke, tmp_path, command,
                                          content, expect):

@@ -295,6 +295,30 @@ def test_greedy_generation_deterministic():
     assert len(a) <= 3 + 6
 
 
+# Recorded before the tensor engine's dispatch rewrite. Tokens must match
+# exactly; GOLDEN_LOGPROB_ATOL is ~10x the largest logprob drift measured
+# after nudging every weight by one float32 ulp (5.1e-6 over five nudges).
+GOLDEN_CONTINUATION = [38, 4, 11, 6, 36, 26, 16, 38, 18, 9, 29, 9]
+GOLDEN_LOGPROB = -27.57398854344468
+GOLDEN_LOGPROB_ATOL = 5e-5
+
+
+def test_golden_greedy_decode():
+    cfg = model.ModelConfig(vocab_size=48, block_size=16, d_model=32,
+                            n_layers=2, n_heads=4, dropout=0.1).check()
+    params = model.init(cfg, seed=1)
+    for _, t in params.items():
+        if t.data.ndim == 2:  # sharper logits than the 0.02 init: no near-ties
+            t.data *= np.float32(20)
+    out = metrics.generate(
+        params, cfg, _id_vocab(cfg.vocab_size), [5, 17, 9],
+        metrics.GenerationConfig(max_new_tokens=12, stop_on_eot=False),
+    )
+    assert out == [5, 17, 9] + GOLDEN_CONTINUATION
+    logprob = model.sequence_logprob(params, cfg, np.asarray(out))
+    assert abs(logprob - GOLDEN_LOGPROB) <= GOLDEN_LOGPROB_ATOL
+
+
 def test_generation_slides_past_block_size():
     cfg = tiny_config()
     params = model.init(cfg, seed=5)

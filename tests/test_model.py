@@ -6,7 +6,13 @@ import pytest
 from helpers import fd_grad, max_rel_err
 from occlm import model
 from occlm import tensor as T
-from occlm.errors import CheckpointError, ConfigError, LengthError, TokenIndexError
+from occlm.errors import (
+    CheckpointError,
+    ConfigError,
+    LengthError,
+    NumericsError,
+    TokenIndexError,
+)
 
 TINY = model.ModelConfig(
     vocab_size=11, block_size=6, d_model=8, n_layers=1, n_heads=2,
@@ -85,6 +91,27 @@ def test_forward_rejects_bad_ids():
     p = model.init(TINY, seed=0)
     with pytest.raises(TokenIndexError):
         model.forward(p, TINY, np.array([[TINY.vocab_size]]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_forward_overflow_raises_numerics_error_without_warning():
+    p = model.init(TINY, seed=0)
+    p["tok_emb"].data[:] = 3e38  # layer_norm's row sum overflows
+    with pytest.raises(NumericsError):
+        model.forward(p, TINY, np.array([[4, 5, 6]]))
+
+
+def test_forward_enters_errstate_at_most_once(monkeypatch):
+    entered = []
+    errstate = np.errstate
+
+    def counting(**kwargs):
+        entered.append(kwargs)
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", counting)
+    model.forward(model.init(TINY, seed=0), TINY, np.array([[4, 5, 6]]))
+    assert len(entered) <= 1
 
 
 def hand_forward(p, cfg, ids):

@@ -151,6 +151,21 @@ def test_spec_from_dict_rejects_malformed_sections(damage):
         sweep.spec_from_dict(d)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_layers_choices", 3),
+    ("lr_range", 0.1),
+    ("dropout_choices", None),
+    ("n_heads_choices", "24"),
+    ("occlusion_prob_choices", [0.1, "0.3"]),
+    ("lr_range", [1e-3]),
+])
+def test_spec_from_dict_rejects_malformed_fields(field, value):
+    d = sweep.spec_to_dict(make_spec())
+    d[field] = value
+    with pytest.raises(ConfigError, match=field):
+        sweep.spec_from_dict(d)
+
+
 # ---------------------------------------------------------------------------
 # run_sweep
 # ---------------------------------------------------------------------------

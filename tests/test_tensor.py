@@ -104,6 +104,41 @@ def test_causal_mask_upper_triangle_filled():
             assert out.data[0, i, j] == expect
 
 
+def test_causal_mask_is_cached_and_read_only():
+    T.causal_mask_fill(T.Tensor(np.zeros((1, 5, 5))))
+    allowed = T._causal_allowed(5)
+    assert allowed is T._causal_allowed(5)
+    with pytest.raises(ValueError):
+        allowed[0, 1] = True
+
+
+def test_transpose_returns_a_view():
+    x = T.Tensor(np.arange(24.0).reshape(2, 3, 4))
+    out = T.transpose(x, (2, 0, 1))
+    assert np.shares_memory(out.data, x.data)
+    np.testing.assert_array_equal(out.data, np.transpose(x.data, (2, 0, 1)))
+
+
+def test_matmul_of_a_view_is_bit_identical_to_its_copy():
+    # OpenBLAS sums a transposed operand in another order at some sizes
+    # (here the batch-1 decoding head); matmul must not depend on the view
+    rng = np.random.default_rng(0)
+    w = T.Tensor(rng.standard_normal((512, 64)) * 0.02, requires_grad=True)
+    for s in (1, 2, 10, 21):
+        x = T.Tensor(rng.standard_normal((1, s, 64)), requires_grad=True)
+        grads = []
+        for rhs in (lambda: T.transpose(w, (1, 0)),
+                    lambda: T.Tensor(w.data.T.copy(), requires_grad=True)):
+            with T.Tape() as tape:
+                b = rhs()
+                out = T.matmul(x, b)
+                T.backward(T.sum_all(T.mul(out, out)), tape)
+            grads.append((out.data, x.grad, b.grad))
+            x.zero_grad()
+        for got, want in zip(*grads):
+            np.testing.assert_array_equal(got, want)
+
+
 def test_causal_mask_requires_square():
     with pytest.raises(ShapeError):
         T.causal_mask_fill(T.Tensor(np.zeros((2, 3, 4))))
@@ -139,6 +174,9 @@ def test_nan_rejected_at_construction():
 
 
 def test_overflow_raises_numerics_error():
+    """Called directly, outside an engine pass (model.forward, a training
+    shard, backward), a kernel runs under numpy's default error state, so
+    this add may warn about the overflow before raising NumericsError."""
     x = T.Tensor(np.full((2,), 3e38))
     with pytest.raises(NumericsError):
         T.add(x, x)

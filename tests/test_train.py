@@ -749,6 +749,40 @@ def test_padded_second_half_runs_one_shard(ac4_train_ds, monkeypatch):
     assert train.train_step(params, state, batch, tcfg, lr=1e-3)[0] == loss
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad_half", ["caller", "worker"])
+def test_two_shard_overflow_raises_divergence_without_warning(
+        ac4_train_ds, monkeypatch, bad_half):
+    """An overflow in either shard is a DivergenceError, not a numpy warning:
+    each thread runs its engine pass with FP warnings silenced."""
+    worker = ThreadPoolExecutor(max_workers=1)
+    monkeypatch.setattr(train, "_shard_worker", lambda: worker)
+    ds = ac4_train_ds
+    mcfg = model.ModelConfig(vocab_size=ds.vocab_size, block_size=64,
+                             d_model=64, n_layers=2, n_heads=2, dropout=0.1,
+                             ffn_mult=4, tie_embeddings=False)
+    tcfg = train.TrainConfig(batch_size=32, base_lr=3e-3, seed=0)
+    params = model.init(mcfg, seed=0)
+    state = train.init_state(params, tcfg)
+    batch = ds.minibatch(np.arange(32))
+    bad_rows, good_rows = ((slice(0, 16), slice(16, 32)) if bad_half == "caller"
+                           else (slice(16, 32), slice(0, 16)))
+    bad = next(i for i in range(3, ds.vocab_size)
+               if i not in batch.inputs[good_rows])
+    inputs = batch.inputs.copy()
+    inputs[bad_rows, 0] = bad
+    # untied, so only the rows holding `bad` see the overflowing embedding
+    params["tok_emb"].data[bad] = 3e38
+    batch = corpus.Batch(inputs, batch.targets, batch.ignore, batch.occ_id,
+                         batch.special_ids)
+    assert train.shard_count(inputs, 64) == 2
+    try:
+        with pytest.raises(DivergenceError):
+            train.train_step(params, state, batch, tcfg, lr=1e-3)
+    finally:
+        worker.shutdown()
+
+
 def test_sharded_step_error_waits_for_both_shards(ac4_train_ds, monkeypatch):
     worker = ThreadPoolExecutor(max_workers=1)
     monkeypatch.setattr(train, "_shard_worker", lambda: worker)
