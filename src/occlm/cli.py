@@ -208,6 +208,9 @@ def _pack_splits(data_dir, vocab, block_size):
 def _build_datasets(args, model_cfg, objective=None, train_cfg=None):
     """Shared pretrain/finetune setup: vocab, packed splits, and hashes."""
     _require(args, "data", "vocab", "out")
+    # the checkpoint is written last: a bad --out must fail before training
+    if os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out} is a directory, not a checkpoint path")
     vocab = bpe.load_vocab(args.vocab)
     vocab_hash = metrics.file_sha256(args.vocab)
 

@@ -42,10 +42,6 @@ class ModelConfig:
             raise ConfigError(f"vocab_size {self.vocab_size} must be >= 1")
         return self
 
-    @property
-    def head_dim(self):
-        return self.d_model // self.n_heads
-
 
 def config_from_dict(d):
     names = {f.name for f in fields(ModelConfig)}
@@ -141,34 +137,18 @@ def init(config, seed):
     return ParameterSet(config, tensors)
 
 
-def _attention(params, config, prefix, x, train, rng):
-    B, S, d = x.shape
-    H, hd = config.n_heads, config.head_dim
-    q = T.matmul(x, params[f"{prefix}.attn.wq"])
-    k = T.matmul(x, params[f"{prefix}.attn.wk"])
-    v = T.matmul(x, params[f"{prefix}.attn.wv"])
-    # (B,S,d) -> (B,H,S,hd)
-    q = T.transpose(T.reshape(q, (B, S, H, hd)), (0, 2, 1, 3))
-    k = T.transpose(T.reshape(k, (B, S, H, hd)), (0, 2, 1, 3))
-    v = T.transpose(T.reshape(v, (B, S, H, hd)), (0, 2, 1, 3))
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-    att = T.softmax_lastdim(T.causal_mask_fill(scores))
-    att = T.dropout(att, config.dropout, train, rng)
-    ctx = T.matmul(att, v)
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (B, S, d))
-    out = T.matmul(ctx, params[f"{prefix}.attn.wo"])
-    return T.dropout(out, config.dropout, train, rng)
-
-
 def _block(params, config, i, x, train, rng):
     p = f"block{i}"
     h = T.layer_norm(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-    x = T.add(x, _attention(params, config, p, h, train, rng))
+    x = T.add(x, T.attention(
+        h, params[f"{p}.attn.wq"], params[f"{p}.attn.wk"], params[f"{p}.attn.wv"],
+        params[f"{p}.attn.wo"], config.n_heads, config.dropout, train, rng,
+    ))
     h = T.layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
-    h = T.gelu(T.add(T.matmul(h, params[f"{p}.ffn.w1"]), params[f"{p}.ffn.b1"]))
-    h = T.add(T.matmul(h, params[f"{p}.ffn.w2"]), params[f"{p}.ffn.b2"])
-    h = T.dropout(h, config.dropout, train, rng)
-    return T.add(x, h)
+    return T.add(x, T.ffn(
+        h, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"], params[f"{p}.ffn.w2"],
+        params[f"{p}.ffn.b2"], config.dropout, train, rng,
+    ))
 
 
 def forward(params, config, ids, train=False, rng=None):

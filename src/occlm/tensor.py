@@ -10,6 +10,18 @@ engine pass (``model.forward``, each shard of ``train.loss_and_grads``,
 ``backward``), so a kernel called outside one may warn before its
 NumericsError. Outputs keep numpy's strides: ``transpose`` returns a view.
 
+The decoder's attention sub-layer and FFN are one kernel each
+(``attention``, ``ffn``): one tape entry and one hand-written backward per
+sub-layer instead of a chain of small ops, which is what batch-1 decoding
+pays for per call. They reuse the primitives' array arithmetic (the shared
+``_softmax_*``, ``_gelu_*`` and ``_dropout_mask`` helpers) and make the same
+products in the same order, so they are bit-identical to the composition of
+primitives they replace. ``softmax_lastdim``, ``causal_mask_fill``,
+``gelu`` and ``reshape`` have no caller left in the decoder; they stay as
+public kernels because that composition, built from them, is the reference
+the fused kernels are tested against, and the benchmark's tracer times them
+by name.
+
 Tensors are immutable after creation except for gradient accumulation.
 A tape belongs to one training context; the active-tape stack is
 thread-local so independent contexts can run on separate threads.
@@ -106,30 +118,30 @@ class Tape:
         self.entries = []
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _local.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _tape_stack().pop()
+        _local.tapes.pop()
         return False
 
     def __len__(self):
         return len(self.entries)
 
 
-_local = threading.local()
+class _TapeStack(threading.local):
+    """Each thread's stack of open tapes, created empty on first touch."""
+
+    def __init__(self):
+        self.tapes = []
 
 
-def _tape_stack():
-    stack = getattr(_local, "tapes", None)
-    if stack is None:
-        stack = _local.tapes = []
-    return stack
+_local = _TapeStack()
 
 
 def active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    tapes = _local.tapes
+    return tapes[-1] if tapes else None
 
 
 def _check_finite(arr, op_name):
@@ -154,9 +166,9 @@ def _result(out_data, op_name, inputs, backward_fn):
     for t in inputs:
         if t.requires_grad:
             out.requires_grad = True
-            tape = active_tape()
-            if tape is not None:
-                tape.entries.append(_TapeEntry(out, backward_fn))
+            tapes = _local.tapes
+            if tapes:
+                tapes[-1].entries.append(_TapeEntry(out, backward_fn))
             break
     return out
 
@@ -336,18 +348,29 @@ def softmax_lastdim(x):
     """Softmax over the last dimension, computed with max-subtraction."""
     if x.ndim == 0 or x.shape[-1] < 1:
         raise ShapeError(f"softmax needs a non-empty last dimension, got shape {x.shape}")
-    s = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=-1, keepdims=True)
+    s = _softmax_fwd(x.data)
 
     def back(g, sink):
-        dx = g * s
-        inner = dx.sum(axis=-1, keepdims=True)
-        np.subtract(g, inner, out=dx)
-        dx *= s
-        sink(x, dx)
+        sink(x, _softmax_bwd(s, g))
 
     return _result(s, "softmax_lastdim", (x,), back)
+
+
+def _softmax_fwd(x):
+    """Softmax of an array over its last axis, in one new buffer."""
+    s = x - x.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
+def _softmax_bwd(s, g):
+    """dL/dx of softmax output s given dL/ds = g: s * (g - sum(g * s))."""
+    dx = g * s
+    inner = dx.sum(axis=-1, keepdims=True)
+    np.subtract(g, inner, out=dx)
+    dx *= s
+    return dx
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
@@ -379,34 +402,44 @@ def layer_norm(x, gain, bias, eps=1e-5):
 
 def gelu(x):
     """GELU activation (tanh approximation, the GPT-2 variant)."""
-    v = x.data
-    t = v * v  # t = tanh(C (v + 0.044715 v^3)), built in one buffer
+    out_data, t = _gelu_fwd(x.data)
+
+    def back(g, sink):
+        sink(x, _gelu_bwd(x.data, t, g))
+
+    return _result(out_data, "gelu", (x,), back)
+
+
+def _gelu_fwd(v):
+    """(gelu(v), t) with t = tanh(C (v + 0.044715 v^3)), kept for backward."""
+    t = v * v  # built in one buffer
     t *= DTYPE(0.044715)
     t += 1
     t *= v
     t *= DTYPE(GELU_C)
     np.tanh(t, out=t)
-    out_data = t + 1
-    out_data *= v
-    out_data *= 0.5
+    out = t + 1
+    out *= v
+    out *= 0.5
+    return out, t
 
-    def back(g, sink):
-        # d/dv = 0.5 (1 + t) + 0.5 v (1 - t^2) C (1 + 3 * 0.044715 v^2)
-        dinner = v * v
-        dinner *= DTYPE(3.0 * 0.044715)
-        dinner += 1
-        dinner *= DTYPE(GELU_C)
-        dinner *= v
-        dx = t * t
-        np.subtract(1, dx, out=dx)
-        dx *= dinner
-        dx += t
-        dx += 1
-        dx *= 0.5
-        dx *= g
-        sink(x, dx)
 
-    return _result(out_data, "gelu", (x,), back)
+def _gelu_bwd(v, t, g):
+    """dL/dv of gelu at v, given its forward's t and dL/dgelu = g."""
+    # d/dv = 0.5 (1 + t) + 0.5 v (1 - t^2) C (1 + 3 * 0.044715 v^2)
+    dinner = v * v
+    dinner *= DTYPE(3.0 * 0.044715)
+    dinner += 1
+    dinner *= DTYPE(GELU_C)
+    dinner *= v
+    dx = t * t
+    np.subtract(1, dx, out=dx)
+    dx *= dinner
+    dx += t
+    dx += 1
+    dx *= 0.5
+    dx *= g
+    return dx
 
 
 def relu(x):
@@ -423,20 +456,29 @@ def dropout(x, p, train, rng):
 
     Identity when train is off or p == 0, regardless of rng.
     """
-    if not 0.0 <= p < 1.0:
-        raise ContractError(f"dropout probability must be in [0, 1), got {p}")
-    if not train or p == 0.0:
+    mask = _dropout_mask(x.shape, p, train, rng)
+    if mask is None:
         return x
-    if rng is None:
-        raise ContractError("dropout with train=True and p>0 needs an rng")
-    mask = (rng.random(x.shape) >= p).astype(DTYPE)
-    mask *= DTYPE(1.0 / (1.0 - p))
     out_data = x.data * mask
 
     def back(g, sink):
         sink(x, g * mask)
 
     return _result(out_data, "dropout", (x,), back)
+
+
+def _dropout_mask(shape, p, train, rng):
+    """The inverted-dropout multiplier for one rng.random(shape) draw: 0 or
+    1/(1-p). None (and no draw) when train is off or p == 0."""
+    if not 0.0 <= p < 1.0:
+        raise ContractError(f"dropout probability must be in [0, 1), got {p}")
+    if not train or p == 0.0:
+        return None
+    if rng is None:
+        raise ContractError("dropout with train=True and p>0 needs an rng")
+    mask = (rng.random(shape) >= p).astype(DTYPE)
+    mask *= DTYPE(1.0 / (1.0 - p))
+    return mask
 
 
 @functools.lru_cache(maxsize=None)
@@ -518,3 +560,116 @@ def cross_entropy(logits, targets, ignore_mask=None, weights=None):
         sink(logits, grad)
 
     return _result(out_data, "cross_entropy", (logits,), back)
+
+
+# ---------------------------------------------------------------------------
+# Fused decoder kernels
+# ---------------------------------------------------------------------------
+
+
+def attention(x, wq, wk, wv, wo, n_heads, p, train, rng):
+    """Causal multi-head self-attention of x (B, S, d) as one kernel.
+
+    Computes dropout(dropout(softmax(mask(q k^T / sqrt(hd)))) v wo), with
+    q, k, v = x wq, x wk, x wv split into n_heads heads of hd = d / n_heads.
+    It makes the products, operand layouts and rng draws (probabilities
+    first, then output) of the primitive chain matmul, reshape, transpose,
+    scale, causal_mask_fill, softmax_lastdim, dropout, so its outputs and
+    gradients equal that chain's bit for bit. One tape entry; its backward
+    reuses the saved softmax. The finite guard checks v, the scores and the
+    output: a non-finite q row or k row spreads over a whole scores row or
+    column, but a non-finite v entry can hide behind a zero weight.
+    """
+    if x.ndim != 3 or x.shape[-1] % n_heads:
+        raise ShapeError(f"attention needs (B, S, d) with d divisible by "
+                         f"{n_heads} heads, got {x.shape}")
+    B, S, d = x.shape
+    H, hd = n_heads, d // n_heads
+    if any(w.shape != (d, d) for w in (wq, wk, wv, wo)):
+        raise ShapeError(f"attention weights must be ({d}, {d}), got "
+                         f"{[w.shape for w in (wq, wk, wv, wo)]}")
+    xd = _row_major(x.data)
+    wqd, wkd, wvd, wod = (_row_major(w.data) for w in (wq, wk, wv, wo))
+    # heads as (B, H, S, hd) views; k^T as (B, H, hd, S) in row-major order
+    q = np.matmul(xd, wqd).reshape(B, S, H, hd).transpose(0, 2, 1, 3)
+    kt = _row_major(np.matmul(xd, wkd).reshape(B, S, H, hd).transpose(0, 2, 3, 1))
+    v = np.matmul(xd, wvd).reshape(B, S, H, hd).transpose(0, 2, 1, 3)
+    _check_finite(v, "attention")
+    scale = DTYPE(1.0 / math.sqrt(hd))
+    scores = np.matmul(q, kt)
+    scores *= scale
+    _check_finite(scores, "attention")
+    allowed = _causal_allowed(S)
+    s = _softmax_fwd(np.where(allowed, scores, DTYPE(-1e9)))
+    att_mask = _dropout_mask(s.shape, p, train, rng)
+    att = s if att_mask is None else s * att_mask
+    ctx = _row_major(np.matmul(att, v).transpose(0, 2, 1, 3).reshape(B, S, d))
+    out_data = np.matmul(ctx, wod)
+    out_mask = _dropout_mask(out_data.shape, p, train, rng)
+    if out_mask is not None:
+        out_data *= out_mask
+
+    def back(g, sink):
+        if out_mask is not None:
+            g = g * out_mask
+        g_rows = g.reshape(-1, d)
+        sink(wo, ctx.reshape(-1, d).T @ g_rows)
+        g_ctx = (g_rows @ wod.T).reshape(B, S, H, hd).transpose(0, 2, 1, 3)
+        g_att = np.matmul(g_ctx, v.swapaxes(-1, -2))
+        dv = np.matmul(att.swapaxes(-1, -2), g_ctx)
+        if att_mask is not None:
+            g_att *= att_mask
+        g_scores = np.where(allowed, _softmax_bwd(s, g_att), DTYPE(0.0))
+        g_scores *= scale
+        dq = np.matmul(g_scores, kt.swapaxes(-1, -2))
+        dkt = np.matmul(q.swapaxes(-1, -2), g_scores)
+        # each head gradient back to (B*S, d) rows; x sums v, then k, then q
+        dx = None
+        for w, wd, dw_heads in ((wv, wvd, dv.transpose(0, 2, 1, 3)),
+                                (wk, wkd, dkt.transpose(0, 3, 1, 2)),
+                                (wq, wqd, dq.transpose(0, 2, 1, 3))):
+            g_rows = dw_heads.reshape(-1, d)
+            sink(w, xd.reshape(-1, d).T @ g_rows)
+            part = g_rows @ wd.T
+            dx = part if dx is None else dx + part
+        sink(x, dx.reshape(x.shape))
+
+    return _result(out_data, "attention", (x, wq, wk, wv, wo), back)
+
+
+def ffn(x, w1, b1, w2, b2, p, train, rng):
+    """Position-wise feed-forward dropout(gelu(x w1 + b1) w2 + b2) as one kernel.
+
+    Same products, operand layouts and rng draw as the primitive chain
+    matmul, add, gelu, matmul, add, dropout, so its outputs and gradients
+    equal that chain's bit for bit. One tape entry. The finite guard checks
+    the pre-activation and the output.
+    """
+    d, f = w1.shape
+    if x.shape[-1] != d or b1.shape != (f,) or w2.shape != (f, d) or b2.shape != (d,):
+        raise ShapeError(f"ffn shapes disagree: x {x.shape}, w1 {w1.shape}, "
+                         f"b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}")
+    xd, w1d, w2d = _row_major(x.data), _row_major(w1.data), _row_major(w2.data)
+    pre = np.matmul(xd, w1d)
+    pre += b1.data
+    _check_finite(pre, "ffn")
+    act, t = _gelu_fwd(pre)
+    out_data = np.matmul(act, w2d)
+    out_data += b2.data
+    mask = _dropout_mask(out_data.shape, p, train, rng)
+    if mask is not None:
+        out_data *= mask
+
+    def back(g, sink):
+        if mask is not None:
+            g = g * mask
+        sink(b2, g)
+        g_rows = g.reshape(-1, d)
+        sink(w2, act.reshape(-1, f).T @ g_rows)
+        g_pre = _gelu_bwd(pre, t, (g_rows @ w2d.T).reshape(act.shape))
+        sink(b1, g_pre)
+        g_rows = g_pre.reshape(-1, f)
+        sink(w1, xd.reshape(-1, d).T @ g_rows)
+        sink(x, (g_rows @ w1d.T).reshape(x.shape))
+
+    return _result(out_data, "ffn", (x, w1, b1, w2, b2), back)

@@ -367,6 +367,22 @@ def test_out_paths_create_parent_directories(smoke, tmp_path):
     assert os.path.exists(report)
 
 
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_out_directory_rejected_before_training(command, smoke, tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    source = ["--checkpoint", smoke["ckpt"]] if command == "finetune" else []
+    rc = cli.dispatch(
+        [command] + source + ["--data", smoke["work"], "--vocab", smoke["vocab"],
+                              "--out", str(out), "--deterministic"] + DESK_FLAGS
+    )
+    assert rc == 1
+    assert "is a directory" in capsys.readouterr().err
+    # no training started: no metrics records, no manifest
+    assert sorted(os.listdir(tmp_path)) == ["run"]
+    assert os.listdir(out) == []
+
+
 def test_corpus_splits_and_stats(smoke):
     names = sorted(os.listdir(smoke["work"]))
     assert names == ["stats.json", "test.txt", "train.txt", "valid.txt"]

@@ -94,9 +94,17 @@ def test_forward_rejects_bad_ids():
 
 
 @pytest.mark.filterwarnings("error")
-def test_forward_overflow_raises_numerics_error_without_warning():
+@pytest.mark.parametrize("name", [
+    "tok_emb",  # layer_norm's row sum overflows
+    # inside the fused kernels: q and k reach the guard through the scores,
+    # v through its own check, w1 through the pre-activation; w2's output
+    # stays finite here and overflows the final layer_norm
+    "block0.attn.wq", "block0.attn.wk", "block0.attn.wv",
+    "block0.ffn.w1", "block0.ffn.w2",
+])
+def test_forward_overflow_raises_numerics_error_without_warning(name):
     p = model.init(TINY, seed=0)
-    p["tok_emb"].data[:] = 3e38  # layer_norm's row sum overflows
+    p[name].data[:] = 3e38
     with pytest.raises(NumericsError):
         model.forward(p, TINY, np.array([[4, 5, 6]]))
 

@@ -1,5 +1,7 @@
 """Tensor engine tests: pinned small cases plus finite-difference checks."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +233,26 @@ def test_no_tape_records_nothing():
     with T.Tape() as tape:
         T.add(x, x)
     assert len(tape.entries) == 1
+
+
+def test_tape_is_active_only_on_its_own_thread():
+    x = T.Tensor(np.ones(3), requires_grad=True)
+    seen = {}
+
+    def other_thread():
+        seen["tape"] = T.active_tape()
+        T.add(x, x)  # must not land on the main thread's tape
+        with T.Tape() as own:
+            seen["own"] = T.active_tape() is own
+
+    with T.Tape() as tape:
+        worker = threading.Thread(target=other_thread)
+        worker.start()
+        worker.join()
+        assert T.active_tape() is tape
+    assert seen == {"tape": None, "own": True}
+    assert len(tape) == 0
+    assert T.active_tape() is None
 
 
 @pytest.mark.parametrize("seed", SEEDS)
