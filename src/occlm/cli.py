@@ -1,10 +1,13 @@
 """Command-line entry point wiring the pipeline end to end.
 
 Subcommands: tokenizer, corpus, pretrain, finetune, eval, sweep, generate,
-plus quickstart for a self-contained desk-scale demo. Config precedence is
-flags > config file > presets; OCCLM_SEED overrides any configured seed but
-yields to an explicit --seed. Every training run writes a RunManifest before
-the first step and finalizes it on exit, error exits included.
+plus quickstart for a self-contained desk-scale demo. Only tokenizer,
+pretrain and finetune read --config/--preset; in every section precedence is
+flags (one per ModelConfig/TrainConfig field) > config file > preset. Every
+config input is checked by model.check_fields. OCCLM_SEED overrides any
+configured seed but yields to an explicit --seed. Every training run writes a
+RunManifest before the first step and finalizes it on exit, error exits
+included.
 """
 
 from __future__ import annotations
@@ -44,12 +47,12 @@ PRESETS = {
     },
 }
 
-MODEL_FIELDS = ("block_size", "d_model", "n_layers", "n_heads", "dropout",
-                "ffn_mult")
-TRAIN_FIELDS = ("batch_size", "max_epochs", "base_lr", "warmup_fraction",
-                "weight_decay", "patience", "occlusion_prob", "seed",
-                "grad_clip", "unfreeze_top_k", "unfreeze_interval_epochs",
-                "occlusion_loss_weight")
+# the sections a preset or --config file may hold, with their field types
+CONFIG_TYPES = {
+    "model": model.field_types(model.ModelConfig, "vocab_size"),
+    "train": model.field_types(train.TrainConfig),
+    "tokenizer": {"target_size": "int"},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -113,61 +116,38 @@ def manifest_run(path, **fields):
 
 
 def load_config_source(name):
+    """A preset (``preset:NAME``) or a config file, checked against
+    CONFIG_TYPES: {section: {field: value}}."""
     if name.startswith("preset:"):
         preset = name[len("preset:"):]
         if preset not in PRESETS:
             raise ConfigError(
                 f"unknown preset {preset!r}; available: {sorted(PRESETS)}"
             )
-        return PRESETS[preset]
-    layer = _json_object(name)
-    for section in ("model", "train", "tokenizer"):
-        if not isinstance(layer.get(section, {}), dict):
-            raise ConfigError(f"{name}: config section {section!r} must be a "
-                              f"JSON object, got {type(layer[section]).__name__}")
-    return layer
+        layer = PRESETS[preset]
+    else:
+        layer = artifacts.read_json(name)
+    return model.check_fields(name, layer, CONFIG_TYPES)
 
 
-def _json_object(path):
-    """A JSON input file whose top level must be an object."""
-    obj = artifacts.read_json(path)
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path} must hold a JSON object, "
-                          f"got {type(obj).__name__}")
-    return obj
+def config_layers(args):
+    """The --preset, then the --config source, in the order they apply."""
+    names = (f"preset:{args.preset}" if args.preset else None, args.config)
+    return [load_config_source(name) for name in names if name]
 
 
 def resolve_configs(args, train_defaults=None, model_defaults=None):
     """Layer defaults, preset, config file, OCCLM_SEED, and flags into one
     (model dict, train dict) pair. Flag values win; None means unset."""
-    model_cfg = {
-        f.name: f.default
-        for f in dataclasses.fields(model.ModelConfig)
-        if f.name != "vocab_size"
-    }
-    for key, val in (model_defaults or {}).items():
-        if key in model_cfg:
-            model_cfg[key] = val
+    model_cfg = {f.name: f.default for f in dataclasses.fields(model.ModelConfig)
+                 if f.name != "vocab_size"}
+    model_cfg.update((k, v) for k, v in (model_defaults or {}).items()
+                     if k in model_cfg)
     train_cfg = {f.name: f.default for f in dataclasses.fields(train.TrainConfig)}
-    for key, val in (train_defaults or {}).items():
-        train_cfg[key] = val
-
-    layers = []
-    preset = getattr(args, "preset", None)
-    if preset:
-        layers.append(load_config_source(f"preset:{preset}"))
-    config = getattr(args, "config", None)
-    if config:
-        layers.append(load_config_source(config))
-    for layer in layers:
-        unknown = set(layer) - {"model", "train", "tokenizer"}
-        if unknown:
-            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-        for section, fields in (("model", model_cfg), ("train", train_cfg)):
-            for key, val in layer.get(section, {}).items():
-                if key not in fields:
-                    raise ConfigError(f"unknown {section} field {key!r}")
-                fields[key] = val
+    train_cfg.update(train_defaults or {})
+    for layer in config_layers(args):
+        model_cfg.update(layer.get("model", {}))
+        train_cfg.update(layer.get("train", {}))
 
     env_seed = os.environ.get("OCCLM_SEED")
     if env_seed is not None:
@@ -176,14 +156,11 @@ def resolve_configs(args, train_defaults=None, model_defaults=None):
         except ValueError:
             raise ConfigError(f"OCCLM_SEED must be an integer, got {env_seed!r}")
 
-    for name in MODEL_FIELDS:
-        val = getattr(args, name, None)
-        if val is not None:
-            model_cfg[name] = val
-    for name in TRAIN_FIELDS:
-        val = getattr(args, name, None)
-        if val is not None:
-            train_cfg[name] = val
+    # every config field with a flag: the flag's dest is the field name
+    for cfg in (model_cfg, train_cfg):
+        for name in cfg:
+            if getattr(args, name, None) is not None:
+                cfg[name] = getattr(args, name)
     return model_cfg, train_cfg
 
 
@@ -294,15 +271,11 @@ def _run_training(args, command, train_defaults=None, model_defaults=None,
 
 def cmd_tokenizer(args):
     _require(args, "data", "out")
-    target = args.target_size
-    if target is None:
-        for name in (args.config, f"preset:{args.preset}" if args.preset else None):
-            if name:
-                target = load_config_source(name).get("tokenizer", {}).get(
-                    "target_size", target
-                )
-    if target is None:
-        target = 512
+    target = 512
+    for layer in config_layers(args):
+        target = layer.get("tokenizer", {}).get("target_size", target)
+    if args.target_size is not None:
+        target = args.target_size
     lines = list(corpus.read_lines(args.data))
     data_hash = metrics.file_sha256(args.data)
     run_id = make_run_id(
@@ -394,11 +367,11 @@ def cmd_sweep(args):
         raise DataError(f"missing vocabulary: {vocab_path}")
     vocab = bpe.load_vocab(vocab_path)
     vocab_hash = metrics.file_sha256(vocab_path)
-    raw = _json_object(args.spec)
+    raw = artifacts.read_json(args.spec)
     # spec files omit vocab_size; it always comes from the actual vocabulary
-    if isinstance(raw.get("base_model"), dict):
+    if isinstance(raw, dict) and isinstance(raw.get("base_model"), dict):
         raw["base_model"].setdefault("vocab_size", vocab.size)
-    spec = sweep.spec_from_dict(raw)
+    spec = sweep.spec_from_dict(raw, args.spec)
     if spec.base_model.vocab_size != vocab.size:
         raise ConfigError(f"spec pins vocab_size {spec.base_model.vocab_size} "
                           f"but {vocab_path} has {vocab.size}")
@@ -516,35 +489,26 @@ def cmd_quickstart(args):
 
 
 def _add_common(p):
-    p.add_argument("--config", help="config file path or preset:NAME")
-    p.add_argument("--preset", choices=sorted(PRESETS),
-                   help="built-in preset name")
     p.add_argument("--deterministic", action="store_true",
                    help="content-addressed run ids and byte-identical "
                         "artifacts for identical inputs")
 
 
-def _add_model_flags(p):
-    p.add_argument("--block-size", type=int, dest="block_size")
-    p.add_argument("--d-model", type=int, dest="d_model")
-    p.add_argument("--n-layers", type=int, dest="n_layers")
-    p.add_argument("--n-heads", type=int, dest="n_heads")
-    p.add_argument("--dropout", type=float, dest="dropout")
-    p.add_argument("--ffn-mult", type=int, dest="ffn_mult")
+def _add_config_sources(p):
+    p.add_argument("--config", help="config file path or preset:NAME")
+    p.add_argument("--preset", choices=sorted(PRESETS),
+                   help="built-in preset name")
 
 
-def _add_train_flags(p):
-    p.add_argument("--seed", type=int, dest="seed")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--max-epochs", type=int, dest="max_epochs")
-    p.add_argument("--base-lr", type=float, dest="base_lr")
-    p.add_argument("--warmup-fraction", type=float, dest="warmup_fraction")
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--patience", type=int, dest="patience")
-    p.add_argument("--occlusion-prob", type=float, dest="occlusion_prob")
-    p.add_argument("--grad-clip", type=float, dest="grad_clip")
-    p.add_argument("--occlusion-loss-weight", type=float,
-                   dest="occlusion_loss_weight")
+def _add_config_flags(p, *skip):
+    """One flag per ModelConfig and TrainConfig field, named after it (dest
+    is the field name), less vocab_size, tie_embeddings and ``skip``; plus
+    --metrics."""
+    for cls in (model.ModelConfig, train.TrainConfig):
+        for f in dataclasses.fields(cls):
+            if f.name not in ("vocab_size", "tie_embeddings") + skip:
+                p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                               type=int if f.type == "int" else float)
     p.add_argument("--metrics", help="metrics JSONL path")
 
 
@@ -572,6 +536,7 @@ def build_parser():
     p.add_argument("--out", help="vocabulary output path")
     p.add_argument("--target-size", type=int, dest="target_size")
     _add_common(p)
+    _add_config_sources(p)
     p.set_defaults(func=cmd_tokenizer)
 
     p = sub.add_parser("corpus", help="clean and split a raw corpus")
@@ -593,8 +558,8 @@ def build_parser():
     p.add_argument("--objective", choices=("standard", "occlusion"),
                    default=None)
     _add_common(p)
-    _add_model_flags(p)
-    _add_train_flags(p)
+    _add_config_sources(p)
+    _add_config_flags(p, "unfreeze_top_k", "unfreeze_interval_epochs")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="fine-tune with gradual unfreezing")
@@ -604,12 +569,9 @@ def build_parser():
     p.add_argument("--out", help="checkpoint output path")
     p.add_argument("--objective", choices=("standard", "occlusion"),
                    default=None)
-    p.add_argument("--unfreeze-top-k", type=int, dest="unfreeze_top_k")
-    p.add_argument("--unfreeze-interval-epochs", type=int,
-                   dest="unfreeze_interval_epochs")
     _add_common(p)
-    _add_model_flags(p)
-    _add_train_flags(p)
+    _add_config_sources(p)
+    _add_config_flags(p)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")

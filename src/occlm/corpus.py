@@ -48,6 +48,8 @@ class SplitSpec:
             raise ConfigError(f"split fractions must lie in [0,1], got {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ConfigError(f"split fractions must sum to 1, got {sum(fracs)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
 

@@ -28,14 +28,15 @@ class ModelConfig:
     tie_embeddings: bool = True
 
     def check(self):
+        for name in ("d_model", "n_heads", "n_layers", "ffn_mult"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} {getattr(self, name)} must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
         if not (0 <= self.dropout < 1):
             raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
-        if self.n_layers < 1:
-            raise ConfigError(f"n_layers {self.n_layers} must be >= 1")
         if self.block_size < 2:
             raise ConfigError(f"block_size {self.block_size} must be >= 2")
         if self.vocab_size < 1:
@@ -43,12 +44,43 @@ class ModelConfig:
         return self
 
 
-def config_from_dict(d):
-    names = {f.name for f in fields(ModelConfig)}
-    extra = set(d) - names
-    if extra:
-        raise ConfigError(f"unknown ModelConfig fields: {sorted(extra)}")
-    return ModelConfig(**d).check()
+# field type string -> the JSON values it takes (an int is a float, a bool
+# is not an int)
+_ACCEPTS = {
+    "int": lambda v: type(v) is int,
+    "float": lambda v: type(v) in (int, float),
+    "float | None": lambda v: v is None or type(v) in (int, float),
+    "bool": lambda v: type(v) is bool,
+    "str": lambda v: type(v) is str,
+    "tuple": lambda v: (type(v) in (list, tuple)
+                        and all(type(x) in (int, float) for x in v)),
+}
+
+
+def field_types(cls, *skip):
+    """A config dataclass's {field name: type string}, less ``skip``."""
+    return {f.name: f.type for f in fields(cls) if f.name not in skip}
+
+
+def check_fields(where, given, types):
+    """Return a config dict read from outside the program, unconverted,
+    after checking it against ``types`` ({field: dataclass type string, or a
+    nested dict for a section}). A non-object, an unknown field or a wrong
+    value type is a ConfigError naming ``where`` and the field."""
+    if not isinstance(given, dict):
+        raise ConfigError(
+            f"{where} must be a JSON object, got {type(given).__name__}"
+        )
+    for key, val in given.items():
+        kind = types.get(key)
+        if kind is None:
+            raise ConfigError(f"{where}: unknown field {key!r}")
+        if isinstance(kind, dict):
+            check_fields(f"{where} section {key!r}", val, kind)
+        elif not _ACCEPTS[kind](val):
+            want = "a list of numbers" if kind == "tuple" else kind
+            raise ConfigError(f"{where}: {key} must be {want}, got {json.dumps(val)}")
+    return given
 
 
 class ParameterSet:
@@ -280,7 +312,9 @@ def _read_checkpoint(path, payload=True):
                 raise CheckpointError(
                     f"unsupported checkpoint version {header.get('format_version')}"
                 )
-            config = config_from_dict(header["config"])
+            config = ModelConfig(**check_fields(
+                f"{path} config", header["config"], field_types(ModelConfig)
+            )).check()
             tensors, extras = {}, {}
             if not payload:
                 return header, config, tensors, extras

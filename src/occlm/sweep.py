@@ -19,8 +19,6 @@ import numpy as np
 from . import artifacts, metrics, model, train
 from .errors import ConfigError, DivergenceError, SweepError
 
-SAMPLED_KEYS = ("base_lr", "n_layers", "n_heads", "dropout", "occlusion_prob")
-
 # a run is declared divergent when the epoch train loss sits above this for
 # this many consecutive epochs (non-finite losses abort at the step level)
 DIVERGENCE_LOSS = 20.0
@@ -50,6 +48,8 @@ class SweepSpec:
             raise ConfigError(f"trial_count must be >= 1, got {self.trial_count}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("n_layers_choices", "n_heads_choices", "dropout_choices",
                      "occlusion_prob_choices"):
             if not getattr(self, name):
@@ -386,23 +386,22 @@ def spec_to_dict(spec):
     return d
 
 
-def spec_from_dict(d):
-    d = dict(d)
+SPEC_TYPES = dict(
+    model.field_types(SweepSpec),
+    base_model=model.field_types(model.ModelConfig),
+    base_train=model.field_types(train.TrainConfig),
+)
+
+
+def spec_from_dict(d, where="sweep spec"):
+    """A checked SweepSpec from a dict read from outside the program;
+    ``where`` names the input in errors."""
+    d = dict(model.check_fields(where, d, SPEC_TYPES))
     model_d, train_d = d.pop("base_model", None), d.pop("base_train", None)
-    if not (isinstance(model_d, dict) and isinstance(train_d, dict)):
-        raise ConfigError("a sweep spec needs base_model and base_train objects")
-    for what, given, cls in (("base_train", train_d, train.TrainConfig),
-                             ("sweep", d, SweepSpec)):
-        unknown = set(given) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
-    base_model = model.config_from_dict(model_d)
-    base_train = train.TrainConfig(**train_d)
-    for name in ("lr_range", "n_layers_choices", "n_heads_choices",
-                 "dropout_choices", "occlusion_prob_choices"):
-        if name in d:
-            if not (isinstance(d[name], (list, tuple)) and all(
-                    isinstance(v, (int, float)) for v in d[name])):
-                raise ConfigError(f"{name} must be a list of numbers, got {d[name]!r}")
-            d[name] = tuple(d[name])
-    return SweepSpec(base_model=base_model, base_train=base_train, **d).check()
+    if model_d is None or train_d is None:
+        raise ConfigError(f"{where} needs base_model and base_train objects")
+    d = {k: tuple(v) if SPEC_TYPES[k] == "tuple" else v for k, v in d.items()}
+    return SweepSpec(
+        base_model=model.ModelConfig(**model_d).check(),
+        base_train=train.TrainConfig(**train_d), **d,
+    ).check()

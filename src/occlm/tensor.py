@@ -4,11 +4,11 @@ The engine is deliberately small: numpy does the array arithmetic, this
 module owns the differentiation. Ops executed while a Tape is active are
 recorded in execution order (which is already a topological order), and
 ``backward`` replays the tape once in reverse. Everything is float32; any
-op that produces a NaN/Inf raises immediately instead of letting it
-propagate (see FINITE_CHECKS). numpy's FP warnings are silenced once per
-engine pass (``model.forward``, each shard of ``train.loss_and_grads``,
-``backward``), so a kernel called outside one may warn before its
-NumericsError. Outputs keep numpy's strides: ``transpose`` returns a view.
+op that produces a NaN/Inf raises NumericsError immediately instead of
+letting it propagate. numpy's FP warnings are silenced once per engine pass
+(``model.forward``, each shard of ``train.loss_and_grads``, ``backward``),
+so a kernel called outside one may warn before its NumericsError. Outputs
+keep numpy's strides: ``transpose`` returns a view.
 
 The decoder's attention sub-layer and FFN are one kernel each
 (``attention``, ``ffn``): one tape entry and one hand-written backward per
@@ -38,10 +38,6 @@ import numpy as np
 from .errors import ContractError, DataError, NumericsError, ShapeError, TokenIndexError
 
 DTYPE = np.float32
-
-# Post-op guard: every kernel checks its output for NaN/Inf and raises
-# NumericsError naming the op. Costs one pass over the output; keep it on.
-FINITE_CHECKS = True
 
 GELU_C = math.sqrt(2.0 / math.pi)
 
@@ -145,8 +141,6 @@ def active_tape():
 
 
 def _check_finite(arr, op_name):
-    if not FINITE_CHECKS:
-        return
     if not np.isfinite(arr).all():
         bad = np.argwhere(~np.isfinite(np.asarray(arr)))
         first = tuple(int(i) for i in bad[0]) if bad.size else ()
@@ -379,6 +373,8 @@ def layer_norm(x, gain, bias, eps=1e-5):
     d = x.shape[-1]
     xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
     var = np.square(xhat).sum(axis=-1, keepdims=True) / d
+    # an overflowed variance would give inv 0 and a finite output: the bias
+    _check_finite(var, "layer_norm")
     inv = 1.0 / np.sqrt(var + DTYPE(eps))
     xhat *= inv
     out_data = xhat * gain.data

@@ -79,6 +79,8 @@ class TrainConfig:
             raise ConfigError("unfreeze_top_k and interval must be >= 1")
         if self.occlusion_loss_weight <= 0:
             raise ConfigError("occlusion_loss_weight must be > 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
 

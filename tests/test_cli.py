@@ -1,12 +1,13 @@
 """CLI contract: dispatch, exit codes, config precedence, manifests."""
 
+import argparse
 import json
 import os
 import stat
 
 import pytest
 
-from occlm import cli, demo, metrics, model
+from occlm import bpe, cli, demo, metrics, model
 from occlm.errors import ConfigError
 
 DESK_FLAGS = [
@@ -90,6 +91,51 @@ def test_seed_only_on_commands_that_read_it(capsys, smoke):
         assert cli.dispatch([command, "--seed", "1"]) == 1  # parsed; input missing
 
 
+@pytest.mark.parametrize("flag", [["--config", "x.json"], ["--preset", "table3-std"]],
+                         ids=["config", "preset"])
+@pytest.mark.parametrize("command",
+                         ["corpus", "eval", "sweep", "generate", "quickstart"])
+def test_config_sources_only_on_commands_that_read_them(capsys, command, flag):
+    assert cli.dispatch([command] + flag) == 2
+    assert "usage" in capsys.readouterr().err.lower()
+
+
+FLAG_SURFACE = {
+    "tokenizer": "--config --data --deterministic --help --out --preset "
+                 "--target-size -h",
+    "corpus": "--data --deterministic --help --no-clean --out-dir --seed "
+              "--test-frac --train-frac --valid-frac --vocab -h",
+    "pretrain": "--base-lr --batch-size --block-size --config --d-model --data "
+                "--deterministic --dropout --ffn-mult --grad-clip --help "
+                "--max-epochs --metrics --n-heads --n-layers --objective "
+                "--occlusion-loss-weight --occlusion-prob --out --patience "
+                "--preset --seed --vocab --warmup-fraction --weight-decay -h",
+    "finetune": "--base-lr --batch-size --block-size --checkpoint --config "
+                "--d-model --data --deterministic --dropout --ffn-mult "
+                "--grad-clip --help --max-epochs --metrics --n-heads --n-layers "
+                "--objective --occlusion-loss-weight --occlusion-prob --out "
+                "--patience --preset --seed --unfreeze-interval-epochs "
+                "--unfreeze-top-k --vocab --warmup-fraction --weight-decay -h",
+    "eval": "--bleu --checkpoint --deterministic --gen-seed --help "
+            "--max-new-tokens --out --prompt-frac --split --split-name "
+            "--strategy --temperature --top-k --vocab -h",
+    "sweep": "--data --deterministic --help --out --parallel --spec --vocab -h",
+    "generate": "--checkpoint --deterministic --gen-seed --help "
+                "--max-new-tokens --prompt --strategy --temperature --top-k "
+                "--vocab -h",
+    "quickstart": "--deterministic --force --help --out -h",
+}
+
+
+def test_flag_surface_is_pinned():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(o for a in p._actions for o in a.option_strings)
+           for name, p in sub.choices.items()}
+    assert got == {name: flags.split() for name, flags in FLAG_SURFACE.items()}
+    assert (len(got["pretrain"]), len(got["finetune"])) == (26, 29)
+
+
 def test_pretrain_malformed_config_exit_1(capsys, smoke, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"model": ')
@@ -170,6 +216,17 @@ def test_unknown_config_field_rejected(tmp_path):
     cfg.write_text(json.dumps({"train": {"learning_rate": 1e-3}}))
     with pytest.raises(ConfigError):
         cli.resolve_configs(_ns(config=str(cfg)))
+
+
+def test_tokenizer_config_file_beats_preset(smoke, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tokenizer": {"target_size": 300}}))
+    out = str(tmp_path / "vocab.tsv")
+    assert cli.dispatch(
+        ["tokenizer", "--data", smoke["raw"], "--out", out,
+         "--config", str(cfg), "--preset", "table3-std"]
+    ) == 0
+    assert bpe.load_vocab(out).target_size == 300
 
 
 def test_occlm_seed_env_overrides_config(monkeypatch, tmp_path):
@@ -459,11 +516,29 @@ def test_sweep_malformed_spec_exit_1(capsys, smoke, tmp_path):
     ("tokenizer", '{"tokenizer": 512}', "section 'tokenizer'"),
     ("sweep", '{"lr_range": 0.1, "base_model": {"block_size": 32, '
               '"d_model": 32, "n_heads": 2}, "base_train": {}}', "lr_range"),
+    # values of the wrong type
+    ("pretrain", '{"train": {"patience": "3"}}', "patience"),
+    ("pretrain", '{"model": {"d_model": "64"}}', "d_model"),
+    ("pretrain", '{"train": {"base_lr": "1e-3"}}', "base_lr"),
+    ("pretrain", '{"train": {"batch_size": 2.5}}', "batch_size"),
+    ("pretrain", '{"model": {"n_layers": true}}', "n_layers"),
+    ("tokenizer", '{"tokenizer": {"target_size": "512"}}', "target_size"),
+    ("sweep", '{"base_model": {"block_size": 32, "d_model": 32, '
+              '"n_heads": 2}, "base_train": {"patience": "2"}}', "patience"),
+    # out-of-range values; flags after the command name follow DESK_FLAGS
+    ("pretrain --n-heads 0", "{}", "n_heads"),
+    ("pretrain --d-model 0", "{}", "d_model"),
+    ("pretrain --ffn-mult 0", "{}", "ffn_mult"),
+    ("pretrain --seed -1", "{}", "seed"),
+    ("corpus --seed -1", "{}", "seed"),
+    ("sweep", '{"seed": -1, "base_model": {"block_size": 32, "d_model": 32, '
+              '"n_heads": 2}, "base_train": {}}', "seed"),
 ])
 def test_malformed_config_or_spec_exit_1(capsys, smoke, tmp_path, command,
                                          content, expect):
     path = tmp_path / "input.json"
     path.write_text(content)
+    command, *flags = command.split()
     argv = {
         "tokenizer": ["tokenizer", "--data", smoke["raw"],
                       "--out", str(tmp_path / "v.tsv"), "--config", str(path)],
@@ -472,7 +547,9 @@ def test_malformed_config_or_spec_exit_1(capsys, smoke, tmp_path, command,
                      "--config", str(path)] + DESK_FLAGS,
         "sweep": ["sweep", "--spec", str(path), "--data", smoke["work"],
                   "--vocab", smoke["vocab"], "--out", str(tmp_path / "sw")],
-    }[command]
+        "corpus": ["corpus", "--data", smoke["raw"],
+                   "--out-dir", str(tmp_path / "c")],
+    }[command] + flags
     assert cli.dispatch(argv) == 1
     err = capsys.readouterr().err
     assert expect in err

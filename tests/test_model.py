@@ -376,6 +376,27 @@ def test_checkpoint_missing_config_field_fails(tmp_path):
         model.read_checkpoint_header(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_layers", True), ("d_model", "8"), ("ffn_mult", 2.0), ("heads", 2),
+])
+def test_checkpoint_header_config_is_type_checked(tmp_path, field, value):
+    import json
+    import re
+
+    path = tmp_path / "m.ckpt"
+    model.save_checkpoint(path, model.init(TINY, seed=0), vocab_hash="h")
+    raw = path.read_bytes()
+    start = len(model.CKPT_MAGIC) + 8
+    size = int.from_bytes(raw[len(model.CKPT_MAGIC):start], "little")
+    header = json.loads(raw[start:start + size])
+    header["config"][field] = value
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(model.CKPT_MAGIC + len(blob).to_bytes(8, "little")
+                     + blob + raw[start + size:])
+    with pytest.raises(ConfigError, match=re.escape(f"{path} config: ") + ".*" + field):
+        model.read_checkpoint_header(path)
+
+
 def test_checkpoint_save_failure_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "m.ckpt"
     model.save_checkpoint(path, model.init(TINY, seed=0), vocab_hash="h")

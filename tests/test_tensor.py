@@ -184,6 +184,16 @@ def test_overflow_raises_numerics_error():
         T.add(x, x)
 
 
+def test_layer_norm_variance_overflow_raises_numerics_error():
+    """A row whose variance overflows would normalize to 0 and return the
+    bias row; the kernel must raise instead."""
+    x = T.Tensor([[1e20, -1e20, 3e19, 0.5]])
+    gain, bias = T.Tensor(np.ones(4)), T.Tensor(np.full(4, 0.25))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericsError, match="layer_norm"):
+            T.layer_norm(x, gain, bias)
+
+
 # --------------------------------------------------------------- backward
 
 
