@@ -11,7 +11,7 @@ import os
 
 # One OpenBLAS thread unless the environment says otherwise. Set before
 # numpy loads: at this package's shapes a second BLAS thread only costs, and
-# large training steps use the second core through row shards instead.
+# large training and scoring batches use the second core through row shards.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

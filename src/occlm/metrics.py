@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import bpe, model
+from . import bpe, model, shards
 from .errors import ConfigError, ContractError, DataError, LengthError
 
 EVAL_BATCH = 32
@@ -51,22 +51,30 @@ def perplexity(params, config, dataset):
 
     Accumulated per window in float64, in window-index order, so the result
     is invariant to evaluation batch size. Never a mean of per-batch PPLs.
+    An EVAL_BATCH block whose half reaches shards.SHARD_MIN_SIZE is scored as
+    two row shards (shards.run); a window's logits do not depend on the rows
+    scored with it, so the result is bit-identical to one shard. A non-finite
+    value in either shard raises NumericsError once both have finished.
     """
     if len(dataset) == 0:
         raise DataError("perplexity over an empty dataset")
+
+    def window_nll(w):
+        y = w[:, 1:]
+        logits = model.forward(params, config, w[:, :-1], train=False).data
+        picked = model.token_logprobs(logits, np.maximum(y, 0))
+        valid = y != dataset.pad_id
+        return -(picked * valid).sum(axis=1), valid.sum(axis=1)
+
     total_nll = 0.0
     total_tok = 0
     for start in range(0, len(dataset), EVAL_BATCH):
         w = dataset.windows[start : start + EVAL_BATCH]
-        x, y = w[:, :-1], w[:, 1:]
-        logits = model.forward(params, config, x, train=False).data.astype(np.float64)
-        z = logits - logits.max(axis=-1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-        picked = np.take_along_axis(logp, np.maximum(y, 0)[..., None], axis=-1)[..., 0]
-        valid = y != dataset.pad_id
-        for row_nll, row_n in zip(-(picked * valid).sum(axis=1), valid.sum(axis=1)):
-            total_nll += float(row_nll)
-            total_tok += int(row_n)
+        parts = np.array_split(w, shards.shard_count(w[:, :-1], config.d_model))
+        for nll, n_tok in shards.run(lambda j: window_nll(parts[j]), len(parts)):
+            for row_nll, row_n in zip(nll, n_tok):
+                total_nll += float(row_nll)
+                total_tok += int(row_n)
     if total_tok == 0:
         raise DataError("perplexity dataset holds no non-pad targets")
     mean = total_nll / total_tok

@@ -221,10 +221,18 @@ def sequence_logprob(params, config, ids):
     if ids.ndim != 1 or ids.shape[0] < 2:
         raise LengthError(f"need a 1-D sequence of length >= 2, got {ids.shape}")
     logits = forward(params, config, ids[:-1], train=False).data[0]
+    return float(token_logprobs(logits, ids[1:]).sum())
+
+
+def token_logprobs(logits, targets):
+    """float64 log-softmax of logits (... x V) at targets (...), the same
+    z[t] - log(sum exp z) per target, with the max and exp taken in place."""
     z = logits.astype(np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    return float(logp[np.arange(len(ids) - 1), ids[1:]].sum())
+    z -= z.max(axis=-1, keepdims=True)
+    picked = np.take_along_axis(z, targets[..., None], axis=-1)[..., 0]
+    np.exp(z, out=z)
+    picked -= np.log(z.sum(axis=-1))
+    return picked
 
 
 @dataclass

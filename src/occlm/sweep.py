@@ -54,10 +54,10 @@ class SweepSpec:
                      "occlusion_prob_choices"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} is empty")
-        if any(n < 1 for n in self.n_layers_choices):
-            raise ConfigError("layer counts must be >= 1")
-        if any(h < 1 for h in self.n_heads_choices):
-            raise ConfigError("head counts must be >= 1")
+        for name in ("n_layers_choices", "n_heads_choices"):
+            counts = getattr(self, name)
+            if any(type(n) is not int or n < 1 for n in counts):
+                raise ConfigError(f"{name} must be ints >= 1, got {list(counts)}")
         if any(not (0 <= d < 1) for d in self.dropout_choices):
             raise ConfigError("dropout choices must lie in [0, 1)")
         if any(not (0 <= p <= 1) for p in self.occlusion_prob_choices):

@@ -533,6 +533,16 @@ def test_sweep_malformed_spec_exit_1(capsys, smoke, tmp_path):
     ("corpus --seed -1", "{}", "seed"),
     ("sweep", '{"seed": -1, "base_model": {"block_size": 32, "d_model": 32, '
               '"n_heads": 2}, "base_train": {}}', "seed"),
+    # fractional or bool counts
+    ("sweep", '{"n_layers_choices": [1.5], "base_model": {"block_size": 32, '
+              '"d_model": 32, "n_heads": 2}, "base_train": {}}',
+     "n_layers_choices"),
+    ("sweep", '{"n_heads_choices": [2.0], "base_model": {"block_size": 32, '
+              '"d_model": 32, "n_heads": 2}, "base_train": {}}',
+     "n_heads_choices"),
+    ("sweep", '{"n_heads_choices": [true], "base_model": {"block_size": 32, '
+              '"d_model": 32, "n_heads": 2}, "base_train": {}}',
+     "n_heads_choices"),
 ])
 def test_malformed_config_or_spec_exit_1(capsys, smoke, tmp_path, command,
                                          content, expect):

@@ -158,6 +158,12 @@ def test_spec_from_dict_rejects_malformed_sections(damage):
     ("n_heads_choices", "24"),
     ("occlusion_prob_choices", [0.1, "0.3"]),
     ("lr_range", [1e-3]),
+    # counts must be ints: sample_trial would truncate 1.5 to 1 layer
+    ("n_layers_choices", [1.5]),
+    ("n_layers_choices", [2.0]),
+    ("n_layers_choices", [True]),
+    ("n_heads_choices", [2, 2.5]),
+    ("n_heads_choices", [2.0]),
 ])
 def test_spec_from_dict_rejects_malformed_fields(field, value):
     d = sweep.spec_to_dict(make_spec())

@@ -5,6 +5,7 @@ is checked step-for-step against a float64 hand recurrence; the schedule,
 early stopping, freezing, and resume contracts are exercised directly.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occlm import bpe, corpus, demo, metrics, model, train
+from occlm import bpe, corpus, demo, metrics, model, shards, train
 from occlm import tensor as T
 from occlm.errors import ConfigError, ContractError, DivergenceError, NumericsError
 
@@ -353,6 +354,24 @@ def test_fit_history_ppl_matches_exp_loss():
     for h in state.history:
         assert h["train_ppl"] == pytest.approx(math.exp(h["train_loss"]), rel=1e-6)
         assert h["valid_ppl"] == pytest.approx(math.exp(h["valid_loss"]), rel=1e-6)
+
+
+def test_fit_scores_through_metrics_perplexity_once_per_epoch(monkeypatch):
+    """The benchmark times validation by wrapping the module attribute."""
+    calls = []
+    perplexity = metrics.perplexity
+
+    def counting(params, config, dataset):
+        calls.append(dataset)
+        return perplexity(params, config, dataset)
+
+    monkeypatch.setattr(metrics, "perplexity", counting)
+    cfg = tiny_config()
+    ds, valid = tiny_dataset(), tiny_dataset()
+    _, state = train.fit(model.init(cfg, seed=0), ds, valid,
+                         tiny_train_config(max_epochs=3, patience=10))
+    assert len(state.history) == 3
+    assert len(calls) == 3 and all(d is valid for d in calls)
 
 
 # ---------------------------------------------------------------------------
@@ -695,10 +714,10 @@ def _ac4_setup(ds, **train_over):
 ], ids=["standard", "occlusion", "occlusion-weighted"])
 def test_two_shard_step_matches_one_shard(ac4_train_ds, monkeypatch, train_over):
     batch = ac4_train_ds.minibatch(np.arange(32))
-    assert train.shard_count(batch.inputs, 64) == 2
+    assert shards.shard_count(batch.inputs, 64) == 2
     runs = []
-    for min_size in (train.SHARD_MIN_SIZE, 10**12):
-        monkeypatch.setattr(train, "SHARD_MIN_SIZE", min_size)
+    for min_size in (shards.SHARD_MIN_SIZE, 10**12):
+        monkeypatch.setattr(shards, "SHARD_MIN_SIZE", min_size)
         params, state, tcfg = _ac4_setup(ac4_train_ds, **train_over)
         loss, _ = train.train_step(params, state, batch, tcfg, lr=1e-3)
         grads = {n: params[n].grad for n in params.names()}
@@ -714,7 +733,7 @@ def test_two_shard_step_matches_one_shard(ac4_train_ds, monkeypatch, train_over)
 def test_shard_worker_and_inline_are_bit_identical(ac4_train_ds, monkeypatch):
     finals = []
     for worker in (ThreadPoolExecutor(max_workers=1), None):
-        monkeypatch.setattr(train, "_shard_worker", lambda: worker)
+        monkeypatch.setattr(shards, "_shard_worker", lambda: worker)
         params, state, tcfg = _ac4_setup(ac4_train_ds, occlusion_prob=0.3)
         for step in range(3):
             batch = ac4_train_ds.minibatch(np.arange(step * 32, step * 32 + 32))
@@ -744,7 +763,7 @@ def test_padded_second_half_runs_one_shard(ac4_train_ds, monkeypatch):
     params, state, tcfg = _ac4_setup(ac4_train_ds)
     loss, _ = train.train_step(params, state, batch, tcfg, lr=1e-3)
     assert rows_seen == [32]
-    monkeypatch.setattr(train, "SHARD_MIN_SIZE", 10**12)
+    monkeypatch.setattr(shards, "SHARD_MIN_SIZE", 10**12)
     params, state, tcfg = _ac4_setup(ac4_train_ds)
     assert train.train_step(params, state, batch, tcfg, lr=1e-3)[0] == loss
 
@@ -756,7 +775,7 @@ def test_two_shard_overflow_raises_divergence_without_warning(
     """An overflow in either shard is a DivergenceError, not a numpy warning:
     each thread runs its engine pass with FP warnings silenced."""
     worker = ThreadPoolExecutor(max_workers=1)
-    monkeypatch.setattr(train, "_shard_worker", lambda: worker)
+    monkeypatch.setattr(shards, "_shard_worker", lambda: worker)
     ds = ac4_train_ds
     mcfg = model.ModelConfig(vocab_size=ds.vocab_size, block_size=64,
                              d_model=64, n_layers=2, n_heads=2, dropout=0.1,
@@ -775,7 +794,7 @@ def test_two_shard_overflow_raises_divergence_without_warning(
     params["tok_emb"].data[bad] = 3e38
     batch = corpus.Batch(inputs, batch.targets, batch.ignore, batch.occ_id,
                          batch.special_ids)
-    assert train.shard_count(inputs, 64) == 2
+    assert shards.shard_count(inputs, 64) == 2
     try:
         with pytest.raises(DivergenceError):
             train.train_step(params, state, batch, tcfg, lr=1e-3)
@@ -785,7 +804,7 @@ def test_two_shard_overflow_raises_divergence_without_warning(
 
 def test_sharded_step_error_waits_for_both_shards(ac4_train_ds, monkeypatch):
     worker = ThreadPoolExecutor(max_workers=1)
-    monkeypatch.setattr(train, "_shard_worker", lambda: worker)
+    monkeypatch.setattr(shards, "_shard_worker", lambda: worker)
     forward, backward = model.forward, T.backward
     worker_done = []
 
@@ -809,3 +828,101 @@ def test_sharded_step_error_waits_for_both_shards(ac4_train_ds, monkeypatch):
     assert err.value.step == 0
     assert err.value.batch_index == 7
     worker.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# sharded validation scoring
+# ---------------------------------------------------------------------------
+
+
+def _ac4_valid(ds):
+    """One full EVAL_BATCH block and a 13-row tail whose last row is padded."""
+    assert (ds.windows[-1] == ds.pad_id).any()
+    return dataclasses.replace(
+        ds, windows=np.concatenate([ds.windows[:44], ds.windows[-1:]]))
+
+
+def _record_eval_forwards(monkeypatch, before=None):
+    """Patch model.forward to log (rows, on the main thread) per eval call;
+    before(on_main) runs ahead of each eval call."""
+    seen = []
+    forward = model.forward
+
+    def recording_forward(params, config, ids, train=False, rng=None):
+        on_main = threading.current_thread() is threading.main_thread()
+        if not train:
+            if before is not None:
+                before(on_main)
+            seen.append((len(ids), on_main))
+        return forward(params, config, ids, train=train, rng=rng)
+
+    monkeypatch.setattr(model, "forward", recording_forward)
+    return seen
+
+
+def test_sharded_perplexity_is_bit_identical(ac4_train_ds, monkeypatch):
+    valid = _ac4_valid(ac4_train_ds)
+    params, _, _ = _ac4_setup(ac4_train_ds)
+    worker = ThreadPoolExecutor(max_workers=1)
+    seen = _record_eval_forwards(monkeypatch)
+    runs = {}
+    for mode, pool, min_size in (("worker", worker, shards.SHARD_MIN_SIZE),
+                                 ("inline", None, shards.SHARD_MIN_SIZE),
+                                 ("one shard", worker, 10**12)):
+        monkeypatch.setattr(shards, "_shard_worker", lambda: pool)
+        monkeypatch.setattr(shards, "SHARD_MIN_SIZE", min_size)
+        seen.clear()
+        runs[mode] = (metrics.perplexity(params, params.config, valid),
+                      sorted(seen))
+    worker.shutdown()
+    assert runs["worker"][1] == [(13, True), (16, False), (16, True)]
+    assert runs["inline"][1] == [(13, True), (16, True), (16, True)]
+    assert runs["one shard"][1] == [(13, True), (32, True)]
+    assert runs["worker"][0] == runs["inline"][0] == runs["one shard"][0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad_half", ["caller", "worker"])
+def test_sharded_perplexity_overflow_waits_for_both_shards(
+        ac4_train_ds, monkeypatch, bad_half):
+    """An overflow in either shard's rows is a NumericsError raised only once
+    the other shard (slowed down here) has finished, and fit reports it as a
+    DivergenceError outside any training batch."""
+    worker = ThreadPoolExecutor(max_workers=1)
+    monkeypatch.setattr(shards, "_shard_worker", lambda: worker)
+    valid = _ac4_valid(ac4_train_ds)
+    bad_rows, good_rows = ((slice(0, 16), slice(16, 32)) if bad_half == "caller"
+                           else (slice(16, 32), slice(0, 16)))
+    bad = next(i for i in range(3, valid.vocab_size)
+               if i not in valid.windows[good_rows, :-1]
+               and i not in valid.windows[32:, :-1])
+    windows = valid.windows.copy()
+    windows[bad_rows, 0] = bad
+    valid = dataclasses.replace(valid, windows=windows)
+    mcfg = model.ModelConfig(vocab_size=valid.vocab_size, block_size=64,
+                             d_model=64, n_layers=2, n_heads=2, dropout=0.1,
+                             ffn_mult=4, tie_embeddings=False)
+    params = model.init(mcfg, seed=0)
+    # untied, so only the rows holding `bad` see the overflowing embedding
+    params["tok_emb"].data[bad] = 3e38
+    good_done = []
+
+    def slow_good_shard(on_main):
+        if on_main != (bad_half == "caller"):
+            time.sleep(0.2)
+            good_done.append(True)
+
+    seen = _record_eval_forwards(monkeypatch, slow_good_shard)
+    try:
+        with pytest.raises(NumericsError):
+            metrics.perplexity(params, mcfg, valid)
+        assert good_done == [True]
+        assert sorted(seen) == [(16, False), (16, True)]
+        train_ds = dataclasses.replace(valid, windows=valid.windows[good_rows])
+        tcfg = train.TrainConfig(batch_size=16, max_epochs=1, seed=0)
+        with pytest.raises(DivergenceError) as err:
+            train.fit(params, train_ds, valid, tcfg)
+        assert err.value.batch_index is None
+        assert "validation" in str(err.value)
+    finally:
+        worker.shutdown()
