@@ -246,9 +246,8 @@ def encode(v, text):
     return EncodedText(ids=ids, offsets=offsets)
 
 
-def decode(v, ids, render_special=None):
-    """Invert encode. Specials render via render_special(token) if given,
-    else as their literal sentinel strings."""
+def decode(v, ids):
+    """Invert encode. Specials render as their literal sentinel strings."""
     parts = []
     buf = []
 
@@ -264,7 +263,7 @@ def decode(v, ids, render_special=None):
             raise TokenIndexError(f"id {int(i)} is not in the vocabulary")
         if v.is_special(int(i)):
             flush()
-            parts.append(render_special(tok) if render_special else tok)
+            parts.append(tok)
         else:
             buf.append(tok)
     flush()

@@ -13,26 +13,10 @@ from .errors import ConfigError, DataError, EncodingError
 
 # strip everything outside letters, digits, whitespace, . , ' -
 # (\w covers letters and digits; underscore is excluded explicitly)
-DEFAULT_SPECIAL_CLASS = r"[^\w\s.,'\-]|_"
-
-
-@dataclass
-class CleaningConfig:
-    strip_special_chars: bool = True
-    special_char_class: str = DEFAULT_SPECIAL_CLASS
-    collapse_repeated_fullstops: bool = True
-    strip_slashes: bool = True
-    sentence_split_on_fullstop: bool = True
-    lowercase: bool = True
-
-    def any_enabled(self):
-        return (
-            self.strip_special_chars
-            or self.collapse_repeated_fullstops
-            or self.strip_slashes
-            or self.sentence_split_on_fullstop
-            or self.lowercase
-        )
+_SPECIAL_CHARS = re.compile(r"[^\w\s.,'\-]|_")
+_REPEATED_STOPS = re.compile(r"\.{2,}")
+_SPACES = re.compile(r"\s+")
+_AFTER_STOP = re.compile(r"(?<=\.)")
 
 
 @dataclass
@@ -44,8 +28,9 @@ class SplitSpec:
 
     def check(self):
         fracs = (self.train_frac, self.valid_frac, self.test_frac)
-        if any(f < 0 or f > 1 for f in fracs):
-            raise ConfigError(f"split fractions must lie in [0,1], got {fracs}")
+        for name, f in zip(("train_frac", "valid_frac", "test_frac"), fracs):
+            if not 0 <= f <= 1:
+                raise ConfigError(f"{name} must lie in [0, 1], got {f}")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ConfigError(f"split fractions must sum to 1, got {sum(fracs)}")
         if self.seed < 0:
@@ -65,32 +50,19 @@ def read_lines(path):
                 ) from exc
 
 
-def clean(lines, cfg=None):
+def clean(lines):
     """Apply the cleaning rules in fixed order, yielding cleaned sentences.
 
     Order: slashes -> special chars -> repeated full stops -> sentence split
     -> lowercase. Empty results are dropped.
     """
-    cfg = cfg or CleaningConfig()
-    if not cfg.any_enabled():
-        raise ConfigError("cleaning invoked with every rule disabled")
-    special_re = re.compile(cfg.special_char_class) if cfg.strip_special_chars else None
-
     for line in lines:
-        if cfg.strip_slashes:
-            line = line.replace("/", " ").replace("\\", " ")
-        if special_re is not None:
-            line = special_re.sub("", line)
-        if cfg.collapse_repeated_fullstops:
-            line = re.sub(r"\.{2,}", ".", line)
-        line = re.sub(r"\s+", " ", line).strip()
-        if cfg.sentence_split_on_fullstop:
-            pieces = [p.strip() for p in re.split(r"(?<=\.)", line)]
-        else:
-            pieces = [line]
-        for piece in pieces:
-            if cfg.lowercase:
-                piece = piece.lower()
+        line = line.replace("/", " ").replace("\\", " ")
+        line = _SPECIAL_CHARS.sub("", line)
+        line = _REPEATED_STOPS.sub(".", line)
+        line = _SPACES.sub(" ", line).strip()
+        for piece in _AFTER_STOP.split(line):
+            piece = piece.strip().lower()
             if piece:
                 yield piece
 

@@ -37,12 +37,16 @@ class GenerationConfig:
     def check(self):
         if self.strategy not in ("greedy", "sample", "topk"):
             raise ConfigError(f"unknown decoding strategy {self.strategy!r}")
-        if self.strategy in ("sample", "topk") and self.temperature <= 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+        if self.strategy in ("sample", "topk") and not 0 < self.temperature < math.inf:
+            raise ConfigError(
+                f"temperature must be finite and > 0, got {self.temperature}"
+            )
         if self.strategy == "topk" and self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
         if self.max_new_tokens < 1:
             raise ConfigError("max_new_tokens must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
 

@@ -39,7 +39,6 @@ class SweepSpec:
     trial_count: int = 20
     max_epochs: int = 100
     seed: int = 0
-    objective: str = "valid_loss"
 
     def check(self):
         if len(self.lr_range) != 2 or not 0 < self.lr_range[0] <= self.lr_range[1]:
@@ -62,8 +61,6 @@ class SweepSpec:
             raise ConfigError("dropout choices must lie in [0, 1)")
         if any(not (0 <= p <= 1) for p in self.occlusion_prob_choices):
             raise ConfigError("occlusion probabilities must lie in [0, 1]")
-        if self.objective != "valid_loss":
-            raise ConfigError(f"unsupported objective {self.objective!r}")
         return self
 
 

@@ -77,20 +77,6 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"<Tensor shape={self.shape} requires_grad={self.requires_grad}{tag}>"
 
-    # Small operator sugar; the op functions below are the real API.
-    def __add__(self, other):
-        return add(self, other if isinstance(other, Tensor) else Tensor(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class _TapeEntry:
     __slots__ = ("output", "backward_fn")
@@ -503,13 +489,12 @@ def causal_mask_fill(scores, fill_value=-1e9):
     return _result(out_data, "causal_mask_fill", (scores,), back)
 
 
-def cross_entropy(logits, targets, ignore_mask=None, weights=None):
+def cross_entropy(logits, targets, ignore_mask=None):
     """Mean of -log softmax(logits)[target] over non-ignored positions.
 
     logits has shape (..., V); targets is an integer grid of the leading
     shape; ignore_mask (same grid, True = excluded) drops positions from the
-    mean. Optional per-position weights reweight the mean (used by the
-    occlusion loss-weight switch); by default every position counts once.
+    mean, and every other position counts once.
     """
     targets = np.asarray(targets)
     if targets.shape != logits.shape[:-1]:
@@ -529,12 +514,7 @@ def cross_entropy(logits, targets, ignore_mask=None, weights=None):
     else:
         raise DataError("cross_entropy: every position is ignored (degenerate batch)")
 
-    if weights is None:
-        w = valid.astype(DTYPE)
-    else:
-        w = np.asarray(weights, dtype=DTYPE) * valid
-        if not w.any():
-            raise DataError("cross_entropy: all loss weights are zero")
+    w = valid.astype(DTYPE)
     denom = DTYPE(w.sum())
 
     # one full-vocab exp; the normalised softmax is kept for backward

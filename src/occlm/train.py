@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -52,13 +51,14 @@ class TrainConfig:
     grad_clip: float | None = None
     unfreeze_top_k: int = 2
     unfreeze_interval_epochs: int = 2
-    # experiment switch: extra loss weight on positions whose target token
-    # was occluded in the input (1.0 = uniform, the default reading)
-    occlusion_loss_weight: float = 1.0
 
     def check(self):
-        if self.base_lr <= 0:
-            raise ConfigError(f"base_lr must be > 0, got {self.base_lr}")
+        if not 0 < self.base_lr < math.inf:
+            raise ConfigError(f"base_lr must be finite and > 0, got {self.base_lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}"
+            )
         if not (0.0 <= self.occlusion_prob <= 1.0):
             raise ConfigError(
                 f"occlusion_prob {self.occlusion_prob} outside [0, 1]"
@@ -71,12 +71,12 @@ class TrainConfig:
             )
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigError("batch_size and max_epochs must be >= 1")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ConfigError(f"grad_clip must be > 0, got {self.grad_clip}")
+        if self.grad_clip is not None and not 0 < self.grad_clip < math.inf:
+            raise ConfigError(
+                f"grad_clip must be finite and > 0, got {self.grad_clip}"
+            )
         if self.unfreeze_top_k < 1 or self.unfreeze_interval_epochs < 1:
             raise ConfigError("unfreeze_top_k and interval must be >= 1")
-        if self.occlusion_loss_weight <= 0:
-            raise ConfigError("occlusion_loss_weight must be > 0")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
@@ -148,75 +148,62 @@ def lr_at(step, total_steps, cfg):
     return cfg.base_lr * (total_steps - step) / (total_steps - warm)
 
 
-def _occlusion_weights(flags, weight):
-    """Per-target-position loss weights from input occlusion flags.
+class _RowDraws:
+    """Duck-typed `Generator.random` for the row shard lo:hi of a rows-row
+    minibatch: each random(shape) call returns rows lo:hi of the full-batch
+    (rows, *shape[1:]) draw that gen would make, skipping the other rows
+    with `bit_generator.advance`.
 
-    The token occluded at input position i is the target at position i-1,
-    so flags shift left by one; the first input position has no target."""
-    w = np.ones(flags.shape, dtype=np.float32)
-    w[:, :-1][flags[:, 1:]] = weight
-    return w
+    This assumes a PCG64 bit generator, which spends one 64-bit step per
+    float64 (init_state and load_train_checkpoint both build PCG64
+    generators). The shard's draws are then exactly its rows of the
+    unsharded draws, and gen ends where an unsharded forward leaves it."""
 
-
-class _SharedDraws:
-    """Dropout randomness for row shards: the k-th random(shape) call of any
-    shard gets that shard's rows of the k-th full-batch draw from rng. Draws
-    happen in call order, so the masks and rng's final state equal those of
-    an unsharded forward. A draw is freed once every shard has taken it."""
-
-    def __init__(self, rng, bounds):
-        self.rng = rng
-        self.bounds = bounds
-        self.lock = threading.Lock()
-        self.pending = {}  # call index -> [full draw, shards yet to take it]
-
-    def take(self, k, j, shape):
-        with self.lock:
-            entry = self.pending.get(k)
-            if entry is None:
-                full = self.rng.random((self.bounds[-1],) + tuple(shape[1:]))
-                entry = self.pending[k] = [full, len(self.bounds) - 1]
-            entry[1] -= 1
-            if entry[1] == 0:
-                del self.pending[k]
-        return entry[0][self.bounds[j]:self.bounds[j + 1]]
-
-
-class _ShardDraws:
-    """Duck-typed `Generator.random` for shard j of a _SharedDraws."""
-
-    def __init__(self, shared, j):
-        self.shared = shared
-        self.j = j
-        self.calls = 0
+    def __init__(self, gen, lo, hi, rows):
+        self.gen = gen
+        self.lo = lo
+        self.hi = hi
+        self.rows = rows
 
     def random(self, shape):
-        self.calls += 1
-        return self.shared.take(self.calls - 1, self.j, shape)
+        row_size = math.prod(shape[1:])
+        self.gen.bit_generator.advance(self.lo * row_size)
+        out = self.gen.random((self.hi - self.lo,) + tuple(shape[1:]))
+        self.gen.bit_generator.advance((self.rows - self.hi) * row_size)
+        return out
 
 
-def loss_and_grads(params, x, batch, weights, rng, n_shards):
+def loss_and_grads(params, x, batch, rng, n_shards):
     """Training loss and parameter grads of one minibatch, run as n_shards
-    (1 or 2) row shards; a shard without loss weight makes it one shard.
+    (1 or 2) row shards; a shard whose targets are all ignored makes it one
+    shard.
 
     Each shard runs forward, cross-entropy and backward on its own tape and
     its own leaf tensors (sharing the parameter data), and backpropagates its
-    loss times d_j / D, where d_j is its loss weight and D the batch's. The
-    loss is the d_j / D-weighted sum of shard losses and the grads are the
-    shard grads summed in shard order, so both equal the unsharded ones up to
-    float32 rounding. Shard 1 runs on the shard worker when there is one;
-    both shards finish before an error from either propagates. Returns
-    (loss, name -> grad or None).
+    loss times d_j / D, where d_j is its count of scored targets and D the
+    batch's. The loss is the d_j / D-weighted sum of shard losses and the
+    grads are the shard grads summed in shard order, so both equal the
+    unsharded ones up to float32 rounding. Shards share no mutable state:
+    shard 0 draws its dropout rows from rng and shard 1 from a PCG64 copy of
+    rng's starting state (see _RowDraws), so the masks and rng's final state
+    equal an unsharded forward's. Shard 1 runs on the shard worker when there
+    is one; both shards finish before an error from either propagates.
+    Returns (loss, name -> grad or None).
     """
     rows = len(x)
     bounds = (0, rows) if n_shards == 1 else (0, (rows + 1) // 2, rows)
-    loss_w = ~batch.ignore if weights is None else weights * ~batch.ignore
-    d = [float(loss_w[lo:hi].sum(dtype=np.float64))
-         for lo, hi in zip(bounds, bounds[1:])]
-    if 0.0 in d:
+    scored = ~batch.ignore
+    d = [int(scored[lo:hi].sum()) for lo, hi in zip(bounds, bounds[1:])]
+    if 0 in d:
         bounds, d = (0, rows), [sum(d)]
     total = sum(d)
-    draws = _SharedDraws(rng, bounds)
+    gens = [rng]
+    if len(d) == 2:
+        bit_gen = np.random.PCG64()
+        bit_gen.state = rng.bit_generator.state
+        gens.append(np.random.Generator(bit_gen))
+    draws = [_RowDraws(gen, lo, hi, rows)
+             for gen, lo, hi in zip(gens, bounds, bounds[1:])]
 
     def run(j):
         part = slice(bounds[j], bounds[j + 1])
@@ -227,10 +214,9 @@ def loss_and_grads(params, x, batch, weights, rng, n_shards):
         shard = model.ParameterSet(params.config, leaves)
         with T.Tape() as tape, np.errstate(all="ignore"):
             logits = model.forward(shard, params.config, x[part], train=True,
-                                   rng=_ShardDraws(draws, j))
+                                   rng=draws[j])
             loss = T.cross_entropy(
                 logits, batch.targets[part], ignore_mask=batch.ignore[part],
-                weights=None if weights is None else weights[part],
             )
             T.backward(T.scale(loss, d[j] / total), tape)
         return float(loss.data), {n: t.grad for n, t in leaves.items()}
@@ -247,26 +233,23 @@ def loss_and_grads(params, x, batch, weights, rng, n_shards):
 def train_step(params, state, batch, cfg, lr=None, batch_index=None):
     """One forward/backward/AdamW update on a Batch. Returns (loss, state).
 
-    Only parameters allowed by state.freeze_mask move; frozen parameters and
-    their moments stay bit-identical. Decoupled weight decay is scaled by lr
-    and applied to matrix-shaped parameters only. Large minibatches run as
-    two row shards (see loss_and_grads); occlusion is drawn for the full
-    batch first, and dropout draws full-batch masks in the same order as an
-    unsharded step."""
+    The loss is the plain mean over the scored target positions for both
+    objectives: occlusion corrupts the inputs only. Only parameters allowed
+    by state.freeze_mask move; frozen parameters and their moments stay
+    bit-identical. Decoupled weight decay is scaled by lr and applied to
+    matrix-shaped parameters only. Large minibatches run as two row shards
+    (see loss_and_grads); occlusion is drawn for the full batch first, then
+    each shard draws its own rows of the full-batch dropout masks."""
     lr = cfg.base_lr if lr is None else lr
     x = batch.inputs
-    flags = None
     if cfg.occlusion_prob > 0:
-        x, flags = occlude_batch(
+        x, _ = occlude_batch(
             x, cfg.occlusion_prob, batch.occ_id, state.rng, batch.special_ids
         )
-    weights = None
-    if flags is not None and cfg.occlusion_loss_weight != 1.0:
-        weights = _occlusion_weights(flags, cfg.occlusion_loss_weight)
 
     try:
         loss_val, grads = loss_and_grads(
-            params, x, batch, weights, state.rng,
+            params, x, batch, state.rng,
             shards.shard_count(x, params.config.d_model),
         )
     except NumericsError as exc:

@@ -108,14 +108,14 @@ FLAG_SURFACE = {
     "pretrain": "--base-lr --batch-size --block-size --config --d-model --data "
                 "--deterministic --dropout --ffn-mult --grad-clip --help "
                 "--max-epochs --metrics --n-heads --n-layers --objective "
-                "--occlusion-loss-weight --occlusion-prob --out --patience "
-                "--preset --seed --vocab --warmup-fraction --weight-decay -h",
+                "--occlusion-prob --out --patience --preset --seed --vocab "
+                "--warmup-fraction --weight-decay -h",
     "finetune": "--base-lr --batch-size --block-size --checkpoint --config "
                 "--d-model --data --deterministic --dropout --ffn-mult "
                 "--grad-clip --help --max-epochs --metrics --n-heads --n-layers "
-                "--objective --occlusion-loss-weight --occlusion-prob --out "
-                "--patience --preset --seed --unfreeze-interval-epochs "
-                "--unfreeze-top-k --vocab --warmup-fraction --weight-decay -h",
+                "--objective --occlusion-prob --out --patience --preset --seed "
+                "--unfreeze-interval-epochs --unfreeze-top-k --vocab "
+                "--warmup-fraction --weight-decay -h",
     "eval": "--bleu --checkpoint --deterministic --gen-seed --help "
             "--max-new-tokens --out --prompt-frac --split --split-name "
             "--strategy --temperature --top-k --vocab -h",
@@ -133,7 +133,7 @@ def test_flag_surface_is_pinned():
     got = {name: sorted(o for a in p._actions for o in a.option_strings)
            for name, p in sub.choices.items()}
     assert got == {name: flags.split() for name, flags in FLAG_SURFACE.items()}
-    assert (len(got["pretrain"]), len(got["finetune"])) == (26, 29)
+    assert (len(got["pretrain"]), len(got["finetune"])) == (25, 28)
 
 
 def test_pretrain_malformed_config_exit_1(capsys, smoke, tmp_path):
@@ -533,6 +533,12 @@ def test_sweep_malformed_spec_exit_1(capsys, smoke, tmp_path):
     ("corpus --seed -1", "{}", "seed"),
     ("sweep", '{"seed": -1, "base_model": {"block_size": 32, "d_model": 32, '
               '"n_heads": 2}, "base_train": {}}', "seed"),
+    ("generate --gen-seed -1", "{}", "seed"),
+    ("generate --strategy sample --temperature nan", "{}", "temperature"),
+    ("corpus --train-frac nan", "{}", "train_frac"),
+    ("pretrain --weight-decay -5", "{}", "weight_decay"),
+    ("pretrain --grad-clip nan", "{}", "grad_clip"),
+    ("pretrain --base-lr nan", "{}", "base_lr"),
     # fractional or bool counts
     ("sweep", '{"n_layers_choices": [1.5], "base_model": {"block_size": 32, '
               '"d_model": 32, "n_heads": 2}, "base_train": {}}',
@@ -559,6 +565,8 @@ def test_malformed_config_or_spec_exit_1(capsys, smoke, tmp_path, command,
                   "--vocab", smoke["vocab"], "--out", str(tmp_path / "sw")],
         "corpus": ["corpus", "--data", smoke["raw"],
                    "--out-dir", str(tmp_path / "c")],
+        "generate": ["generate", "--checkpoint", smoke["ckpt"], "--vocab",
+                     smoke["vocab"], "--prompt", "the"],
     }[command] + flags
     assert cli.dispatch(argv) == 1
     err = capsys.readouterr().err

@@ -50,18 +50,6 @@ def test_clean_idempotent_property(s):
     assert list(corpus.clean(once)) == once
 
 
-def test_all_rules_disabled_rejected():
-    cfg = corpus.CleaningConfig(
-        strip_special_chars=False,
-        collapse_repeated_fullstops=False,
-        strip_slashes=False,
-        sentence_split_on_fullstop=False,
-        lowercase=False,
-    )
-    with pytest.raises(ConfigError):
-        list(corpus.clean(["x"], cfg))
-
-
 def test_read_lines_reports_bad_utf8(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_bytes(b"fine line\n\xff\xfe broken\n")

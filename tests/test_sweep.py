@@ -122,8 +122,10 @@ def test_spec_validation():
         make_spec(n_layers_choices=())
     with pytest.raises(ConfigError):
         make_spec(trial_count=0)
-    with pytest.raises(ConfigError):
-        make_spec(objective="train_loss")
+    d = sweep.spec_to_dict(make_spec())
+    d["objective"] = "valid_loss"
+    with pytest.raises(ConfigError, match="objective"):
+        sweep.spec_from_dict(d)
     with pytest.raises(ConfigError):
         make_spec(dropout_choices=(1.0,))
 
