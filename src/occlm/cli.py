@@ -3,11 +3,11 @@
 Subcommands: tokenizer, corpus, pretrain, finetune, eval, sweep, generate,
 plus quickstart for a self-contained desk-scale demo. Only tokenizer,
 pretrain and finetune read --config/--preset; in every section precedence is
-flags (one per ModelConfig/TrainConfig field) > config file > preset. Every
-config input is checked by model.check_fields. OCCLM_SEED overrides any
-configured seed but yields to an explicit --seed. Every training run writes a
-RunManifest before the first step and finalizes it on exit, error exits
-included.
+flags (one per ModelConfig/TrainConfig field on pretrain, one per TrainConfig
+field on finetune, whose architecture is its checkpoint's) > config file >
+preset. Every config file is checked by model.check_fields. Every training
+run writes a RunManifest before the first step and finalizes it on exit, error
+exits included.
 """
 
 from __future__ import annotations
@@ -115,30 +115,19 @@ def manifest_run(path, **fields):
 # ---------------------------------------------------------------------------
 
 
-def load_config_source(name):
-    """A preset (``preset:NAME``) or a config file, checked against
-    CONFIG_TYPES: {section: {field: value}}."""
-    if name.startswith("preset:"):
-        preset = name[len("preset:"):]
-        if preset not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {preset!r}; available: {sorted(PRESETS)}"
-            )
-        layer = PRESETS[preset]
-    else:
-        layer = artifacts.read_json(name)
-    return model.check_fields(name, layer, CONFIG_TYPES)
-
-
 def config_layers(args):
-    """The --preset, then the --config source, in the order they apply."""
-    names = (f"preset:{args.preset}" if args.preset else None, args.config)
-    return [load_config_source(name) for name in names if name]
+    """The --preset, then the --config file (checked against CONFIG_TYPES),
+    in the order they apply: each {section: {field: value}}."""
+    layers = [PRESETS[args.preset]] if args.preset else []
+    if args.config:
+        layers.append(model.check_fields(
+            args.config, artifacts.read_json(args.config), CONFIG_TYPES))
+    return layers
 
 
 def resolve_configs(args, train_defaults=None, model_defaults=None):
-    """Layer defaults, preset, config file, OCCLM_SEED, and flags into one
-    (model dict, train dict) pair. Flag values win; None means unset."""
+    """Layer defaults, preset, config file and flags into one (model dict,
+    train dict) pair. Flag values win; None means unset."""
     model_cfg = {f.name: f.default for f in dataclasses.fields(model.ModelConfig)
                  if f.name != "vocab_size"}
     model_cfg.update((k, v) for k, v in (model_defaults or {}).items()
@@ -148,13 +137,6 @@ def resolve_configs(args, train_defaults=None, model_defaults=None):
     for layer in config_layers(args):
         model_cfg.update(layer.get("model", {}))
         train_cfg.update(layer.get("train", {}))
-
-    env_seed = os.environ.get("OCCLM_SEED")
-    if env_seed is not None:
-        try:
-            train_cfg["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"OCCLM_SEED must be an integer, got {env_seed!r}")
 
     # every config field with a flag: the flag's dest is the field name
     for cfg in (model_cfg, train_cfg):
@@ -182,7 +164,7 @@ def _pack_splits(data_dir, vocab, block_size):
     return packed[0], packed[1], hashes
 
 
-def _build_datasets(args, model_cfg, objective=None, train_cfg=None):
+def _build_datasets(args, model_cfg, train_cfg):
     """Shared pretrain/finetune setup: vocab, packed splits, and hashes."""
     _require(args, "data", "vocab", "out")
     # the checkpoint is written last: a bad --out must fail before training
@@ -191,15 +173,14 @@ def _build_datasets(args, model_cfg, objective=None, train_cfg=None):
     vocab = bpe.load_vocab(args.vocab)
     vocab_hash = metrics.file_sha256(args.vocab)
 
-    if objective == "standard" and train_cfg["occlusion_prob"] not in (0, 0.0):
+    # an --objective that disagrees with the resolved occlusion_prob sets it,
+    # unless --occlusion-prob set it explicitly
+    occludes = args.objective == "occlusion"
+    if args.objective and occludes != (train_cfg["occlusion_prob"] != 0):
         if args.occlusion_prob is not None:
-            raise ConfigError(
-                "--objective standard contradicts --occlusion-prob "
-                f"{args.occlusion_prob}"
-            )
-        train_cfg["occlusion_prob"] = 0.0
-    if objective == "occlusion" and train_cfg["occlusion_prob"] in (0, 0.0):
-        train_cfg["occlusion_prob"] = 0.3
+            raise ConfigError(f"--objective {args.objective} contradicts "
+                              f"--occlusion-prob {args.occlusion_prob}")
+        train_cfg["occlusion_prob"] = 0.3 if occludes else 0.0
 
     mcfg = model.ModelConfig(vocab_size=vocab.size, **model_cfg).check()
     tcfg = train.TrainConfig(**train_cfg).check()
@@ -212,9 +193,8 @@ def _build_datasets(args, model_cfg, objective=None, train_cfg=None):
 def _run_training(args, command, train_defaults=None, model_defaults=None,
                   finetune_from=None):
     model_cfg, train_cfg = resolve_configs(args, train_defaults, model_defaults)
-    objective = getattr(args, "objective", None)
     vocab, vocab_hash, mcfg, tcfg, train_ds, valid_ds, data_hashes = (
-        _build_datasets(args, model_cfg, objective, train_cfg)
+        _build_datasets(args, model_cfg, train_cfg)
     )
 
     resolved = {
@@ -318,8 +298,8 @@ def cmd_pretrain(args):
 
 def cmd_finetune(args):
     _require(args, "checkpoint")
-    # architecture comes from the checkpoint; flags may still override it,
-    # and an override that disagrees with the stored config is an error
+    # the architecture is the checkpoint's: a --config or preset model section
+    # that disagrees with the stored config is an error
     header = model.read_checkpoint_header(args.checkpoint)
     # published fine-tuning budget: 50 epochs
     return _run_training(
@@ -362,6 +342,8 @@ def cmd_eval(args):
 
 def cmd_sweep(args):
     _require(args, "spec", "data", "out")
+    if args.parallel < 0:
+        raise ConfigError(f"--parallel must be >= 0, got {args.parallel}")
     vocab_path = args.vocab or os.path.join(args.data, "vocab.tsv")
     if not os.path.exists(vocab_path):
         raise DataError(f"missing vocabulary: {vocab_path}")
@@ -379,9 +361,8 @@ def cmd_sweep(args):
         args.data, vocab, spec.base_model.block_size
     )
 
-    parallel = 0 if args.deterministic else (args.parallel or 0)
-    resolved = {"command": "sweep", "spec": sweep.spec_to_dict(spec),
-                "parallel": parallel}
+    # --parallel changes no result, so it stays out of the run id
+    resolved = {"command": "sweep", "spec": sweep.spec_to_dict(spec)}
     run_id = make_run_id("sweep", resolved, data_hashes, vocab_hash,
                          args.deterministic)
     with manifest_run(
@@ -392,7 +373,7 @@ def cmd_sweep(args):
     ):
         best, board = sweep.run_sweep(
             spec, train_ds, valid_ds, args.out, vocab_hash=vocab_hash,
-            run_id=run_id, parallel=parallel,
+            run_id=run_id, parallel=args.parallel,
         )
         sweep.write_sweep_report(os.path.join(args.out, "report.json"), board)
     print(
@@ -495,16 +476,16 @@ def _add_common(p):
 
 
 def _add_config_sources(p):
-    p.add_argument("--config", help="config file path or preset:NAME")
+    p.add_argument("--config", help="config file path")
     p.add_argument("--preset", choices=sorted(PRESETS),
                    help="built-in preset name")
 
 
-def _add_config_flags(p, *skip):
-    """One flag per ModelConfig and TrainConfig field, named after it (dest
-    is the field name), less vocab_size, tie_embeddings and ``skip``; plus
+def _add_config_flags(p, classes, skip=()):
+    """One flag per field of the config ``classes``, named after it (dest is
+    the field name), less vocab_size, tie_embeddings and ``skip``; plus
     --metrics."""
-    for cls in (model.ModelConfig, train.TrainConfig):
+    for cls in classes:
         for f in dataclasses.fields(cls):
             if f.name not in ("vocab_size", "tie_embeddings") + skip:
                 p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
@@ -559,7 +540,8 @@ def build_parser():
                    default=None)
     _add_common(p)
     _add_config_sources(p)
-    _add_config_flags(p, "unfreeze_top_k", "unfreeze_interval_epochs")
+    _add_config_flags(p, (model.ModelConfig, train.TrainConfig),
+                      skip=("unfreeze_top_k", "unfreeze_interval_epochs"))
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="fine-tune with gradual unfreezing")
@@ -571,7 +553,7 @@ def build_parser():
                    default=None)
     _add_common(p)
     _add_config_sources(p)
-    _add_config_flags(p)
+    _add_config_flags(p, (train.TrainConfig,))
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -594,8 +576,7 @@ def build_parser():
     p.add_argument("--vocab", help="vocabulary path (default <data>/vocab.tsv)")
     p.add_argument("--out", help="sweep output directory")
     p.add_argument("--parallel", type=int, default=0,
-                   help="worker count for parallel trials "
-                        "(ignored with --deterministic)")
+                   help="worker count for parallel trials")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -7,7 +7,7 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -256,18 +256,7 @@ class EvalReport:
         return self
 
     def to_json(self):
-        payload = {
-            "split": self.split,
-            "loss": self.loss,
-            "perplexity": self.perplexity,
-            "bleu": self.bleu,
-            "n_sequences": self.n_sequences,
-            "n_tokens": self.n_tokens,
-            "generation": self.generation,
-            "run_id": self.run_id,
-            "checkpoint_hash": self.checkpoint_hash,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def file_sha256(path):

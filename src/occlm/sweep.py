@@ -186,23 +186,29 @@ def record_from_dict(d):
     ).check()
 
 
+def trial_config(spec, trial_id):
+    """What ``spec`` gives for one trial, as trial_<k>/config.json holds it."""
+    tcfg, mcfg, sampled = sample_trial(spec, trial_id)
+    return {
+        "trial_id": trial_id,
+        "sampled": sampled,
+        "model": dataclasses.asdict(mcfg),
+        "train": dataclasses.asdict(tcfg),
+    }
+
+
 def run_trial(spec, trial_id, train_ds, valid_ds, out_dir, vocab_hash, run_id):
     """Train one sampled configuration and persist its artifacts.
 
     A diverged run is recorded (stop_reason "diverged", no checkpoint), never
     raised; the sweep carries on.
     """
-    tcfg, mcfg, sampled = sample_trial(spec, trial_id)
+    config = trial_config(spec, trial_id)
     tdir = _trial_dir(out_dir, trial_id)
-    artifacts.write_json(
-        os.path.join(tdir, "config.json"),
-        {
-            "trial_id": trial_id,
-            "sampled": sampled,
-            "model": dataclasses.asdict(mcfg),
-            "train": dataclasses.asdict(tcfg),
-        },
-    )
+    artifacts.write_json(os.path.join(tdir, "config.json"), config)
+    sampled = config["sampled"]
+    mcfg = model.ModelConfig(**config["model"])
+    tcfg = train.TrainConfig(**config["train"])
 
     params = model.init(mcfg, seed=sampled["init_seed"])
     trial_run_id = f"{run_id}/trial_{trial_id}"
@@ -270,9 +276,10 @@ def run_sweep(
     """Execute (or resume) every trial; returns (best record, leaderboard).
 
     Readable trial_<k>/record.json files are loaded instead of re-run, so a
-    crashed sweep picks up at its first missing trial; a truncated or invalid
-    record counts as missing. The best record is the leaderboard head that
-    finished with a checkpoint.
+    crashed sweep picks up at its first missing trial. A truncated or invalid
+    record counts as missing, and so does one whose trial_<k>/config.json is
+    not what ``spec`` gives for trial k, so a sweep never mixes specs. The
+    best record is the leaderboard head that finished with a checkpoint.
     """
     spec.check()
     if len(train_ds) == 0 or len(valid_ds) == 0:
@@ -281,16 +288,21 @@ def run_sweep(
     records = {}
     missing = []
     for k in range(spec.trial_count):
-        rec_path = os.path.join(_trial_dir(out_dir, k), "record.json")
+        tdir = _trial_dir(out_dir, k)
+        want = trial_config(spec, k)
         try:
-            records[k] = record_from_dict(artifacts.read_json(rec_path))
+            if artifacts.read_json(os.path.join(tdir, "config.json")) == want:
+                records[k] = record_from_dict(
+                    artifacts.read_json(os.path.join(tdir, "record.json")))
         except (OSError, ValueError, KeyError, TypeError, ConfigError):
-            missing.append(k)  # absent, truncated or invalid: re-run
+            pass  # absent, truncated or invalid: re-run
+        if k not in records:
+            missing.append(k)
 
     def _run(k):
         return run_trial(spec, k, train_ds, valid_ds, out_dir, vocab_hash, run_id)
 
-    if parallel and parallel > 1 and len(missing) > 1:
+    if parallel > 1 and len(missing) > 1:
         with ThreadPoolExecutor(max_workers=parallel) as pool:
             for k, rec in zip(missing, pool.map(_run, missing)):
                 records[k] = rec

@@ -7,14 +7,15 @@ import stat
 
 import pytest
 
-from occlm import bpe, cli, demo, metrics, model
+from occlm import bpe, cli, demo, metrics, model, sweep
 from occlm.errors import ConfigError
 
+# finetune takes only the train flags: its architecture is the checkpoint's
+DESK_TRAIN_FLAGS = ["--batch-size", "8", "--max-epochs", "2", "--base-lr", "2e-3"]
 DESK_FLAGS = [
     "--block-size", "32", "--d-model", "32", "--n-layers", "1",
-    "--n-heads", "2", "--dropout", "0.0", "--batch-size", "8",
-    "--max-epochs", "2", "--base-lr", "2e-3",
-]
+    "--n-heads", "2", "--dropout", "0.0",
+] + DESK_TRAIN_FLAGS
 
 
 @pytest.fixture(scope="module")
@@ -110,9 +111,8 @@ FLAG_SURFACE = {
                 "--max-epochs --metrics --n-heads --n-layers --objective "
                 "--occlusion-prob --out --patience --preset --seed --vocab "
                 "--warmup-fraction --weight-decay -h",
-    "finetune": "--base-lr --batch-size --block-size --checkpoint --config "
-                "--d-model --data --deterministic --dropout --ffn-mult "
-                "--grad-clip --help --max-epochs --metrics --n-heads --n-layers "
+    "finetune": "--base-lr --batch-size --checkpoint --config --data "
+                "--deterministic --grad-clip --help --max-epochs --metrics "
                 "--objective --occlusion-prob --out --patience --preset --seed "
                 "--unfreeze-interval-epochs --unfreeze-top-k --vocab "
                 "--warmup-fraction --weight-decay -h",
@@ -133,7 +133,7 @@ def test_flag_surface_is_pinned():
     got = {name: sorted(o for a in p._actions for o in a.option_strings)
            for name, p in sub.choices.items()}
     assert got == {name: flags.split() for name, flags in FLAG_SURFACE.items()}
-    assert (len(got["pretrain"]), len(got["finetune"])) == (25, 28)
+    assert (len(got["pretrain"]), len(got["finetune"])) == (25, 22)
 
 
 def test_pretrain_malformed_config_exit_1(capsys, smoke, tmp_path):
@@ -201,14 +201,26 @@ def test_flag_beats_config_file_beats_preset(tmp_path):
     assert tcfg["max_epochs"] == 100  # untouched preset value survives
 
 
-def test_config_preset_prefix(tmp_path):
-    _, tcfg = cli.resolve_configs(_ns(config="preset:table3-occ"))
-    assert tcfg["occlusion_prob"] == 0.3
+@pytest.mark.parametrize("name", sorted(cli.PRESETS))
+def test_presets_pass_config_check(name):
+    # presets are not re-checked at run time, unlike --config files
+    assert model.check_fields(name, cli.PRESETS[name], cli.CONFIG_TYPES)
 
 
-def test_unknown_preset_rejected():
-    with pytest.raises(ConfigError):
-        cli.resolve_configs(_ns(config="preset:table9"))
+def test_unknown_preset_rejected(capsys):
+    assert cli.dispatch(["pretrain", "--preset", "table9"]) == 2
+    assert "table9" in capsys.readouterr().err
+
+
+def test_config_preset_name_is_a_file_path(capsys, smoke, tmp_path):
+    # presets are set with --preset only; --config reads a file
+    rc = cli.dispatch(
+        ["pretrain", "--data", smoke["work"], "--vocab", smoke["vocab"],
+         "--out", str(tmp_path / "x.ckpt"), "--config", "preset:table3-std"]
+    )
+    assert rc == 1
+    assert "preset:table3-std" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_unknown_config_field_rejected(tmp_path):
@@ -227,23 +239,6 @@ def test_tokenizer_config_file_beats_preset(smoke, tmp_path):
          "--config", str(cfg), "--preset", "table3-std"]
     ) == 0
     assert bpe.load_vocab(out).target_size == 300
-
-
-def test_occlm_seed_env_overrides_config(monkeypatch, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"train": {"seed": 3}}))
-    monkeypatch.setenv("OCCLM_SEED", "77")
-    _, tcfg = cli.resolve_configs(_ns(config=str(cfg)))
-    assert tcfg["seed"] == 77
-    # an explicit flag still wins over the environment
-    _, tcfg = cli.resolve_configs(_ns(config=str(cfg), seed=5))
-    assert tcfg["seed"] == 5
-
-
-def test_occlm_seed_must_be_int(monkeypatch):
-    monkeypatch.setenv("OCCLM_SEED", "lots")
-    with pytest.raises(ConfigError):
-        cli.resolve_configs(_ns())
 
 
 # -- manifests and artifacts ------------------------------------------------
@@ -367,7 +362,7 @@ def test_finetune_runs_from_checkpoint(smoke, tmp_path):
     rc = cli.dispatch(
         ["finetune", "--checkpoint", smoke["ckpt"], "--data", smoke["work"],
          "--vocab", smoke["vocab"], "--out", out, "--deterministic"]
-        + DESK_FLAGS
+        + DESK_TRAIN_FLAGS
     )
     assert rc == 0
     _, header, _ = model.load_checkpoint(out)
@@ -396,13 +391,28 @@ def test_finetune_inherits_checkpoint_architecture(smoke, tmp_path):
 
 
 def test_finetune_rejects_conflicting_architecture(smoke, tmp_path, capsys):
+    # one config.json serves pretrain and finetune, so finetune reads its
+    # model section, which must restate the checkpoint's architecture
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"n_layers": 2}}))
     rc = cli.dispatch(
         ["finetune", "--checkpoint", smoke["ckpt"], "--data", smoke["work"],
          "--vocab", smoke["vocab"], "--out", str(tmp_path / "ft.ckpt"),
-         "--n-layers", "2", "--max-epochs", "1", "--batch-size", "8"]
+         "--config", str(cfg), "--max-epochs", "1", "--batch-size", "8"]
     )
     assert rc == 1
     assert "n_layers" in capsys.readouterr().err
+
+
+def test_finetune_has_no_model_flags(smoke, tmp_path, capsys):
+    out = str(tmp_path / "ft.ckpt")
+    rc = cli.dispatch(
+        ["finetune", "--checkpoint", smoke["ckpt"], "--data", smoke["work"],
+         "--vocab", smoke["vocab"], "--out", out, "--dropout", "0.2"]
+    )
+    assert rc == 2
+    assert "--dropout" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []  # no manifest
 
 
 def test_out_paths_create_parent_directories(smoke, tmp_path):
@@ -428,10 +438,13 @@ def test_out_paths_create_parent_directories(smoke, tmp_path):
 def test_out_directory_rejected_before_training(command, smoke, tmp_path, capsys):
     out = tmp_path / "run"
     out.mkdir()
-    source = ["--checkpoint", smoke["ckpt"]] if command == "finetune" else []
+    if command == "finetune":
+        source, flags = ["--checkpoint", smoke["ckpt"]], DESK_TRAIN_FLAGS
+    else:
+        source, flags = [], DESK_FLAGS
     rc = cli.dispatch(
         [command] + source + ["--data", smoke["work"], "--vocab", smoke["vocab"],
-                              "--out", str(out), "--deterministic"] + DESK_FLAGS
+                              "--out", str(out), "--deterministic"] + flags
     )
     assert rc == 1
     assert "is a directory" in capsys.readouterr().err
@@ -449,27 +462,65 @@ def test_corpus_splits_and_stats(smoke):
     assert stats["total"]["sentences"] == 300
 
 
-def test_sweep_subcommand(smoke, tmp_path):
-    spec = {
-        "base_model": {"block_size": 32, "d_model": 32, "n_layers": 1,
-                       "n_heads": 2, "dropout": 0.0, "ffn_mult": 2},
-        "base_train": {"batch_size": 8, "patience": 3},
-        "lr_range": [1e-3, 3e-3],
-        "n_layers_choices": [1], "n_heads_choices": [2],
-        "dropout_choices": [0.0], "occlusion_prob_choices": [0.0],
-        "trial_count": 2, "max_epochs": 2, "seed": 0,
-    }
+SWEEP_SPEC = {
+    "base_model": {"block_size": 32, "d_model": 32, "n_layers": 1,
+                   "n_heads": 2, "dropout": 0.0, "ffn_mult": 2},
+    "base_train": {"batch_size": 8, "patience": 3},
+    "lr_range": [1e-3, 3e-3],
+    "n_layers_choices": [1], "n_heads_choices": [2],
+    "dropout_choices": [0.0], "occlusion_prob_choices": [0.0],
+    "trial_count": 2, "max_epochs": 2, "seed": 0,
+}
+
+
+def _sweep_argv(smoke, tmp_path, out, *flags):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec))
-    out = str(tmp_path / "sw")
-    rc = cli.dispatch(
-        ["sweep", "--spec", str(spec_path), "--data", smoke["work"],
-         "--vocab", smoke["vocab"], "--out", out, "--deterministic"]
-    )
+    spec_path.write_text(json.dumps(SWEEP_SPEC))
+    return ["sweep", "--spec", str(spec_path), "--data", smoke["work"],
+            "--vocab", smoke["vocab"], "--out", str(tmp_path / out)] + list(flags)
+
+
+def test_sweep_subcommand(smoke, tmp_path):
+    rc = cli.dispatch(_sweep_argv(smoke, tmp_path, "sw", "--deterministic"))
     assert rc == 0
-    files = set(os.listdir(out))
+    files = set(os.listdir(tmp_path / "sw"))
     assert {"leaderboard.json", "best.json", "report.json",
             "manifest.json", "trial_0", "trial_1"} <= files
+
+
+def test_sweep_negative_parallel_rejected(capsys, smoke, tmp_path):
+    assert cli.dispatch(_sweep_argv(smoke, tmp_path, "sw", "--parallel", "-1")) == 1
+    assert "--parallel" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "sw")
+
+
+def test_deterministic_sweep_honours_parallel(smoke, tmp_path, monkeypatch):
+    pools = []
+    pool_cls = sweep.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        pools.append(max_workers)
+        return pool_cls(max_workers=max_workers)
+
+    monkeypatch.setattr(sweep, "ThreadPoolExecutor", recording_pool)
+    for out, workers in (("seq", "0"), ("par", "2")):
+        assert cli.dispatch(_sweep_argv(smoke, tmp_path, out, "--deterministic",
+                                        "--parallel", workers)) == 0
+    assert pools == [2]
+    seq, par = tmp_path / "seq", tmp_path / "par"
+    for name in ("best.json", "trial_0/checkpoint.ckpt",
+                 "trial_1/checkpoint.ckpt"):
+        assert (seq / name).read_bytes() == (par / name).read_bytes(), name
+
+    def board(path):  # the leaderboard less its wall times
+        rows = json.loads((path / "leaderboard.json").read_text())
+        for r in rows:
+            del r["wall_s"]
+            for h in r["history"]:
+                del h["wall_ms"]
+        return rows
+
+    assert board(seq) == board(par)
 
 
 def test_sweep_vocab_size_mismatch_rejected(capsys, smoke, tmp_path):
@@ -539,6 +590,9 @@ def test_sweep_malformed_spec_exit_1(capsys, smoke, tmp_path):
     ("pretrain --weight-decay -5", "{}", "weight_decay"),
     ("pretrain --grad-clip nan", "{}", "grad_clip"),
     ("pretrain --base-lr nan", "{}", "base_lr"),
+    # an objective that contradicts an explicit occlusion probability
+    ("pretrain --objective occlusion --occlusion-prob 0", "{}",
+     "--objective occlusion contradicts --occlusion-prob"),
     # fractional or bool counts
     ("sweep", '{"n_layers_choices": [1.5], "base_model": {"block_size": 32, '
               '"d_model": 32, "n_heads": 2}, "base_train": {}}',

@@ -295,6 +295,26 @@ def test_sweep_reruns_trials_with_damaged_records(tmp_path, monkeypatch):
     ]
 
 
+def test_sweep_reruns_trials_whose_spec_changed(tmp_path, monkeypatch):
+    ds = tiny_dataset()
+    out = str(tmp_path / "s")
+    _, before = sweep.run_sweep(make_spec(), ds, ds, out)
+    # same draws, other values: only the trials that drew p=0.3 change
+    spec = make_spec(occlusion_prob_choices=(0.0, 0.5))
+    changed = [k for k in range(spec.trial_count)
+               if sweep.sample_trial(spec, k)[2]["occlusion_prob"] == 0.5]
+    assert 0 < len(changed) < spec.trial_count
+    ran, after = _resume_counting_trials(spec, ds, out, monkeypatch)
+    assert ran == changed
+    old = {r.trial_id: r for r in before}
+    for r in after:
+        assert r.sampled == sweep.sample_trial(spec, r.trial_id)[2]
+        if r.trial_id not in changed:
+            assert r.history == old[r.trial_id].history
+    # a same-spec resume now re-runs nothing
+    assert _resume_counting_trials(spec, ds, out, monkeypatch)[0] == []
+
+
 def test_parallel_sweep_matches_sequential(tmp_path):
     spec = make_spec(trial_count=4)
     ds = tiny_dataset()
