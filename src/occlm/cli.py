@@ -222,7 +222,8 @@ def _run_training(args, command, train_defaults=None, model_defaults=None,
         metrics_path = args.metrics or args.out + ".metrics.jsonl"
         with train.MetricsSink(metrics_path) as sink:
             best, state = runner(
-                params, train_ds, valid_ds, tcfg, sink=sink, run_id=run_id
+                params, train_ds, valid_ds, tcfg,
+                on_epoch=lambda record, _: sink.emit(run_id=run_id, **record),
             )
         model.save_checkpoint(
             args.out, best, vocab_hash,

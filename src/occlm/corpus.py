@@ -252,9 +252,3 @@ def pack(lines, vocab, block_size):
         vocab_size=vocab.size,
         special_ids=vocab.specials.as_tuple(),
     )
-
-
-def unpack(ds):
-    """Inverse of pack: drop pads and return the concatenated id stream."""
-    flat = ds.windows.reshape(-1)
-    return [int(i) for i in flat if i != ds.pad_id]

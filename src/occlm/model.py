@@ -102,9 +102,6 @@ class ParameterSet:
     def items(self):
         return self._tensors.items()
 
-    def n_params(self):
-        return sum(t.size for t in self._tensors.values())
-
     def copy(self):
         dup = {
             name: T.Tensor(t.data.copy(), requires_grad=True, name=name)

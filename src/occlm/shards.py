@@ -3,6 +3,7 @@ second half of a training step (`train.loss_and_grads`) or of a validation
 scoring batch (`metrics.perplexity`), and the size from which that pays."""
 
 import ctypes
+import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -37,17 +38,34 @@ def _keep_heap_pages():
     mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: keep up to 1 GiB of free top
 
 
+@functools.cache
+def _blas_threads_query():
+    """The thread-count query of the OpenBLAS numpy runs on (numpy's bundled
+    scipy-openblas), or None when that library or symbol is missing."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        return lib.scipy_openblas_get_num_threads64_
+    except (OSError, AttributeError):
+        return None
+
+
 def _shard_worker():
     """The one persistent thread that runs shard 1, or None when a second
     thread would not pay: fewer than 2 usable cores, more than one BLAS
     thread, or a caller off the main thread (a sweep --parallel worker).
-    Which thread runs a shard never changes a number."""
+    The BLAS thread count is the loaded library's: numpy imported before
+    occlm loads OpenBLAS with its own count, whatever OPENBLAS_NUM_THREADS
+    says afterwards; the variable decides only when the library cannot be
+    asked. Which thread runs a shard never changes a number."""
     global _shard_pool
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:
         cores = os.cpu_count() or 1
-    if (cores < 2 or os.environ.get("OPENBLAS_NUM_THREADS") != "1"
+    query = _blas_threads_query()
+    one_blas_thread = (query() == 1 if query is not None
+                       else os.environ.get("OPENBLAS_NUM_THREADS") == "1")
+    if (cores < 2 or not one_blas_thread
             or threading.current_thread() is not threading.main_thread()):
         return None
     if _shard_pool is None:

@@ -216,9 +216,12 @@ def run_trial(spec, trial_id, train_ds, valid_ds, out_dir, vocab_hash, run_id):
     best_params = None
     try:
         with train.MetricsSink(os.path.join(tdir, "metrics.jsonl")) as sink:
+            def on_epoch(record, state):
+                sink.emit(run_id=trial_run_id, **record)
+                return divergence_rule(state.history)
+
             best_params, state = train.fit(
-                params, train_ds, valid_ds, tcfg,
-                sink=sink, run_id=trial_run_id, abort_rule=divergence_rule,
+                params, train_ds, valid_ds, tcfg, on_epoch=on_epoch
             )
         history = state.history
         stop_reason = state.stop_reason
@@ -388,18 +391,22 @@ def write_sweep_report(path, records):
 # --- SweepSpec (de)serialization for `occlm sweep --spec file.json` ---------
 
 
-def spec_to_dict(spec):
-    d = dataclasses.asdict(spec)
-    d["base_model"] = dataclasses.asdict(spec.base_model)
-    d["base_train"] = dataclasses.asdict(spec.base_train)
-    return d
-
-
+# base_train takes no field that sample_trial sets for every trial: the
+# sampled lr, occlusion probability and seed, and the spec's max_epochs
 SPEC_TYPES = dict(
     model.field_types(SweepSpec),
     base_model=model.field_types(model.ModelConfig),
-    base_train=model.field_types(train.TrainConfig),
+    base_train=model.field_types(
+        train.TrainConfig, "base_lr", "occlusion_prob", "seed", "max_epochs"
+    ),
 )
+
+
+def spec_to_dict(spec):
+    d = dataclasses.asdict(spec)
+    d["base_train"] = {k: v for k, v in d["base_train"].items()
+                       if k in SPEC_TYPES["base_train"]}
+    return d
 
 
 def spec_from_dict(d, where="sweep spec"):

@@ -32,11 +32,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-SINK_FIELDS = (
-    "run_id", "epoch", "step", "split", "loss", "perplexity", "lr",
-    "occlusion_prob", "wall_ms",
-)
-
 
 @dataclass
 class TrainConfig:
@@ -359,21 +354,22 @@ def fit(
     train_ds,
     valid_ds,
     cfg,
-    sink=None,
-    run_id="",
     freeze_schedule=None,
-    abort_rule=None,
+    on_epoch=None,
     state=None,
     best_params=None,
 ):
     """Train until early-stop/max-epochs; returns (best params, TrainState).
 
     Per epoch: full train pass (shuffled deterministically per seed+epoch),
-    validation loss + perplexity without occlusion or dropout, both recorded
-    to the sink. The returned parameters are the best-validation snapshot,
+    then validation loss + perplexity without occlusion or dropout. The
+    epoch's record {epoch, step, lr, occlusion_prob, train_loss, train_ppl,
+    valid_loss, valid_ppl, wall_ms} is appended to state.history, and then,
+    once the best snapshot and state.epoch are updated, passed to
+    on_epoch(record, state); a truthy return ends the run with stop_reason
+    "diverged". The returned parameters are the best-validation snapshot,
     not the last. A DivergenceError carries the history accumulated so far.
-    Pass a previously saved state to resume mid-run; abort_rule(history) may
-    end the run early with stop_reason "diverged".
+    Pass a previously saved state to resume mid-run.
     """
     cfg.check()
     if len(train_ds) == 0 or len(valid_ds) == 0:
@@ -436,30 +432,16 @@ def fit(
 
         record = {
             "epoch": epoch,
+            "step": state.step,
+            "lr": lr,
+            "occlusion_prob": cfg.occlusion_prob,
             "train_loss": train_loss,
             "train_ppl": metrics.safe_exp(train_loss),
             "valid_loss": valid_loss,
             "valid_ppl": valid_ppl,
-            "lr": lr,
             "wall_ms": wall_ms,
         }
         state.history.append(record)
-        if sink is not None:
-            for split, loss_v, ppl_v in (
-                ("train", train_loss, metrics.safe_exp(train_loss)),
-                ("valid", valid_loss, valid_ppl),
-            ):
-                sink.emit(
-                    run_id=run_id,
-                    epoch=epoch,
-                    step=state.step,
-                    split=split,
-                    loss=loss_v,
-                    perplexity=ppl_v,
-                    lr=lr,
-                    occlusion_prob=cfg.occlusion_prob,
-                    wall_ms=wall_ms,
-                )
 
         if stopper.update(valid_loss, epoch):
             best_params = params.copy()
@@ -468,7 +450,7 @@ def fit(
         state.best_epoch = stopper.best_epoch
         state.epoch = epoch + 1
 
-        if abort_rule is not None and abort_rule(state.history):
+        if on_epoch is not None and on_epoch(record, state):
             state.stop_reason = "diverged"
             break
         if stopper.should_stop:
@@ -479,7 +461,7 @@ def fit(
     return best_params, state
 
 
-def finetune(params, train_ds, valid_ds, cfg, sink=None, run_id="", state=None):
+def finetune(params, train_ds, valid_ds, cfg, on_epoch=None, state=None):
     """Fine-tune with gradual unfreezing (top cfg.unfreeze_top_k blocks first,
     one more every cfg.unfreeze_interval_epochs). Checkpoint/config agreement
     is enforced where the checkpoint is loaded."""
@@ -489,9 +471,8 @@ def finetune(params, train_ds, valid_ds, cfg, sink=None, run_id="", state=None):
         train_ds,
         valid_ds,
         cfg,
-        sink=sink,
-        run_id=run_id,
         freeze_schedule=schedule,
+        on_epoch=on_epoch,
         state=state,
     )
 
@@ -571,31 +552,9 @@ def load_train_checkpoint(path, expect_config=None, expect_vocab_hash=None):
 # ---------------------------------------------------------------------------
 
 
-class ListSink:
-    """In-memory sink for tests."""
-
-    def __init__(self):
-        self.records = []
-
-    def emit(self, **fields):
-        _check_sink_fields(fields)
-        self.records.append(fields)
-
-    def close(self):
-        pass
-
-
-def _check_sink_fields(fields):
-    if set(fields) != set(SINK_FIELDS):
-        missing = set(SINK_FIELDS) - set(fields)
-        extra = set(fields) - set(SINK_FIELDS)
-        raise ContractError(
-            f"bad metrics record: missing {sorted(missing)}, extra {sorted(extra)}"
-        )
-
-
 class MetricsSink:
-    """Append-only JSONL metrics writer.
+    """Append-only JSONL metrics writer: emit(**fields) writes one JSON
+    object per line (training runs emit each fit record plus run_id).
 
     emit() writes and flushes its record, so the record is in the file when
     emit() returns and a write error raises from emit() itself.
@@ -606,7 +565,6 @@ class MetricsSink:
         self._fh = open(path, "a", encoding="utf-8", newline="\n")
 
     def emit(self, **fields):
-        _check_sink_fields(fields)
         self._fh.write(json.dumps(fields, sort_keys=True) + "\n")
         self._fh.flush()
 

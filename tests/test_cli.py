@@ -274,9 +274,16 @@ def test_metrics_jsonl_written(smoke):
         json.loads(line)
         for line in open(smoke["ckpt"] + ".metrics.jsonl", encoding="utf-8")
     ]
-    assert len(rows) == 4  # 2 epochs x (train, valid)
-    assert {r["split"] for r in rows} == {"train", "valid"}
-    assert all(len(r) == 9 for r in rows)
+    manifest = json.loads(
+        open(smoke["ckpt"] + ".manifest.json", encoding="utf-8").read()
+    )
+    assert [r["epoch"] for r in rows] == [0, 1]  # one line per epoch
+    for r in rows:
+        assert r["run_id"] == manifest["run_id"]
+        assert {"train_loss", "valid_loss", "step", "lr"} <= set(r)
+    header = model.read_checkpoint_header(smoke["ckpt"])
+    best = min(r["valid_loss"] for r in rows)
+    assert best == header["metadata"]["best_valid_loss"]
 
 
 def test_manifest_finalized_on_error_exit(capsys, smoke, tmp_path):
@@ -576,6 +583,9 @@ def test_sweep_malformed_spec_exit_1(capsys, smoke, tmp_path):
     ("tokenizer", '{"tokenizer": {"target_size": "512"}}', "target_size"),
     ("sweep", '{"base_model": {"block_size": 32, "d_model": 32, '
               '"n_heads": 2}, "base_train": {"patience": "2"}}', "patience"),
+    # a field that every trial overwrites
+    ("sweep", '{"base_model": {"block_size": 32, "d_model": 32, '
+              '"n_heads": 2}, "base_train": {"max_epochs": 2}}', "max_epochs"),
     # out-of-range values; flags after the command name follow DESK_FLAGS
     ("pretrain --n-heads 0", "{}", "n_heads"),
     ("pretrain --d-model 0", "{}", "d_model"),

@@ -24,7 +24,7 @@ def base_model(**over):
 
 
 def base_train(**over):
-    base = dict(batch_size=4, max_epochs=2, base_lr=1e-3, patience=10, seed=0)
+    base = dict(batch_size=4, patience=10)
     base.update(over)
     return train.TrainConfig(**base)
 
@@ -191,6 +191,29 @@ def test_single_trial_sweep(tmp_path):
         assert os.path.exists(os.path.join(tdir, name)), name
     assert os.path.exists(os.path.join(out, "leaderboard.json"))
     assert os.path.exists(os.path.join(out, "best.json"))
+
+
+def test_trial_metrics_jsonl_is_its_history_plus_run_id(tmp_path):
+    spec = make_spec(trial_count=1)
+    out = str(tmp_path / "sweep")
+    sweep.run_sweep(spec, tiny_dataset(), tiny_dataset(), out, run_id="sw")
+    tdir = os.path.join(out, "trial_0")
+    with open(os.path.join(tdir, "metrics.jsonl"), encoding="utf-8") as fh:
+        lines = [json.loads(line) for line in fh]
+    with open(os.path.join(tdir, "record.json"), encoding="utf-8") as fh:
+        history = json.load(fh)["history"]
+    assert len(history) == spec.max_epochs
+    assert lines == [dict(h, run_id="sw/trial_0") for h in history]
+
+
+@pytest.mark.parametrize("name", ["base_lr", "occlusion_prob", "seed",
+                                  "max_epochs"])
+def test_spec_base_train_rejects_sampled_fields(name):
+    d = sweep.spec_to_dict(make_spec())
+    assert name not in d["base_train"]
+    d["base_train"][name] = 2
+    with pytest.raises(ConfigError, match=name):
+        sweep.spec_from_dict(d)
 
 
 def test_leaderboard_is_sorted_ascending(tmp_path):

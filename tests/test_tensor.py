@@ -178,10 +178,11 @@ def test_nan_rejected_at_construction():
 def test_overflow_raises_numerics_error():
     """Called directly, outside an engine pass (model.forward, a training
     shard, backward), a kernel runs under numpy's default error state, so
-    this add may warn about the overflow before raising NumericsError."""
+    this add warns about the overflow before raising NumericsError."""
     x = T.Tensor(np.full((2,), 3e38))
-    with pytest.raises(NumericsError):
-        T.add(x, x)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NumericsError):
+            T.add(x, x)
 
 
 def test_layer_norm_variance_overflow_raises_numerics_error():

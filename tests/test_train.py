@@ -9,6 +9,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -515,7 +517,7 @@ def test_fit_abort_rule_stops_with_diverged_reason():
     ds = tiny_dataset()
     _, state = train.fit(
         params, ds, ds, tiny_train_config(max_epochs=10),
-        abort_rule=lambda hist: len(hist) >= 2,
+        on_epoch=lambda record, state: len(state.history) >= 2,
     )
     assert state.epoch == 2
     assert state.stop_reason == "diverged"
@@ -536,7 +538,7 @@ def test_resume_is_bit_identical_to_uninterrupted(tmp_path):
 
     p_half = model.init(cfg, seed=5)
     best_half, state_half = train.fit(
-        p_half, ds, ds, tcfg, abort_rule=lambda h: len(h) >= 2
+        p_half, ds, ds, tcfg, on_epoch=lambda record, state: state.epoch >= 2
     )
     path = str(tmp_path / "resume.ckpt")
     train.save_train_checkpoint(
@@ -567,22 +569,7 @@ def test_resume_is_bit_identical_to_uninterrupted(tmp_path):
 
 
 def _record(i=0):
-    return dict(
-        run_id="r", epoch=i, step=i, split="train", loss=1.0,
-        perplexity=math.e, lr=1e-4, occlusion_prob=0.0, wall_ms=1.0,
-    )
-
-
-def test_sink_rejects_missing_and_extra_fields():
-    sink = train.ListSink()
-    bad = _record()
-    bad.pop("lr")
-    with pytest.raises(ContractError):
-        sink.emit(**bad)
-    worse = _record()
-    worse["surprise"] = 1
-    with pytest.raises(ContractError):
-        sink.emit(**worse)
+    return dict(run_id="r", epoch=i, train_loss=1.0, valid_loss=1.5)
 
 
 def test_jsonl_sink_writes_every_record_in_order(tmp_path):
@@ -594,7 +581,7 @@ def test_jsonl_sink_writes_every_record_in_order(tmp_path):
     assert len(lines) == 100
     records = [json.loads(line) for line in lines]
     assert [r["epoch"] for r in records] == list(range(100))
-    assert set(records[0]) == set(train.SINK_FIELDS)
+    assert records[7] == _record(7)
 
 
 def test_jsonl_sink_record_on_disk_when_emit_returns(tmp_path):
@@ -615,20 +602,31 @@ def test_jsonl_sink_creates_parent_directory(tmp_path):
     assert json.loads(path.read_text(encoding="utf-8"))["epoch"] == 1
 
 
-def test_fit_emits_train_and_valid_records_per_epoch():
+def test_fit_calls_on_epoch_once_per_epoch_with_its_history_record():
     cfg = tiny_config()
     params = model.init(cfg, seed=0)
     ds = tiny_dataset()
-    sink = train.ListSink()
+    calls = []
+
+    def on_epoch(record, state):
+        calls.append((dict(record), state.epoch, state.best_epoch))
+
     tcfg = tiny_train_config(max_epochs=3, occlusion_prob=0.1)
-    train.fit(params, ds, ds, tcfg, sink=sink, run_id="test-run")
-    assert len(sink.records) == 6
-    for rec in sink.records:
-        assert set(rec) == set(train.SINK_FIELDS)
-        assert rec["run_id"] == "test-run"
+    _, state = train.fit(params, ds, ds, tcfg, on_epoch=on_epoch)
+    assert [rec for rec, _, _ in calls] == state.history
+    assert len(calls) == 3
+    for i, (rec, epoch_after, best_epoch) in enumerate(calls):
+        assert set(rec) == {
+            "epoch", "step", "lr", "occlusion_prob", "train_loss",
+            "train_ppl", "valid_loss", "valid_ppl", "wall_ms",
+        }
+        assert rec["epoch"] == i
+        assert epoch_after == i + 1  # the hook runs after state is updated
+        assert best_epoch is not None
+        assert rec["step"] == (i + 1) * math.ceil(len(ds) / tcfg.batch_size)
         assert rec["occlusion_prob"] == 0.1
-        assert rec["perplexity"] == pytest.approx(math.exp(rec["loss"]), rel=1e-6)
-    assert [r["split"] for r in sink.records] == ["train", "valid"] * 3
+        assert rec["valid_ppl"] == pytest.approx(math.exp(rec["valid_loss"]))
+    assert state.stop_reason == "max_epochs"
 
 
 def test_state_moments_match_parameter_shapes():
@@ -731,6 +729,37 @@ def test_two_shard_step_matches_one_shard(ac4_train_ds, monkeypatch, train_over)
             np.testing.assert_allclose(grads2[name], grads1[name], rtol=1e-5,
                                        atol=1e-6, err_msg=f"{rows} {name}")
         assert rng2 == rng1, rows
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 cores")
+@pytest.mark.parametrize("blas_env, worker", [(None, False), ("1", True)])
+def test_shard_gate_reads_the_loaded_blas_thread_count(blas_env, worker):
+    """numpy imported before occlm loads OpenBLAS with its own thread count,
+    though occlm then sets OPENBLAS_NUM_THREADS=1. The gate asks the loaded
+    library, so with several BLAS threads a large batch still splits into
+    two shards but both run on the caller."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if blas_env is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_env
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shards.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import numpy, os, occlm\n"
+        "from occlm import shards\n"
+        "query = shards._blas_threads_query()\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], query and query(),\n"
+        "      shards.shard_count(numpy.zeros((32, 64)), 64),\n"
+        "      shards._shard_worker() is not None)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    if out[1] == "None":
+        pytest.skip("numpy's BLAS has no thread-count query")
+    assert out[0] == "1" and out[2] == "2"
+    assert (int(out[1]) == 1) is worker
+    assert out[3] == str(worker)
 
 
 def test_shard_worker_and_inline_are_bit_identical(ac4_train_ds, monkeypatch):
