@@ -57,7 +57,6 @@ def main():
         ft_cfg = train.TrainConfig(
             batch_size=32, max_epochs=args.budget_epochs, base_lr=args.ft_lr,
             patience=args.budget_epochs + 1, seed=seed,
-            unfreeze_top_k=2, unfreeze_interval_epochs=2,
         )
         _, ft_state = train.finetune(pretrained, *packs["news"], ft_cfg)
 

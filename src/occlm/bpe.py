@@ -98,6 +98,14 @@ class Vocabulary:
             raise DataError("vocabulary exceeds its target size")
         if len(set(self.merges)) != len(self.merges):
             raise DataError("duplicate merge rule")
+        # encode looks up every byte symbol and every merge result by token
+        for tok in [*BYTE_TO_UNICODE.values(),
+                    *(t for a, b in self.merges for t in (a, b, a + b))]:
+            if tok not in self.token_to_id:
+                raise DataError(f"a byte or merge names {tok!r}, not a token")
+        if not set(self.specials.as_tuple()) <= self.id_to_token.keys():
+            raise DataError(f"special ids {self.specials.as_tuple()} are not "
+                            "all token ids")
         return self
 
 

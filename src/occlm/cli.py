@@ -220,11 +220,11 @@ def _run_training(args, command, train_defaults=None, model_defaults=None,
             params = model.init(mcfg, seed=tcfg.seed)
             runner = train.fit
         metrics_path = args.metrics or args.out + ".metrics.jsonl"
-        with train.MetricsSink(metrics_path) as sink:
-            best, state = runner(
-                params, train_ds, valid_ds, tcfg,
-                on_epoch=lambda record, _: sink.emit(run_id=run_id, **record),
-            )
+        sink = train.MetricsSink(metrics_path)
+        best, state = runner(
+            params, train_ds, valid_ds, tcfg,
+            on_epoch=lambda record, _: sink.emit(run_id=run_id, **record),
+        )
         model.save_checkpoint(
             args.out, best, vocab_hash,
             metadata={
@@ -309,10 +309,10 @@ def cmd_finetune(args):
     )
 
 
-def _gen_config(args):
+def _gen_config(args, **extra):
     return metrics.GenerationConfig(
-        max_new_tokens=args.max_new_tokens, strategy=args.strategy,
-        temperature=args.temperature, top_k=args.top_k, seed=args.gen_seed,
+        strategy=args.strategy, temperature=args.temperature,
+        top_k=args.top_k, seed=args.gen_seed, **extra,
     ).check()
 
 
@@ -350,14 +350,8 @@ def cmd_sweep(args):
         raise DataError(f"missing vocabulary: {vocab_path}")
     vocab = bpe.load_vocab(vocab_path)
     vocab_hash = metrics.file_sha256(vocab_path)
-    raw = artifacts.read_json(args.spec)
-    # spec files omit vocab_size; it always comes from the actual vocabulary
-    if isinstance(raw, dict) and isinstance(raw.get("base_model"), dict):
-        raw["base_model"].setdefault("vocab_size", vocab.size)
-    spec = sweep.spec_from_dict(raw, args.spec)
-    if spec.base_model.vocab_size != vocab.size:
-        raise ConfigError(f"spec pins vocab_size {spec.base_model.vocab_size} "
-                          f"but {vocab_path} has {vocab.size}")
+    spec = sweep.spec_from_dict(artifacts.read_json(args.spec), vocab.size,
+                                args.spec)
     train_ds, valid_ds, data_hashes = _pack_splits(
         args.data, vocab, spec.base_model.block_size
     )
@@ -392,7 +386,7 @@ def cmd_generate(args):
     params, _, _ = model.load_checkpoint(
         args.checkpoint, expect_vocab_hash=vocab_hash
     )
-    gen = _gen_config(args)
+    gen = _gen_config(args, max_new_tokens=args.max_new_tokens)
     prompt_ids = bpe.encode(vocab, args.prompt).ids
     out = metrics.generate(params, params.config, vocab, prompt_ids, gen)
     print(bpe.decode(vocab, out))
@@ -470,7 +464,7 @@ def cmd_quickstart(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p):
+def _add_deterministic(p):
     p.add_argument("--deterministic", action="store_true",
                    help="content-addressed run ids and byte-identical "
                         "artifacts for identical inputs")
@@ -482,21 +476,20 @@ def _add_config_sources(p):
                    help="built-in preset name")
 
 
-def _add_config_flags(p, classes, skip=()):
+def _add_config_flags(p, classes):
     """One flag per field of the config ``classes``, named after it (dest is
-    the field name), less vocab_size, tie_embeddings and ``skip``; plus
-    --metrics."""
+    the field name), less vocab_size and tie_embeddings; plus --metrics."""
     for cls in classes:
         for f in dataclasses.fields(cls):
-            if f.name not in ("vocab_size", "tie_embeddings") + skip:
+            if f.name not in ("vocab_size", "tie_embeddings"):
                 p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
                                type=int if f.type == "int" else float)
     p.add_argument("--metrics", help="metrics JSONL path")
 
 
 def _add_gen_flags(p):
-    p.add_argument("--max-new-tokens", type=int, dest="max_new_tokens",
-                   default=32)
+    """Decoding flags; eval's --bleu protocol makes each continuation as long
+    as its reference, so only generate adds --max-new-tokens."""
     p.add_argument("--strategy", choices=("greedy", "sample", "topk"),
                    default="greedy")
     p.add_argument("--temperature", type=float, default=1.0)
@@ -517,7 +510,7 @@ def build_parser():
     p.add_argument("--data", help="raw text file, one sentence per line")
     p.add_argument("--out", help="vocabulary output path")
     p.add_argument("--target-size", type=int, dest="target_size")
-    _add_common(p)
+    _add_deterministic(p)
     _add_config_sources(p)
     p.set_defaults(func=cmd_tokenizer)
 
@@ -530,7 +523,6 @@ def build_parser():
     p.add_argument("--test-frac", type=float, dest="test_frac", default=0.1)
     p.add_argument("--no-clean", action="store_true", dest="no_clean")
     p.add_argument("--seed", type=int, default=0, help="split shuffle seed")
-    _add_common(p)
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("pretrain", help="pretrain from scratch")
@@ -539,10 +531,9 @@ def build_parser():
     p.add_argument("--out", help="checkpoint output path")
     p.add_argument("--objective", choices=("standard", "occlusion"),
                    default=None)
-    _add_common(p)
+    _add_deterministic(p)
     _add_config_sources(p)
-    _add_config_flags(p, (model.ModelConfig, train.TrainConfig),
-                      skip=("unfreeze_top_k", "unfreeze_interval_epochs"))
+    _add_config_flags(p, (model.ModelConfig, train.TrainConfig))
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="fine-tune with gradual unfreezing")
@@ -552,7 +543,7 @@ def build_parser():
     p.add_argument("--out", help="checkpoint output path")
     p.add_argument("--objective", choices=("standard", "occlusion"),
                    default=None)
-    _add_common(p)
+    _add_deterministic(p)
     _add_config_sources(p)
     _add_config_flags(p, (train.TrainConfig,))
     p.set_defaults(func=cmd_finetune)
@@ -568,7 +559,6 @@ def build_parser():
                    default=0.25)
     p.add_argument("--out", help="report output path (JSON)")
     _add_gen_flags(p)
-    _add_common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="random hyperparameter search")
@@ -578,21 +568,21 @@ def build_parser():
     p.add_argument("--out", help="sweep output directory")
     p.add_argument("--parallel", type=int, default=0,
                    help="worker count for parallel trials")
-    _add_common(p)
+    _add_deterministic(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("generate", help="generate text from a checkpoint")
     p.add_argument("--checkpoint", help="checkpoint path")
     p.add_argument("--vocab", help="vocabulary path")
     p.add_argument("--prompt", help="prompt text")
+    p.add_argument("--max-new-tokens", type=int, dest="max_new_tokens",
+                   default=32)
     _add_gen_flags(p)
-    _add_common(p)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("quickstart", help="materialize the bundled demo")
     p.add_argument("--out", help="output directory")
     p.add_argument("--force", action="store_true")
-    _add_common(p)
     p.set_defaults(func=cmd_quickstart)
 
     return parser

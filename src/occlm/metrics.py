@@ -298,7 +298,6 @@ def evaluate(
             "strategy": gen.strategy,
             "temperature": gen.temperature,
             "top_k": gen.top_k,
-            "max_new_tokens": gen.max_new_tokens,
             "seed": gen.seed,
             "prompt_frac": prompt_frac,
             "n_scored": result.n_scored,

@@ -215,14 +215,15 @@ def run_trial(spec, trial_id, train_ds, valid_ds, out_dir, vocab_hash, run_id):
     t0 = time.perf_counter()
     best_params = None
     try:
-        with train.MetricsSink(os.path.join(tdir, "metrics.jsonl")) as sink:
-            def on_epoch(record, state):
-                sink.emit(run_id=trial_run_id, **record)
-                return divergence_rule(state.history)
+        sink = train.MetricsSink(os.path.join(tdir, "metrics.jsonl"))
 
-            best_params, state = train.fit(
-                params, train_ds, valid_ds, tcfg, on_epoch=on_epoch
-            )
+        def on_epoch(record, state):
+            sink.emit(run_id=trial_run_id, **record)
+            return divergence_rule(state.history)
+
+        best_params, state = train.fit(
+            params, train_ds, valid_ds, tcfg, on_epoch=on_epoch
+        )
         history = state.history
         stop_reason = state.stop_reason
     except DivergenceError as exc:
@@ -391,11 +392,12 @@ def write_sweep_report(path, records):
 # --- SweepSpec (de)serialization for `occlm sweep --spec file.json` ---------
 
 
-# base_train takes no field that sample_trial sets for every trial: the
-# sampled lr, occlusion probability and seed, and the spec's max_epochs
+# base_model takes no vocab_size, which the vocabulary fixes, and base_train
+# no field that sample_trial sets for every trial: the sampled lr, occlusion
+# probability and seed, and the spec's max_epochs
 SPEC_TYPES = dict(
     model.field_types(SweepSpec),
-    base_model=model.field_types(model.ModelConfig),
+    base_model=model.field_types(model.ModelConfig, "vocab_size"),
     base_train=model.field_types(
         train.TrainConfig, "base_lr", "occlusion_prob", "seed", "max_epochs"
     ),
@@ -404,20 +406,21 @@ SPEC_TYPES = dict(
 
 def spec_to_dict(spec):
     d = dataclasses.asdict(spec)
-    d["base_train"] = {k: v for k, v in d["base_train"].items()
-                       if k in SPEC_TYPES["base_train"]}
+    for section in ("base_model", "base_train"):
+        d[section] = {k: v for k, v in d[section].items()
+                      if k in SPEC_TYPES[section]}
     return d
 
 
-def spec_from_dict(d, where="sweep spec"):
-    """A checked SweepSpec from a dict read from outside the program;
-    ``where`` names the input in errors."""
+def spec_from_dict(d, vocab_size, where="sweep spec"):
+    """A checked SweepSpec for a vocabulary of ``vocab_size`` tokens, from a
+    dict read from outside the program; ``where`` names the input in errors."""
     d = dict(model.check_fields(where, d, SPEC_TYPES))
     model_d, train_d = d.pop("base_model", None), d.pop("base_train", None)
     if model_d is None or train_d is None:
         raise ConfigError(f"{where} needs base_model and base_train objects")
     d = {k: tuple(v) if SPEC_TYPES[k] == "tuple" else v for k, v in d.items()}
     return SweepSpec(
-        base_model=model.ModelConfig(**model_d).check(),
+        base_model=model.ModelConfig(vocab_size=vocab_size, **model_d).check(),
         base_train=train.TrainConfig(**train_d), **d,
     ).check()

@@ -12,13 +12,12 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics, model, shards
+from . import artifacts, metrics, model, shards
 from . import tensor as T
 from .errors import (
     ConfigError,
@@ -32,6 +31,12 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# gradual unfreezing (ULMFiT's fixed policy): the top UNFREEZE_TOP_K blocks
+# and the head train from the first epoch, one more block opens every
+# UNFREEZE_INTERVAL_EPOCHS epochs, and the embeddings open last
+UNFREEZE_TOP_K = 2
+UNFREEZE_INTERVAL_EPOCHS = 2
+
 
 @dataclass
 class TrainConfig:
@@ -44,8 +49,6 @@ class TrainConfig:
     occlusion_prob: float = 0.0
     seed: int = 0
     grad_clip: float | None = None
-    unfreeze_top_k: int = 2
-    unfreeze_interval_epochs: int = 2
 
     def check(self):
         if not 0 < self.base_lr < math.inf:
@@ -70,8 +73,6 @@ class TrainConfig:
             raise ConfigError(
                 f"grad_clip must be finite and > 0, got {self.grad_clip}"
             )
-        if self.unfreeze_top_k < 1 or self.unfreeze_interval_epochs < 1:
-            raise ConfigError("unfreeze_top_k and interval must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
@@ -330,12 +331,14 @@ class EarlyStopper:
         return self.since >= self.patience
 
 
-def unfreeze_schedule(config, cfg):
-    """Gradual unfreezing: top-k blocks + head first, one more block every
-    interval (top to bottom); embeddings open once every block is open."""
+def unfreeze_schedule(config):
+    """Gradual unfreezing: the top UNFREEZE_TOP_K blocks + head first, one
+    more block every UNFREEZE_INTERVAL_EPOCHS (top to bottom); embeddings
+    open once every block is open."""
 
     def mask_at(epoch):
-        n_open = min(config.n_layers, cfg.unfreeze_top_k + epoch // cfg.unfreeze_interval_epochs)
+        n_open = min(config.n_layers,
+                     UNFREEZE_TOP_K + epoch // UNFREEZE_INTERVAL_EPOCHS)
         blocks = tuple(i >= config.n_layers - n_open for i in range(config.n_layers))
         return model.FreezeMask(
             embeddings=(n_open >= config.n_layers), blocks=blocks, head=True
@@ -462,10 +465,9 @@ def fit(
 
 
 def finetune(params, train_ds, valid_ds, cfg, on_epoch=None, state=None):
-    """Fine-tune with gradual unfreezing (top cfg.unfreeze_top_k blocks first,
-    one more every cfg.unfreeze_interval_epochs). Checkpoint/config agreement
-    is enforced where the checkpoint is loaded."""
-    schedule = unfreeze_schedule(params.config, cfg)
+    """Fine-tune with gradual unfreezing (see unfreeze_schedule).
+    Checkpoint/config agreement is enforced where the checkpoint is loaded."""
+    schedule = unfreeze_schedule(params.config)
     return fit(
         params,
         train_ds,
@@ -553,27 +555,16 @@ def load_train_checkpoint(path, expect_config=None, expect_vocab_hash=None):
 
 
 class MetricsSink:
-    """Append-only JSONL metrics writer: emit(**fields) writes one JSON
-    object per line (training runs emit each fit record plus run_id).
-
-    emit() writes and flushes its record, so the record is in the file when
-    emit() returns and a write error raises from emit() itself.
-    """
+    """JSONL metrics file: emit(**fields) adds one JSON object line (training
+    runs emit each fit record plus run_id) and atomically rewrites the file,
+    so each record is on disk when emit() returns. The sink starts the file
+    empty, so a rerun into the same path replaces the earlier run's lines."""
 
     def __init__(self, path):
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        self._fh = open(path, "a", encoding="utf-8", newline="\n")
+        self.path = path
+        self._lines = []
+        artifacts.write_text(path, "")
 
     def emit(self, **fields):
-        self._fh.write(json.dumps(fields, sort_keys=True) + "\n")
-        self._fh.flush()
-
-    def close(self):
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
+        self._lines.append(json.dumps(fields, sort_keys=True) + "\n")
+        artifacts.write_text(self.path, "".join(self._lines))

@@ -262,10 +262,8 @@ def test_ac5_finetuning_behavior():
     mcfg = model.ModelConfig(vocab_size=16, block_size=16, d_model=16,
                              n_layers=4, n_heads=2, dropout=0.0, ffn_mult=2)
     params = model.init(mcfg, seed=0)
-    tcfg = train.TrainConfig(batch_size=8, max_epochs=6, base_lr=1e-3,
-                             seed=0, unfreeze_top_k=2,
-                             unfreeze_interval_epochs=2)
-    schedule = train.unfreeze_schedule(mcfg, tcfg)
+    tcfg = train.TrainConfig(batch_size=8, max_epochs=6, base_lr=1e-3, seed=0)
+    schedule = train.unfreeze_schedule(mcfg)
     initial = {n: params[n].data.copy() for n in params.names()}
     opens_at = {0: 4, 1: 2, 2: 0, 3: 0}  # block index -> first open epoch
     state = train.init_state(params, tcfg, freeze_mask=schedule(0))
@@ -305,8 +303,7 @@ def test_ac5_finetuning_behavior():
                                     patience=9, seed=seed)
         pretrained, _ = train.fit(model.init(fcfg, seed=seed), *mono_pack, pre_cfg)
         budget = train.TrainConfig(batch_size=32, max_epochs=4, base_lr=1e-3,
-                                   patience=5, seed=seed, unfreeze_top_k=2,
-                                   unfreeze_interval_epochs=2)
+                                   patience=5, seed=seed)
         _, ft = train.finetune(pretrained, *news_pack, budget)
         _, scratch = train.fit(model.init(fcfg, seed=seed), *news_pack, budget)
         wins += ft.best_valid_loss < scratch.best_valid_loss
@@ -362,7 +359,7 @@ def test_ac7_reproducibility(tmp_path):
         assert cli.dispatch(
             ["eval", "--checkpoint", ckpt, "--vocab", vocab,
              "--split", os.path.join(work, "valid.txt"), "--bleu",
-             "--out", report, "--deterministic"]) == 0
+             "--out", report]) == 0
         return vocab, ckpt, report
 
     first = pipeline(str(tmp_path / "a"))

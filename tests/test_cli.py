@@ -5,6 +5,7 @@ import json
 import os
 import stat
 
+import numpy as np
 import pytest
 
 from occlm import bpe, cli, demo, metrics, model, sweep
@@ -40,7 +41,7 @@ def smoke(tmp_path_factory):
     assert cli.dispatch(
         ["eval", "--checkpoint", ckpt, "--vocab", vocab,
          "--split", os.path.join(work, "valid.txt"),
-         "--bleu", "--out", report, "--deterministic"]
+         "--bleu", "--out", report]
     ) == 0
     return {"root": root, "raw": raw, "vocab": vocab, "work": work,
             "ckpt": ckpt, "report": report}
@@ -104,8 +105,8 @@ def test_config_sources_only_on_commands_that_read_them(capsys, command, flag):
 FLAG_SURFACE = {
     "tokenizer": "--config --data --deterministic --help --out --preset "
                  "--target-size -h",
-    "corpus": "--data --deterministic --help --no-clean --out-dir --seed "
-              "--test-frac --train-frac --valid-frac --vocab -h",
+    "corpus": "--data --help --no-clean --out-dir --seed --test-frac "
+              "--train-frac --valid-frac --vocab -h",
     "pretrain": "--base-lr --batch-size --block-size --config --d-model --data "
                 "--deterministic --dropout --ffn-mult --grad-clip --help "
                 "--max-epochs --metrics --n-heads --n-layers --objective "
@@ -114,16 +115,13 @@ FLAG_SURFACE = {
     "finetune": "--base-lr --batch-size --checkpoint --config --data "
                 "--deterministic --grad-clip --help --max-epochs --metrics "
                 "--objective --occlusion-prob --out --patience --preset --seed "
-                "--unfreeze-interval-epochs --unfreeze-top-k --vocab "
-                "--warmup-fraction --weight-decay -h",
-    "eval": "--bleu --checkpoint --deterministic --gen-seed --help "
-            "--max-new-tokens --out --prompt-frac --split --split-name "
-            "--strategy --temperature --top-k --vocab -h",
+                "--vocab --warmup-fraction --weight-decay -h",
+    "eval": "--bleu --checkpoint --gen-seed --help --out --prompt-frac "
+            "--split --split-name --strategy --temperature --top-k --vocab -h",
     "sweep": "--data --deterministic --help --out --parallel --spec --vocab -h",
-    "generate": "--checkpoint --deterministic --gen-seed --help "
-                "--max-new-tokens --prompt --strategy --temperature --top-k "
-                "--vocab -h",
-    "quickstart": "--deterministic --force --help --out -h",
+    "generate": "--checkpoint --gen-seed --help --max-new-tokens --prompt "
+                "--strategy --temperature --top-k --vocab -h",
+    "quickstart": "--force --help --out -h",
 }
 
 
@@ -133,7 +131,24 @@ def test_flag_surface_is_pinned():
     got = {name: sorted(o for a in p._actions for o in a.option_strings)
            for name, p in sub.choices.items()}
     assert got == {name: flags.split() for name, flags in FLAG_SURFACE.items()}
-    assert (len(got["pretrain"]), len(got["finetune"])) == (25, 22)
+    assert {name: len(flags) for name, flags in got.items()} == {
+        "tokenizer": 8, "corpus": 10, "pretrain": 25, "finetune": 20,
+        "eval": 13, "sweep": 8, "generate": 10, "quickstart": 4}
+
+
+# flags that no run reads: --deterministic where no run id is made, eval's
+# --max-new-tokens (the BLEU protocol sets each continuation's length) and
+# the fixed unfreeze schedule's two knobs
+@pytest.mark.parametrize("argv", [
+    ["corpus", "--deterministic"], ["eval", "--deterministic"],
+    ["generate", "--deterministic"], ["quickstart", "--deterministic"],
+    ["eval", "--max-new-tokens", "5"],
+    ["finetune", "--unfreeze-top-k", "1"],
+    ["finetune", "--unfreeze-interval-epochs", "1"],
+], ids=" ".join)
+def test_ignored_flags_are_usage_errors(capsys, argv):
+    assert cli.dispatch(argv) == 2
+    assert "unrecognized arguments: " + argv[1] in capsys.readouterr().err
 
 
 def test_pretrain_malformed_config_exit_1(capsys, smoke, tmp_path):
@@ -286,6 +301,17 @@ def test_metrics_jsonl_written(smoke):
     assert best == header["metadata"]["best_valid_loss"]
 
 
+def test_deterministic_rerun_replaces_metrics_jsonl(smoke, tmp_path):
+    out = str(tmp_path / "m.ckpt")
+    argv = ["pretrain", "--data", smoke["work"], "--vocab", smoke["vocab"],
+            "--out", out, "--deterministic"] + DESK_FLAGS
+    assert cli.dispatch(argv) == 0
+    assert cli.dispatch(argv) == 0
+    with open(out + ".metrics.jsonl", encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh]
+    assert [r["epoch"] for r in rows] == [0, 1]  # one line per epoch
+
+
 def test_manifest_finalized_on_error_exit(capsys, smoke, tmp_path):
     out = str(tmp_path / "diverged.ckpt")
     rc = cli.dispatch(
@@ -376,6 +402,27 @@ def test_finetune_runs_from_checkpoint(smoke, tmp_path):
     assert header["metadata"]["command"] == "finetune"
 
 
+def test_finetune_unfreezes_top_blocks_and_head_first(smoke, tmp_path):
+    # epoch 0 of the fixed schedule: the top 2 blocks and the head train,
+    # the lower blocks and the embeddings stay as pretrained
+    pre = str(tmp_path / "pre.ckpt")
+    assert cli.dispatch(
+        ["pretrain", "--data", smoke["work"], "--vocab", smoke["vocab"],
+         "--out", pre] + DESK_FLAGS + ["--n-layers", "3", "--max-epochs", "1"]
+    ) == 0
+    ft = str(tmp_path / "ft.ckpt")
+    assert cli.dispatch(
+        ["finetune", "--checkpoint", pre, "--data", smoke["work"],
+         "--vocab", smoke["vocab"], "--out", ft] + DESK_TRAIN_FLAGS
+        + ["--max-epochs", "1"]
+    ) == 0
+    before, _, _ = model.load_checkpoint(pre)
+    after, _, _ = model.load_checkpoint(ft)
+    moved = {model.ParameterSet.group(n) for n in before.names()
+             if not np.array_equal(before[n].data, after[n].data)}
+    assert moved == {"block1", "block2", "head"}
+
+
 def test_finetune_default_budget_is_50_epochs():
     parser = cli.build_parser()
     args = parser.parse_args(["finetune"])
@@ -435,7 +482,7 @@ def test_out_paths_create_parent_directories(smoke, tmp_path):
     rc = cli.dispatch(
         ["eval", "--checkpoint", ckpt, "--vocab", smoke["vocab"],
          "--split", os.path.join(smoke["work"], "test.txt"),
-         "--out", report, "--deterministic"]
+         "--out", report]
     )
     assert rc == 0
     assert os.path.exists(report)
@@ -586,6 +633,15 @@ def test_sweep_malformed_spec_exit_1(capsys, smoke, tmp_path):
     # a field that every trial overwrites
     ("sweep", '{"base_model": {"block_size": 32, "d_model": 32, '
               '"n_heads": 2}, "base_train": {"max_epochs": 2}}', "max_epochs"),
+    # fields whose only legal value the program already knows: the fixed
+    # unfreeze schedule, and the vocabulary's own size (280 here)
+    ("pretrain", '{"train": {"unfreeze_top_k": 2}}', "unfreeze_top_k"),
+    ("sweep", '{"trial_count": 1, "max_epochs": 1, "base_model": {'
+              '"block_size": 32, "d_model": 32, "n_heads": 2}, '
+              '"base_train": {"unfreeze_top_k": 2}}', "unfreeze_top_k"),
+    ("sweep", '{"trial_count": 1, "max_epochs": 1, "base_model": {'
+              '"vocab_size": 280, "block_size": 32, "d_model": 32, '
+              '"n_heads": 2}, "base_train": {}}', "vocab_size"),
     # out-of-range values; flags after the command name follow DESK_FLAGS
     ("pretrain --n-heads 0", "{}", "n_heads"),
     ("pretrain --d-model 0", "{}", "d_model"),
@@ -650,6 +706,26 @@ def test_eval_malformed_vocab_exit_1(capsys, smoke, tmp_path):
     assert rc == 1
     err = capsys.readouterr().err
     assert str(bad) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("old, new, expect", [
+    ("\n\u0100\t3\n", "\n", "'\u0100'"),  # byte 0's symbol
+    ("\nhe\t259\n", "\n", "'he'"),  # the first merge's result
+    ("\nh\te\n", "\nh\te\nqx\tzq\n", "'qx'"),
+    ("pad\t0\t", "pad\t999\t", "999"),
+], ids=["byte", "merge-result", "merge-parts", "special"])
+def test_vocab_naming_a_missing_token_exit_1(capsys, smoke, tmp_path, old,
+                                             new, expect):
+    bad = tmp_path / "vocab.tsv"
+    text = open(smoke["vocab"], encoding="utf-8").read()
+    assert old in text
+    bad.write_text(text.replace(old, new, 1), encoding="utf-8")
+    rc = cli.dispatch(["corpus", "--data", smoke["raw"], "--vocab", str(bad),
+                       "--out-dir", str(tmp_path / "c")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert expect in err
     assert "Traceback" not in err
 
 

@@ -125,19 +125,19 @@ def test_spec_validation():
     d = sweep.spec_to_dict(make_spec())
     d["objective"] = "valid_loss"
     with pytest.raises(ConfigError, match="objective"):
-        sweep.spec_from_dict(d)
+        sweep.spec_from_dict(d, 16)
     with pytest.raises(ConfigError):
         make_spec(dropout_choices=(1.0,))
 
 
 def test_spec_round_trips_through_dict():
     spec = make_spec()
-    again = sweep.spec_from_dict(sweep.spec_to_dict(spec))
+    again = sweep.spec_from_dict(sweep.spec_to_dict(spec), 16)
     assert again == spec
     with pytest.raises(ConfigError):
         bad = sweep.spec_to_dict(spec)
         bad["surprise"] = 1
-        sweep.spec_from_dict(bad)
+        sweep.spec_from_dict(bad, 16)
 
 
 @pytest.mark.parametrize("damage", [
@@ -150,7 +150,7 @@ def test_spec_from_dict_rejects_malformed_sections(damage):
     else:
         del d[damage[3:]]
     with pytest.raises(ConfigError):
-        sweep.spec_from_dict(d)
+        sweep.spec_from_dict(d, 16)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -171,7 +171,7 @@ def test_spec_from_dict_rejects_malformed_fields(field, value):
     d = sweep.spec_to_dict(make_spec())
     d[field] = value
     with pytest.raises(ConfigError, match=field):
-        sweep.spec_from_dict(d)
+        sweep.spec_from_dict(d, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +213,7 @@ def test_spec_base_train_rejects_sampled_fields(name):
     assert name not in d["base_train"]
     d["base_train"][name] = 2
     with pytest.raises(ConfigError, match=name):
-        sweep.spec_from_dict(d)
+        sweep.spec_from_dict(d, 16)
 
 
 def test_leaderboard_is_sorted_ascending(tmp_path):
