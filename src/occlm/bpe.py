@@ -70,7 +70,6 @@ class Vocabulary:
     merges: list          # ordered (left, right) pairs; index is the rank
     specials: Specials
     target_size: int
-    special_tokens: tuple = DEFAULT_SPECIALS
     _ranks: dict = field(default_factory=dict, repr=False)
     _word_cache: dict = field(default_factory=dict, repr=False)
 
@@ -112,16 +111,10 @@ class Vocabulary:
 @dataclass
 class EncodedText:
     ids: list
-    offsets: list  # (start, end) byte span per token in the normalized source
 
 
 def normalize(text):
     """Unicode-aware lowercase; cleaning lives in the corpus pipeline."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EncodingError(f"invalid UTF-8: {exc}") from exc
     return text.lower()
 
 
@@ -151,14 +144,14 @@ def _merge_word(symbols, pair, merged):
     return tuple(out)
 
 
-def train_bpe(corpus, target_size, special_tokens=DEFAULT_SPECIALS):
+def train_bpe(corpus, target_size):
     """Learn a byte-level BPE vocabulary from an iterable of text lines.
 
+    DEFAULT_SPECIALS take ids 0, 1 and 2 and the 256 byte symbols follow.
     Merging is greedy by pair frequency (ties: lexicographically smaller
     pair) and stops at target_size or when no pair occurs twice.
     """
-    special_tokens = tuple(special_tokens)
-    base = len(special_tokens) + 256
+    base = len(DEFAULT_SPECIALS) + 256
     if target_size <= base:
         raise ConfigError(
             f"target_size {target_size} must exceed specials+bytes ({base})"
@@ -172,7 +165,7 @@ def train_bpe(corpus, target_size, special_tokens=DEFAULT_SPECIALS):
         raise DataError("tokenizer training corpus is empty")
 
     token_to_id = {}
-    for tok in special_tokens:
+    for tok in DEFAULT_SPECIALS:
         token_to_id[tok] = len(token_to_id)
     for b in range(256):
         token_to_id[BYTE_TO_UNICODE[b]] = len(token_to_id)
@@ -206,7 +199,6 @@ def train_bpe(corpus, target_size, special_tokens=DEFAULT_SPECIALS):
         merges=merges,
         specials=Specials(pad_id=0, occ_id=1, eot_id=2),
         target_size=target_size,
-        special_tokens=special_tokens,
     ).check()
 
 
@@ -230,15 +222,9 @@ def _apply_merges(v, symbols):
 
 
 def encode(v, text):
-    """Tokenize text (normalizing first) into an EncodedText.
-
-    Offsets index the UTF-8 bytes of the normalized text, one contiguous
-    span per token, so the segmentation can be audited.
-    """
+    """Tokenize text (normalizing first) into an EncodedText."""
     norm = normalize(text)
     ids = []
-    offsets = []
-    cursor = 0
     cache = v._word_cache
     for word in PRETOKEN_RE.findall(norm):
         toks = cache.get(word)
@@ -249,9 +235,7 @@ def encode(v, text):
             cache[word] = toks
         for tok in toks:
             ids.append(v.token_to_id[tok])
-            offsets.append((cursor, cursor + len(tok)))
-            cursor += len(tok)
-    return EncodedText(ids=ids, offsets=offsets)
+    return EncodedText(ids=ids)
 
 
 def decode(v, ids):
@@ -357,6 +341,9 @@ def load_vocab(path):
             eot_id=specials["eot"][0],
         ),
         target_size=target_size,
-        special_tokens=tuple(specials[k][1] for k in ("pad", "occ", "eot")),
-    )
-    return v.check()
+    ).check()
+    for name, (sid, tok) in specials.items():
+        if v.id_to_token[sid] != tok:
+            raise DataError(f"{path}: [specials] names {tok!r} for {name}, "
+                            f"but token {sid} is {v.id_to_token[sid]!r}")
+    return v

@@ -274,9 +274,8 @@ def cmd_tokenizer(args):
 
 def cmd_corpus(args):
     _require(args, "data", "out_dir")
-    spec = corpus.SplitSpec(
-        args.train_frac, args.valid_frac, args.test_frac, seed=args.seed
-    ).check()
+    spec = corpus.SplitSpec(args.train_frac, args.valid_frac,
+                            seed=args.seed).check()
     lines = list(corpus.read_lines(args.data))
     if not args.no_clean:
         lines = list(corpus.clean(lines))
@@ -309,15 +308,28 @@ def cmd_finetune(args):
     )
 
 
-def _gen_config(args, **extra):
-    return metrics.GenerationConfig(
-        strategy=args.strategy, temperature=args.temperature,
-        top_k=args.top_k, seed=args.gen_seed, **extra,
-    ).check()
+# decoding flag dest -> GenerationConfig field
+GEN_FLAGS = {"strategy": "strategy", "temperature": "temperature",
+             "top_k": "top_k", "gen_seed": "seed",
+             "max_new_tokens": "max_new_tokens"}
+
+
+def _gen_config(args):
+    """A checked GenerationConfig from the decoding flags that were set; the
+    others keep GenerationConfig's defaults."""
+    return metrics.GenerationConfig(**{
+        field: getattr(args, dest) for dest, field in GEN_FLAGS.items()
+        if getattr(args, dest, None) is not None
+    }).check()
 
 
 def cmd_eval(args):
     _require(args, "checkpoint", "vocab", "split")
+    if not args.bleu:
+        for name in [*GEN_FLAGS, "prompt_frac"]:
+            if getattr(args, name, None) is not None:
+                raise ConfigError(f"--{name.replace('_', '-')} needs --bleu: "
+                                  "eval generates nothing without it")
     vocab = bpe.load_vocab(args.vocab)
     vocab_hash = metrics.file_sha256(args.vocab)
     lines = list(corpus.read_lines(args.split))
@@ -327,12 +339,14 @@ def cmd_eval(args):
     split_name = args.split_name or os.path.splitext(
         os.path.basename(args.split)
     )[0]
-    gen = _gen_config(args)
+    # an unset --prompt-frac leaves the BLEU protocol's default
+    protocol = ({} if args.prompt_frac is None
+                else {"prompt_frac": args.prompt_frac})
     report = metrics.evaluate(
         args.checkpoint, ds, split=split_name, vocab=vocab,
         vocab_hash=vocab_hash,
         bleu_sentences=lines if args.bleu else None,
-        prompt_frac=args.prompt_frac, gen=gen,
+        gen=_gen_config(args), **protocol,
     )
     text = report.to_json()
     if args.out:
@@ -386,7 +400,7 @@ def cmd_generate(args):
     params, _, _ = model.load_checkpoint(
         args.checkpoint, expect_vocab_hash=vocab_hash
     )
-    gen = _gen_config(args, max_new_tokens=args.max_new_tokens)
+    gen = _gen_config(args)
     prompt_ids = bpe.encode(vocab, args.prompt).ids
     out = metrics.generate(params, params.config, vocab, prompt_ids, gen)
     print(bpe.decode(vocab, out))
@@ -488,13 +502,13 @@ def _add_config_flags(p, classes):
 
 
 def _add_gen_flags(p):
-    """Decoding flags; eval's --bleu protocol makes each continuation as long
-    as its reference, so only generate adds --max-new-tokens."""
-    p.add_argument("--strategy", choices=("greedy", "sample", "topk"),
-                   default="greedy")
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--top-k", type=int, dest="top_k", default=0)
-    p.add_argument("--gen-seed", type=int, dest="gen_seed", default=0)
+    """Decoding flags, unset by default so that GenerationConfig's defaults
+    apply; eval's --bleu protocol makes each continuation as long as its
+    reference, so only generate adds --max-new-tokens."""
+    p.add_argument("--strategy", choices=("greedy", "sample", "topk"))
+    p.add_argument("--temperature", type=float)
+    p.add_argument("--top-k", type=int, dest="top_k")
+    p.add_argument("--gen-seed", type=int, dest="gen_seed")
 
 
 def build_parser():
@@ -520,7 +534,6 @@ def build_parser():
     p.add_argument("--vocab", help="optional vocabulary for token stats")
     p.add_argument("--train-frac", type=float, dest="train_frac", default=0.8)
     p.add_argument("--valid-frac", type=float, dest="valid_frac", default=0.1)
-    p.add_argument("--test-frac", type=float, dest="test_frac", default=0.1)
     p.add_argument("--no-clean", action="store_true", dest="no_clean")
     p.add_argument("--seed", type=int, default=0, help="split shuffle seed")
     p.set_defaults(func=cmd_corpus)
@@ -554,9 +567,9 @@ def build_parser():
     p.add_argument("--split", help="text file with evaluation sentences")
     p.add_argument("--split-name", dest="split_name")
     p.add_argument("--bleu", action="store_true",
-                   help="run the generation BLEU protocol")
-    p.add_argument("--prompt-frac", type=float, dest="prompt_frac",
-                   default=0.25)
+                   help="run the generation BLEU protocol; the decoding "
+                        "flags and --prompt-frac need it")
+    p.add_argument("--prompt-frac", type=float, dest="prompt_frac")
     p.add_argument("--out", help="report output path (JSON)")
     _add_gen_flags(p)
     p.set_defaults(func=cmd_eval)
@@ -575,8 +588,7 @@ def build_parser():
     p.add_argument("--checkpoint", help="checkpoint path")
     p.add_argument("--vocab", help="vocabulary path")
     p.add_argument("--prompt", help="prompt text")
-    p.add_argument("--max-new-tokens", type=int, dest="max_new_tokens",
-                   default=32)
+    p.add_argument("--max-new-tokens", type=int, dest="max_new_tokens")
     _add_gen_flags(p)
     p.set_defaults(func=cmd_generate)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,18 +21,21 @@ _AFTER_STOP = re.compile(r"(?<=\.)")
 
 @dataclass
 class SplitSpec:
+    """Train and validation fractions; the test split takes the rest."""
+
     train_frac: float = 0.8
     valid_frac: float = 0.1
-    test_frac: float = 0.1
     seed: int = 0
 
     def check(self):
-        fracs = (self.train_frac, self.valid_frac, self.test_frac)
-        for name, f in zip(("train_frac", "valid_frac", "test_frac"), fracs):
+        for name in ("train_frac", "valid_frac"):
+            f = getattr(self, name)
             if not 0 <= f <= 1:
                 raise ConfigError(f"{name} must lie in [0, 1], got {f}")
-        if abs(sum(fracs) - 1.0) > 1e-9:
-            raise ConfigError(f"split fractions must sum to 1, got {sum(fracs)}")
+        if self.train_frac + self.valid_frac > 1:
+            raise ConfigError(
+                "train_frac + valid_frac must be <= 1, got "
+                f"{self.train_frac + self.valid_frac}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
@@ -188,8 +191,8 @@ class TokenDataset:
     eot_id: int
     occ_id: int
     n_stream_tokens: int
-    vocab_size: int = 0
-    special_ids: tuple = field(default=())
+    vocab_size: int
+    special_ids: tuple
 
     def __len__(self):
         return self.windows.shape[0]
@@ -209,8 +212,8 @@ class TokenDataset:
         )
 
 
-def pack_ids(stream, block_size, pad_id, eot_id, occ_id, vocab_size=0,
-             special_ids=()):
+def pack_ids(stream, block_size, pad_id, eot_id, occ_id, vocab_size,
+             special_ids):
     """Chunk a pre-encoded id stream into (block_size + 1)-wide windows."""
     if block_size < 2:
         raise ConfigError(f"block_size must be at least 2, got {block_size}")

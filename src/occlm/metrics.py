@@ -31,7 +31,6 @@ class GenerationConfig:
     strategy: str = "greedy"  # greedy | sample | topk
     temperature: float = 1.0
     top_k: int = 0
-    stop_on_eot: bool = True
     seed: int = 0
 
     def check(self):
@@ -141,7 +140,8 @@ def bleu_corpus(candidates, references, max_n=4, smooth_eps=0.0):
 
 
 def generate(params, config, vocab, prompt_ids, gen=None):
-    """Autoregressive decoding; returns prompt + continuation ids.
+    """Autoregressive decoding; returns prompt + continuation ids, stopping
+    after max_new_tokens or at the first end-of-text token, which is kept.
 
     The context slides once it exceeds block_size. Greedy is fully
     deterministic; sample/topk draw from a generator seeded by gen.seed,
@@ -175,7 +175,7 @@ def generate(params, config, vocab, prompt_ids, gen=None):
             p = p / p.sum()
             nxt = int(rng.choice(len(p), p=p))
         ids.append(nxt)
-        if gen.stop_on_eot and nxt == vocab.specials.eot_id:
+        if nxt == vocab.specials.eot_id:
             break
     return ids
 
@@ -276,7 +276,6 @@ def evaluate(
     bleu_sentences=None,
     prompt_frac=0.25,
     gen=None,
-    run_id="",
 ):
     """Load a checkpoint, measure perplexity, optionally run the BLEU
     protocol, and fold everything into one EvalReport with provenance."""
@@ -312,6 +311,6 @@ def evaluate(
         n_sequences=len(dataset),
         n_tokens=n_tokens,
         generation=gen_info,
-        run_id=run_id or header["metadata"].get("run_id", ""),
+        run_id=header["metadata"].get("run_id", ""),
         checkpoint_hash=file_sha256(checkpoint_path),
     ).check()

@@ -24,8 +24,6 @@ from .errors import ConfigError, DivergenceError, SweepError
 DIVERGENCE_LOSS = 20.0
 DIVERGENCE_EPOCHS = 3
 
-MAX_RESAMPLES = 100
-
 
 @dataclass
 class SweepSpec:
@@ -57,11 +55,20 @@ class SweepSpec:
             counts = getattr(self, name)
             if any(type(n) is not int or n < 1 for n in counts):
                 raise ConfigError(f"{name} must be ints >= 1, got {list(counts)}")
+        if not self.head_choices():
+            raise ConfigError(
+                f"no count in n_heads_choices {list(self.n_heads_choices)} "
+                f"divides d_model={self.base_model.d_model}")
         if any(not (0 <= d < 1) for d in self.dropout_choices):
             raise ConfigError("dropout choices must lie in [0, 1)")
         if any(not (0 <= p <= 1) for p in self.occlusion_prob_choices):
             raise ConfigError("occlusion probabilities must lie in [0, 1]")
         return self
+
+    def head_choices(self):
+        """The n_heads_choices that divide the base d_model, in spec order."""
+        return [n for n in self.n_heads_choices
+                if self.base_model.d_model % n == 0]
 
 
 @dataclass
@@ -89,8 +96,8 @@ class TrialRecord:
 def sample_trial(spec, trial_index):
     """Deterministic draw for one trial: (TrainConfig, ModelConfig, sampled).
 
-    Head counts that do not divide the base d_model are redrawn; a space
-    with no valid head choice errors out after a bounded number of retries.
+    The head count is drawn once from the choices that divide the base
+    d_model (SweepSpec.check rejects a spec with none).
     """
     if not (0 <= trial_index < spec.trial_count):
         raise ConfigError(
@@ -102,17 +109,7 @@ def sample_trial(spec, trial_index):
     lo, hi = spec.lr_range
     lr = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
     n_layers = int(rng.choice(spec.n_layers_choices))
-    n_heads = None
-    for _ in range(MAX_RESAMPLES):
-        cand = int(rng.choice(spec.n_heads_choices))
-        if spec.base_model.d_model % cand == 0:
-            n_heads = cand
-            break
-    if n_heads is None:
-        raise ConfigError(
-            f"no head count in {spec.n_heads_choices} divides "
-            f"d_model={spec.base_model.d_model} after {MAX_RESAMPLES} draws"
-        )
+    n_heads = int(rng.choice(spec.head_choices()))
     dropout = float(rng.choice(spec.dropout_choices))
     occ = float(rng.choice(spec.occlusion_prob_choices))
     init_seed = int(rng.integers(0, 2**31 - 1))

@@ -109,7 +109,7 @@ def init_state(params, cfg, freeze_mask=None):
     )
 
 
-def occlude_batch(inputs, p, occ_id, rng, special_ids=()):
+def occlude_batch(inputs, p, occ_id, rng, special_ids):
     """Replace eligible (non-special) positions with occ_id at probability p.
 
     Returns (occluded copy, flags). Targets are never touched here; callers
@@ -117,8 +117,7 @@ def occlude_batch(inputs, p, occ_id, rng, special_ids=()):
     """
     if not (0.0 <= p <= 1.0):
         raise ConfigError(f"occlusion probability {p} outside [0, 1]")
-    protected = set(special_ids) | {occ_id}
-    if special_ids and occ_id not in special_ids:
+    if occ_id not in special_ids:
         raise ConfigError(
             f"occ_id {occ_id} is a content token for this dataset"
         )
@@ -126,7 +125,7 @@ def occlude_batch(inputs, p, occ_id, rng, special_ids=()):
     out = inputs.copy()
     if p == 0.0:
         return out, np.zeros(inputs.shape, dtype=bool)
-    eligible = ~np.isin(inputs, sorted(protected))
+    eligible = ~np.isin(inputs, special_ids)
     flags = eligible & (rng.random(inputs.shape) < p)
     out[flags] = occ_id
     return out, flags

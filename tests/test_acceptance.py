@@ -292,7 +292,7 @@ def test_ac5_finetuning_behavior():
     news = demo.make_sentences(300, seed=0, style="news")
     vocab = bpe.train_bpe(mono + news, target_size=512)
     mono_tr, mono_va, _ = corpus.split(mono, corpus.SplitSpec(seed=0))
-    news_tr, news_va, _ = corpus.split(news, corpus.SplitSpec(0.7, 0.2, 0.1, seed=0))
+    news_tr, news_va, _ = corpus.split(news, corpus.SplitSpec(0.7, 0.2, seed=0))
     mono_pack = (corpus.pack(mono_tr, vocab, 64), corpus.pack(mono_va, vocab, 64))
     news_pack = (corpus.pack(news_tr, vocab, 64), corpus.pack(news_va, vocab, 64))
     fcfg = model.ModelConfig(vocab_size=vocab.size, block_size=64, d_model=64,
@@ -388,8 +388,7 @@ def test_ac8_memorization_sanity(tmp_path):
                                        tcfg, lr=3e-3)
     assert loss < 0.1, f"train loss {loss:.4f} after 200 steps"
 
-    gen = metrics.GenerationConfig(max_new_tokens=28, strategy="greedy",
-                                   stop_on_eot=False)
+    gen = metrics.GenerationConfig(max_new_tokens=28, strategy="greedy")
     out = metrics.generate(params, mcfg, _id_vocab(35), pattern[:4], gen)
     assert list(out) == pattern  # the 4-token prompt regenerates the cycle
     bleu = metrics.bleu_corpus([list(out)[4:]], [pattern[4:]])

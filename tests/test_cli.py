@@ -1,6 +1,7 @@
 """CLI contract: dispatch, exit codes, config precedence, manifests."""
 
 import argparse
+import dataclasses
 import json
 import os
 import stat
@@ -8,7 +9,7 @@ import stat
 import numpy as np
 import pytest
 
-from occlm import bpe, cli, demo, metrics, model, sweep
+from occlm import bpe, cli, corpus, demo, metrics, model, sweep, train
 from occlm.errors import ConfigError
 
 # finetune takes only the train flags: its architecture is the checkpoint's
@@ -105,8 +106,8 @@ def test_config_sources_only_on_commands_that_read_them(capsys, command, flag):
 FLAG_SURFACE = {
     "tokenizer": "--config --data --deterministic --help --out --preset "
                  "--target-size -h",
-    "corpus": "--data --help --no-clean --out-dir --seed --test-frac "
-              "--train-frac --valid-frac --vocab -h",
+    "corpus": "--data --help --no-clean --out-dir --seed --train-frac "
+              "--valid-frac --vocab -h",
     "pretrain": "--base-lr --batch-size --block-size --config --d-model --data "
                 "--deterministic --dropout --ffn-mult --grad-clip --help "
                 "--max-epochs --metrics --n-heads --n-layers --objective "
@@ -132,19 +133,40 @@ def test_flag_surface_is_pinned():
            for name, p in sub.choices.items()}
     assert got == {name: flags.split() for name, flags in FLAG_SURFACE.items()}
     assert {name: len(flags) for name, flags in got.items()} == {
-        "tokenizer": 8, "corpus": 10, "pretrain": 25, "finetune": 20,
+        "tokenizer": 8, "corpus": 9, "pretrain": 25, "finetune": 20,
         "eval": 13, "sweep": 8, "generate": 10, "quickstart": 4}
 
 
+# every config field a run can set; a new knob needs an edit here
+CONFIG_SURFACE = {
+    model.ModelConfig: "vocab_size block_size d_model n_layers n_heads "
+                       "dropout ffn_mult tie_embeddings",
+    train.TrainConfig: "batch_size max_epochs base_lr warmup_fraction "
+                       "weight_decay patience occlusion_prob seed grad_clip",
+    corpus.SplitSpec: "train_frac valid_frac seed",
+    metrics.GenerationConfig: "max_new_tokens strategy temperature top_k seed",
+    sweep.SweepSpec: "base_model base_train lr_range n_layers_choices "
+                     "n_heads_choices dropout_choices occlusion_prob_choices "
+                     "trial_count max_epochs seed",
+}
+
+
+def test_config_surface_is_pinned():
+    assert {cls: [f.name for f in dataclasses.fields(cls)]
+            for cls in CONFIG_SURFACE} == {
+        cls: names.split() for cls, names in CONFIG_SURFACE.items()}
+
+
 # flags that no run reads: --deterministic where no run id is made, eval's
-# --max-new-tokens (the BLEU protocol sets each continuation's length) and
-# the fixed unfreeze schedule's two knobs
+# --max-new-tokens (the BLEU protocol sets each continuation's length), the
+# fixed unfreeze schedule's two knobs and --test-frac (test takes the rest)
 @pytest.mark.parametrize("argv", [
     ["corpus", "--deterministic"], ["eval", "--deterministic"],
     ["generate", "--deterministic"], ["quickstart", "--deterministic"],
     ["eval", "--max-new-tokens", "5"],
     ["finetune", "--unfreeze-top-k", "1"],
     ["finetune", "--unfreeze-interval-epochs", "1"],
+    ["corpus", "--test-frac", "0.1"],
 ], ids=" ".join)
 def test_ignored_flags_are_usage_errors(capsys, argv):
     assert cli.dispatch(argv) == 2
@@ -378,6 +400,26 @@ def test_eval_report_contents(smoke):
     assert report["perplexity"] > 1.0
     assert 0.0 <= report["bleu"] <= 1.0
     assert report["checkpoint_hash"]
+    # unset decoding flags leave GenerationConfig's and the protocol's defaults
+    assert {k: report["generation"][k] for k in (
+        "strategy", "temperature", "top_k", "seed", "prompt_frac")} == {
+        "strategy": "greedy", "temperature": 1.0, "top_k": 0, "seed": 0,
+        "prompt_frac": 0.25}
+
+
+def test_eval_bleu_reports_the_decoding_flags(smoke, tmp_path):
+    out = tmp_path / "r.json"
+    assert cli.dispatch(
+        ["eval", "--checkpoint", smoke["ckpt"], "--vocab", smoke["vocab"],
+         "--split", os.path.join(smoke["work"], "valid.txt"), "--bleu",
+         "--strategy", "topk", "--top-k", "3", "--temperature", "0.5",
+         "--gen-seed", "7", "--prompt-frac", "0.5", "--out", str(out)]
+    ) == 0
+    gen = json.loads(out.read_text())["generation"]
+    assert {k: gen[k] for k in (
+        "strategy", "temperature", "top_k", "seed", "prompt_frac")} == {
+        "strategy": "topk", "temperature": 0.5, "top_k": 3, "seed": 7,
+        "prompt_frac": 0.5}
 
 
 def test_generate_prints_text(capsys, smoke):
@@ -653,6 +695,8 @@ def test_sweep_malformed_spec_exit_1(capsys, smoke, tmp_path):
     ("generate --gen-seed -1", "{}", "seed"),
     ("generate --strategy sample --temperature nan", "{}", "temperature"),
     ("corpus --train-frac nan", "{}", "train_frac"),
+    ("corpus --train-frac 0.8 --valid-frac 0.3", "{}",
+     "train_frac + valid_frac"),
     ("pretrain --weight-decay -5", "{}", "weight_decay"),
     ("pretrain --grad-clip nan", "{}", "grad_clip"),
     ("pretrain --base-lr nan", "{}", "base_lr"),
@@ -669,6 +713,17 @@ def test_sweep_malformed_spec_exit_1(capsys, smoke, tmp_path):
     ("sweep", '{"n_heads_choices": [true], "base_model": {"block_size": 32, '
               '"d_model": 32, "n_heads": 2}, "base_train": {}}',
      "n_heads_choices"),
+    # no head count that divides d_model
+    ("sweep", '{"n_heads_choices": [3, 5], "base_model": {"block_size": 32, '
+              '"d_model": 32, "n_heads": 2}, "base_train": {}}',
+     "n_heads_choices"),
+    # decoding flags without --bleu, where eval generates nothing; each is
+    # set to its default, so the run would not change if it were accepted
+    ("eval --strategy greedy", "{}", "--strategy needs --bleu"),
+    ("eval --temperature 1.0", "{}", "--temperature needs --bleu"),
+    ("eval --top-k 0", "{}", "--top-k needs --bleu"),
+    ("eval --gen-seed 0", "{}", "--gen-seed needs --bleu"),
+    ("eval --prompt-frac 0.25", "{}", "--prompt-frac needs --bleu"),
 ])
 def test_malformed_config_or_spec_exit_1(capsys, smoke, tmp_path, command,
                                          content, expect):
@@ -687,6 +742,9 @@ def test_malformed_config_or_spec_exit_1(capsys, smoke, tmp_path, command,
                    "--out-dir", str(tmp_path / "c")],
         "generate": ["generate", "--checkpoint", smoke["ckpt"], "--vocab",
                      smoke["vocab"], "--prompt", "the"],
+        "eval": ["eval", "--checkpoint", smoke["ckpt"], "--vocab",
+                 smoke["vocab"], "--split",
+                 os.path.join(smoke["work"], "valid.txt")],
     }[command] + flags
     assert cli.dispatch(argv) == 1
     err = capsys.readouterr().err
@@ -714,7 +772,9 @@ def test_eval_malformed_vocab_exit_1(capsys, smoke, tmp_path):
     ("\nhe\t259\n", "\n", "'he'"),  # the first merge's result
     ("\nh\te\n", "\nh\te\nqx\tzq\n", "'qx'"),
     ("pad\t0\t", "pad\t999\t", "999"),
-], ids=["byte", "merge-result", "merge-parts", "special"])
+    # a [specials] token that is not the token at its id
+    ("pad\t0\t<|pad|>", "pad\t0\t<|nonsense|>", "'<|nonsense|>'"),
+], ids=["byte", "merge-result", "merge-parts", "special", "special-token"])
 def test_vocab_naming_a_missing_token_exit_1(capsys, smoke, tmp_path, old,
                                              new, expect):
     bad = tmp_path / "vocab.tsv"

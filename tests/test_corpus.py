@@ -83,10 +83,17 @@ def test_split_too_few_lines():
 
 
 def test_split_rejects_bad_fractions():
+    with pytest.raises(ConfigError, match="train_frac \\+ valid_frac"):
+        corpus.split(["a"] * 5, corpus.SplitSpec(0.8, 0.3))
     with pytest.raises(ConfigError):
-        corpus.split(["a"] * 5, corpus.SplitSpec(0.5, 0.2, 0.2))
-    with pytest.raises(ConfigError):
-        corpus.split(["a"] * 5, corpus.SplitSpec(1.2, -0.1, -0.1))
+        corpus.split(["a"] * 5, corpus.SplitSpec(1.2, -0.1))
+
+
+def test_split_test_takes_the_rest():
+    lines = [f"l{i}" for i in range(10)]
+    train, valid, test = corpus.split(lines, corpus.SplitSpec(0.5, 0.2))
+    assert (len(train), len(valid), len(test)) == (5, 2, 3)
+    assert corpus.split(lines, corpus.SplitSpec(0.6, 0.4))[2] == []
 
 
 @settings(max_examples=50, deadline=None)

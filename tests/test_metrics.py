@@ -312,7 +312,7 @@ def test_golden_greedy_decode():
             t.data *= np.float32(20)
     out = metrics.generate(
         params, cfg, _id_vocab(cfg.vocab_size), [5, 17, 9],
-        metrics.GenerationConfig(max_new_tokens=12, stop_on_eot=False),
+        metrics.GenerationConfig(max_new_tokens=12),
     )
     assert out == [5, 17, 9] + GOLDEN_CONTINUATION
     logprob = model.sequence_logprob(params, cfg, np.asarray(out))
@@ -323,7 +323,7 @@ def test_generation_slides_past_block_size():
     cfg = tiny_config()
     params = model.init(cfg, seed=5)
     vocab = _id_vocab(cfg.vocab_size)
-    gen = metrics.GenerationConfig(max_new_tokens=10, stop_on_eot=False)
+    gen = metrics.GenerationConfig(max_new_tokens=10)
     out = metrics.generate(params, cfg, vocab, [3] * (cfg.block_size - 1), gen)
     assert len(out) == cfg.block_size - 1 + 10
 
@@ -346,11 +346,6 @@ def test_generation_stops_on_eot():
         params, cfg, vocab, [3, 4], metrics.GenerationConfig(max_new_tokens=10)
     )
     assert out == [3, 4, 2]
-    out2 = metrics.generate(
-        params, cfg, vocab, [3, 4],
-        metrics.GenerationConfig(max_new_tokens=4, stop_on_eot=False),
-    )
-    assert out2 == [3, 4, 2, 2, 2, 2]
 
 
 def test_top_k_1_equals_greedy_over_50_prompts():

@@ -13,11 +13,8 @@ SCRIPTS = os.path.join(
 @pytest.mark.parametrize("script, args", [
     ("run_comparison.py",
      "--sentences 200 --vocab-size 300 --seeds 1 --epochs 1"),
-    ("run_finetune_demo.py",
-     "--mono-sentences 200 --news-sentences 60 --vocab-size 300 "
-     "--pretrain-epochs 1 --budget-epochs 1 --seeds 1"),
     ("run_sweep_demo.py", "--sentences 200 --trials 1 --max-epochs 1 --out {tmp}"),
-], ids=["run_comparison", "run_finetune_demo", "run_sweep_demo"])
+], ids=["run_comparison", "run_sweep_demo"])
 def test_script_runs_at_tiny_size(script, args, tmp_path, monkeypatch, capsys):
     path = os.path.join(SCRIPTS, script)
     monkeypatch.setattr(sys, "argv", [path] + args.format(tmp=tmp_path).split())

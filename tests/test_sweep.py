@@ -92,9 +92,9 @@ def test_sample_trial_enforces_head_divisibility():
 
 
 def test_sample_trial_impossible_heads_rejected():
-    spec = make_spec(n_heads_choices=(3, 5, 7))
-    with pytest.raises(ConfigError):
-        sweep.sample_trial(spec, 0)
+    # the spec is rejected when it is checked, before any trial draws
+    with pytest.raises(ConfigError, match="n_heads_choices"):
+        make_spec(n_heads_choices=(3, 5, 7))
 
 
 def test_sample_trial_index_bounds():
@@ -351,7 +351,8 @@ def test_parallel_sweep_matches_sequential(tmp_path):
 
 def test_empty_dataset_rejected(tmp_path):
     spec = make_spec()
-    empty = corpus.pack_ids([], 8, pad_id=0, eot_id=2, occ_id=1)
+    empty = corpus.pack_ids([], 8, pad_id=0, eot_id=2, occ_id=1,
+                            vocab_size=16, special_ids=SPECIALS)
     with pytest.raises(SweepError):
         sweep.run_sweep(spec, empty, empty, str(tmp_path / "s"))
 

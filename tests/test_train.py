@@ -502,7 +502,8 @@ def test_fit_empty_dataset_rejected():
     cfg = tiny_config()
     params = model.init(cfg, seed=0)
     ds = tiny_dataset()
-    empty = corpus.pack_ids([], 8, pad_id=0, eot_id=2, occ_id=1)
+    empty = corpus.pack_ids([], 8, pad_id=0, eot_id=2, occ_id=1,
+                            vocab_size=16, special_ids=SPECIALS)
     from occlm.errors import DataError
     with pytest.raises(DataError):
         train.fit(params, ds, empty, tiny_train_config())
