@@ -24,6 +24,10 @@ PAD_TOKEN = "<|pad|>"
 OCC_TOKEN = "<|occ|>"
 EOT_TOKEN = "<|endoftext|>"
 DEFAULT_SPECIALS = (PAD_TOKEN, OCC_TOKEN, EOT_TOKEN)
+# every vocabulary holds the specials at these ids, in DEFAULT_SPECIALS order
+PAD_ID, OCC_ID, EOT_ID = SPECIAL_IDS = (0, 1, 2)
+# the exact (name, id, token) rows of every vocab file's [specials] section
+_SPECIAL_ROWS = tuple(zip(("pad", "occ", "eot"), SPECIAL_IDS, DEFAULT_SPECIALS))
 
 _VOCAB_MAGIC = "#occlm-vocab v1"
 
@@ -53,22 +57,11 @@ BYTE_TO_UNICODE = bytes_to_unicode()
 UNICODE_TO_BYTE = {c: b for b, c in BYTE_TO_UNICODE.items()}
 
 
-@dataclass(frozen=True)
-class Specials:
-    pad_id: int
-    occ_id: int
-    eot_id: int
-
-    def as_tuple(self):
-        return (self.pad_id, self.occ_id, self.eot_id)
-
-
 @dataclass
 class Vocabulary:
     token_to_id: dict
     id_to_token: dict
     merges: list          # ordered (left, right) pairs; index is the rank
-    specials: Specials
     target_size: int
     _ranks: dict = field(default_factory=dict, repr=False)
     _word_cache: dict = field(default_factory=dict, repr=False)
@@ -81,9 +74,6 @@ class Vocabulary:
     def size(self):
         return len(self.token_to_id)
 
-    def is_special(self, token_id):
-        return token_id in self.specials.as_tuple()
-
     def check(self):
         """Validate the structural invariants; raises DataError on breach."""
         if len(self.token_to_id) != len(self.id_to_token):
@@ -91,8 +81,6 @@ class Vocabulary:
         for tok, i in self.token_to_id.items():
             if self.id_to_token.get(i) != tok:
                 raise DataError(f"vocabulary maps disagree at id {i}")
-        if len(set(self.specials.as_tuple())) != 3:
-            raise DataError("special ids are not distinct")
         if len(self.token_to_id) > self.target_size:
             raise DataError("vocabulary exceeds its target size")
         if len(set(self.merges)) != len(self.merges):
@@ -102,9 +90,10 @@ class Vocabulary:
                     *(t for a, b in self.merges for t in (a, b, a + b))]:
             if tok not in self.token_to_id:
                 raise DataError(f"a byte or merge names {tok!r}, not a token")
-        if not set(self.specials.as_tuple()) <= self.id_to_token.keys():
-            raise DataError(f"special ids {self.specials.as_tuple()} are not "
-                            "all token ids")
+        for i in SPECIAL_IDS:
+            if self.id_to_token.get(i) != DEFAULT_SPECIALS[i]:
+                raise DataError(f"token {i} is {self.id_to_token.get(i)!r}, "
+                                f"not the special {DEFAULT_SPECIALS[i]!r}")
         return self
 
 
@@ -197,7 +186,6 @@ def train_bpe(corpus, target_size):
         token_to_id=token_to_id,
         id_to_token=id_to_token,
         merges=merges,
-        specials=Specials(pad_id=0, occ_id=1, eot_id=2),
         target_size=target_size,
     ).check()
 
@@ -253,7 +241,7 @@ def decode(v, ids):
         tok = v.id_to_token.get(int(i))
         if tok is None:
             raise TokenIndexError(f"id {int(i)} is not in the vocabulary")
-        if v.is_special(int(i)):
+        if int(i) in SPECIAL_IDS:
             flush()
             parts.append(tok)
         else:
@@ -268,9 +256,7 @@ def save_vocab(v, path, run_id=None):
     if run_id is not None:
         lines.append(f"#run_id {run_id}")
     lines.append("[specials]")
-    names = ("pad", "occ", "eot")
-    for name, sid in zip(names, v.specials.as_tuple()):
-        lines.append(f"{name}\t{sid}\t{v.id_to_token[sid]}")
+    lines += [f"{name}\t{i}\t{tok}" for name, i, tok in _SPECIAL_ROWS]
     lines.append("[target_size]")
     lines.append(str(v.target_size))
     lines.append("[tokens]")
@@ -294,7 +280,7 @@ def load_vocab(path):
         raise DataError(f"not a vocab file: {path}")
 
     section = None
-    specials = {}
+    specials = []
     token_to_id = {}
     merges = []
     target_size = None
@@ -312,7 +298,7 @@ def load_vocab(path):
         try:
             if section == "[specials]":
                 name, sid, tok = line.split("\t")
-                specials[name] = (int(sid), tok)
+                specials.append((name, int(sid), tok))
             elif section == "[target_size]":
                 target_size = int(line)
             elif section == "[tokens]":
@@ -327,23 +313,16 @@ def load_vocab(path):
             raise DataError(
                 f"{path} line {line_no}: malformed {section} entry {line!r}"
             ) from exc
-    if target_size is None or set(specials) != {"pad", "occ", "eot"}:
+    if target_size is None:
         raise DataError(f"vocab file {path} is missing sections")
+    if tuple(specials) != _SPECIAL_ROWS:
+        raise DataError(f"{path}: [specials] must list exactly "
+                        f"{_SPECIAL_ROWS}, got {tuple(specials)}")
 
     id_to_token = {i: t for t, i in token_to_id.items()}
-    v = Vocabulary(
+    return Vocabulary(
         token_to_id=token_to_id,
         id_to_token=id_to_token,
         merges=merges,
-        specials=Specials(
-            pad_id=specials["pad"][0],
-            occ_id=specials["occ"][0],
-            eot_id=specials["eot"][0],
-        ),
         target_size=target_size,
     ).check()
-    for name, (sid, tok) in specials.items():
-        if v.id_to_token[sid] != tok:
-            raise DataError(f"{path}: [specials] names {tok!r} for {name}, "
-                            f"but token {sid} is {v.id_to_token[sid]!r}")
-    return v

@@ -339,7 +339,7 @@ def cmd_eval(args):
     split_name = args.split_name or os.path.splitext(
         os.path.basename(args.split)
     )[0]
-    # an unset --prompt-frac leaves the BLEU protocol's default
+    # an unset --prompt-frac leaves metrics.PROMPT_FRAC
     protocol = ({} if args.prompt_frac is None
                 else {"prompt_frac": args.prompt_frac})
     report = metrics.evaluate(
@@ -532,10 +532,14 @@ def build_parser():
     p.add_argument("--data", help="raw text file")
     p.add_argument("--out-dir", dest="out_dir", help="split output directory")
     p.add_argument("--vocab", help="optional vocabulary for token stats")
-    p.add_argument("--train-frac", type=float, dest="train_frac", default=0.8)
-    p.add_argument("--valid-frac", type=float, dest="valid_frac", default=0.1)
+    split_defaults = corpus.SplitSpec()
+    p.add_argument("--train-frac", type=float, dest="train_frac",
+                   default=split_defaults.train_frac)
+    p.add_argument("--valid-frac", type=float, dest="valid_frac",
+                   default=split_defaults.valid_frac)
     p.add_argument("--no-clean", action="store_true", dest="no_clean")
-    p.add_argument("--seed", type=int, default=0, help="split shuffle seed")
+    p.add_argument("--seed", type=int, default=split_defaults.seed,
+                   help="split shuffle seed")
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("pretrain", help="pretrain from scratch")

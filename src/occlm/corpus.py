@@ -167,13 +167,11 @@ def render_stats_table(cs):
 
 @dataclass
 class Batch:
-    """One training minibatch with the special-id context occlusion needs."""
+    """One training minibatch: inputs, shifted targets and the padding mask."""
 
     inputs: np.ndarray
     targets: np.ndarray
     ignore: np.ndarray
-    occ_id: int
-    special_ids: tuple
 
 
 @dataclass
@@ -182,45 +180,30 @@ class TokenDataset:
 
     windows[:, :-1] are inputs, windows[:, 1:] the shifted targets; the final
     partial window is padded with pad_id, and padded target positions are
-    excluded from the loss via the ignore mask batch() returns.
+    excluded from the loss via the ignore mask minibatch() returns.
     """
 
     windows: np.ndarray
-    block_size: int
-    pad_id: int
-    eot_id: int
-    occ_id: int
     n_stream_tokens: int
-    vocab_size: int
-    special_ids: tuple
+    pad_id = bpe.PAD_ID  # class constant, not a field; the benchmark reads it
 
     def __len__(self):
         return self.windows.shape[0]
 
-    def batch(self, indices):
-        w = self.windows[np.asarray(indices)]
-        return w[:, :-1], w[:, 1:], w[:, 1:] == self.pad_id
-
     def minibatch(self, indices):
-        x, y, ignore = self.batch(indices)
-        return Batch(
-            inputs=x,
-            targets=y,
-            ignore=ignore,
-            occ_id=self.occ_id,
-            special_ids=self.special_ids,
-        )
+        w = self.windows[np.asarray(indices)]
+        return Batch(inputs=w[:, :-1], targets=w[:, 1:],
+                     ignore=w[:, 1:] == bpe.PAD_ID)
 
 
-def pack_ids(stream, block_size, pad_id, eot_id, occ_id, vocab_size,
-             special_ids):
+def pack_ids(stream, block_size):
     """Chunk a pre-encoded id stream into (block_size + 1)-wide windows."""
     if block_size < 2:
         raise ConfigError(f"block_size must be at least 2, got {block_size}")
     width = block_size + 1
     n = len(stream)
     n_windows = (n + width - 1) // width
-    ids = np.full((n_windows, width), pad_id, dtype=np.int64)
+    ids = np.full((n_windows, width), bpe.PAD_ID, dtype=np.int64)
     if n:
         flat = np.asarray(stream, dtype=np.int64)
         full = n // width
@@ -228,30 +211,13 @@ def pack_ids(stream, block_size, pad_id, eot_id, occ_id, vocab_size,
         rest = n - full * width
         if rest:
             ids[full, :rest] = flat[full * width :]
-    return TokenDataset(
-        windows=ids,
-        block_size=block_size,
-        pad_id=pad_id,
-        eot_id=eot_id,
-        occ_id=occ_id,
-        n_stream_tokens=n,
-        vocab_size=vocab_size,
-        special_ids=tuple(special_ids),
-    )
+    return TokenDataset(windows=ids, n_stream_tokens=n)
 
 
 def pack(lines, vocab, block_size):
-    """Encode lines, join with eot_id, and chunk into training windows."""
+    """Encode lines, join with end-of-text, and chunk into training windows."""
     stream = []
     for line in lines:
         stream.extend(bpe.encode(vocab, line).ids)
-        stream.append(vocab.specials.eot_id)
-    return pack_ids(
-        stream,
-        block_size,
-        pad_id=vocab.specials.pad_id,
-        eot_id=vocab.specials.eot_id,
-        occ_id=vocab.specials.occ_id,
-        vocab_size=vocab.size,
-        special_ids=vocab.specials.as_tuple(),
-    )
+        stream.append(bpe.EOT_ID)
+    return pack_ids(stream, block_size)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import artifacts, metrics, model, shards
+from . import artifacts, bpe, metrics, model, shards
 from . import tensor as T
 from .errors import (
     ConfigError,
@@ -109,25 +109,21 @@ def init_state(params, cfg, freeze_mask=None):
     )
 
 
-def occlude_batch(inputs, p, occ_id, rng, special_ids):
-    """Replace eligible (non-special) positions with occ_id at probability p.
+def occlude_batch(inputs, p, rng):
+    """Replace non-special positions with bpe.OCC_ID at probability p.
 
     Returns (occluded copy, flags). Targets are never touched here; callers
     keep using the original pack() targets.
     """
     if not (0.0 <= p <= 1.0):
         raise ConfigError(f"occlusion probability {p} outside [0, 1]")
-    if occ_id not in special_ids:
-        raise ConfigError(
-            f"occ_id {occ_id} is a content token for this dataset"
-        )
     inputs = np.asarray(inputs)
     out = inputs.copy()
     if p == 0.0:
         return out, np.zeros(inputs.shape, dtype=bool)
-    eligible = ~np.isin(inputs, special_ids)
+    eligible = ~np.isin(inputs, bpe.SPECIAL_IDS)
     flags = eligible & (rng.random(inputs.shape) < p)
-    out[flags] = occ_id
+    out[flags] = bpe.OCC_ID
     return out, flags
 
 
@@ -238,9 +234,7 @@ def train_step(params, state, batch, cfg, lr=None, batch_index=None):
     lr = cfg.base_lr if lr is None else lr
     x = batch.inputs
     if cfg.occlusion_prob > 0:
-        x, _ = occlude_batch(
-            x, cfg.occlusion_prob, batch.occ_id, state.rng, batch.special_ids
-        )
+        x, _ = occlude_batch(x, cfg.occlusion_prob, state.rng)
 
     try:
         loss_val, grads = loss_and_grads(

@@ -22,8 +22,7 @@ from occlm import bpe, cli, corpus, demo, metrics, model
 from occlm import tensor as T
 from occlm import train
 
-PAD, OCC, EOT = 0, 1, 2
-SPECIALS = (PAD, OCC, EOT)
+PAD, OCC, EOT = bpe.SPECIAL_IDS
 
 
 def _randt(rng, *shape):
@@ -166,9 +165,7 @@ def test_ac3_objective_semantics():
     n = grid.size
     for i, p in enumerate((0.1, 0.3, 0.5)):
         rng = np.random.default_rng(1234 + i)
-        occluded, flags = train.occlude_batch(
-            grid, p, occ_id=OCC, rng=rng, special_ids=SPECIALS
-        )
+        occluded, flags = train.occlude_batch(grid, p, rng=rng)
         count = int(flags.sum())
         sigma = math.sqrt(n * p * (1.0 - p))
         assert abs(count - n * p) <= 3.0 * sigma, f"p={p}: {count}/{n}"
@@ -177,8 +174,7 @@ def test_ac3_objective_semantics():
 
     # targets and loss masks bit-identical with and without occlusion
     stream = [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, EOT] * 12
-    ds = corpus.pack_ids(stream, 8, pad_id=PAD, eot_id=EOT, occ_id=OCC,
-                         vocab_size=16, special_ids=SPECIALS)
+    ds = corpus.pack_ids(stream, 8)
     batch = ds.minibatch(range(6))
     targets_before = batch.targets.tobytes()
     ignore_before = batch.ignore.tobytes()
@@ -257,8 +253,7 @@ def test_ac5_finetuning_behavior():
     # (a) top-2/interval-2 schedule keeps frozen blocks bit-identical until
     # their scheduled epoch; L=4 so the stages actually spread out
     stream = list(range(3, 13)) * 40
-    ds = corpus.pack_ids(stream, 16, pad_id=PAD, eot_id=EOT, occ_id=OCC,
-                         vocab_size=16, special_ids=SPECIALS)
+    ds = corpus.pack_ids(stream, 16)
     mcfg = model.ModelConfig(vocab_size=16, block_size=16, d_model=16,
                              n_layers=4, n_heads=2, dropout=0.0, ffn_mult=2)
     params = model.init(mcfg, seed=0)
@@ -373,8 +368,7 @@ def test_ac8_memorization_sanity(tmp_path):
     t0 = time.perf_counter()
     pattern = list(range(3, 35))  # 32 distinct tokens, successor is a function
     stream = pattern * 24
-    ds = corpus.pack_ids(stream, 16, pad_id=PAD, eot_id=EOT, occ_id=OCC,
-                         vocab_size=35, special_ids=SPECIALS)
+    ds = corpus.pack_ids(stream, 16)
     mcfg = model.ModelConfig(vocab_size=35, block_size=16, d_model=16,
                              n_layers=1, n_heads=2, dropout=0.0, ffn_mult=2)
     params = model.init(mcfg, seed=0)

@@ -41,7 +41,7 @@ def test_tracer_records_op_and_forward_spans_of_a_train_step(monkeypatch):
     state = train.init_state(params, tcfg)
     ids = np.arange(3, 19).reshape(2, 8) % 16
     batch = corpus.Batch(ids, np.roll(ids, -1, axis=1),
-                         np.zeros(ids.shape, dtype=bool), 1, (0, 1, 2))
+                         np.zeros(ids.shape, dtype=bool))
     tracer = tracing.Tracer("t")
     tracer.install()
     try:

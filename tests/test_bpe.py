@@ -140,7 +140,7 @@ def test_decode_unknown_id_raises(vocab):
 
 
 def test_decode_renders_specials(vocab):
-    ids = [vocab.specials.eot_id]
+    ids = [bpe.EOT_ID]
     assert bpe.decode(vocab, ids) == bpe.EOT_TOKEN
 
 
@@ -178,7 +178,6 @@ def test_vocab_file_round_trip_and_determinism(tmp_path, vocab):
     loaded = bpe.load_vocab(p1)
     assert loaded.token_to_id == vocab.token_to_id
     assert loaded.merges == vocab.merges
-    assert loaded.specials == vocab.specials
     assert loaded.target_size == vocab.target_size
     line = "ke a tseba gore"
     assert bpe.encode(loaded, line).ids == bpe.encode(vocab, line).ids
@@ -224,5 +223,5 @@ def test_load_malformed_line_names_path_and_line(tmp_path, vocab, section, bad):
 def test_specials_never_produced_by_merges(vocab):
     for a, b in vocab.merges:
         assert (a + b) not in bpe.DEFAULT_SPECIALS
-    assert vocab.specials.as_tuple() == (0, 1, 2)
+    assert bpe.SPECIAL_IDS == (bpe.PAD_ID, bpe.OCC_ID, bpe.EOT_ID) == (0, 1, 2)
     assert [vocab.id_to_token[i] for i in range(3)] == list(bpe.DEFAULT_SPECIALS)

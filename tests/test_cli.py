@@ -137,7 +137,8 @@ def test_flag_surface_is_pinned():
         "eval": 13, "sweep": 8, "generate": 10, "quickstart": 4}
 
 
-# every config field a run can set; a new knob needs an edit here
+# every config field a run can set, and the data shapes modules pass each
+# other; a new knob or a per-object copy of a constant needs an edit here
 CONFIG_SURFACE = {
     model.ModelConfig: "vocab_size block_size d_model n_layers n_heads "
                        "dropout ffn_mult tie_embeddings",
@@ -148,6 +149,11 @@ CONFIG_SURFACE = {
     sweep.SweepSpec: "base_model base_train lr_range n_layers_choices "
                      "n_heads_choices dropout_choices occlusion_prob_choices "
                      "trial_count max_epochs seed",
+    bpe.Vocabulary: "token_to_id id_to_token merges target_size _ranks "
+                    "_word_cache",
+    corpus.TokenDataset: "windows n_stream_tokens",
+    corpus.Batch: "inputs targets ignore",
+    metrics.ProtocolResult: "bleu n_scored n_skipped",
 }
 
 
@@ -774,7 +780,11 @@ def test_eval_malformed_vocab_exit_1(capsys, smoke, tmp_path):
     ("pad\t0\t", "pad\t999\t", "999"),
     # a [specials] token that is not the token at its id
     ("pad\t0\t<|pad|>", "pad\t0\t<|nonsense|>", "'<|nonsense|>'"),
-], ids=["byte", "merge-result", "merge-parts", "special", "special-token"])
+    # pad and occ swapped: each line names the token at its id
+    ("pad\t0\t<|pad|>\nocc\t1\t<|occ|>", "pad\t1\t<|occ|>\nocc\t0\t<|pad|>",
+     "[specials]"),
+], ids=["byte", "merge-result", "merge-parts", "special", "special-token",
+        "special-swapped"])
 def test_vocab_naming_a_missing_token_exit_1(capsys, smoke, tmp_path, old,
                                              new, expect):
     bad = tmp_path / "vocab.tsv"

@@ -167,8 +167,8 @@ def test_pack_exact_window_no_padding(vocab):
     block = n_ids  # ids + eot == block+1
     ds = corpus.pack([line], vocab, block)
     assert len(ds) == 1
-    assert not (ds.windows == vocab.specials.pad_id).any()
-    assert ds.windows[0, -1] == vocab.specials.eot_id
+    assert not (ds.windows == bpe.PAD_ID).any()
+    assert ds.windows[0, -1] == bpe.EOT_ID
 
 
 def test_pack_empty_corpus(vocab):
@@ -191,7 +191,7 @@ def test_pack_unpack_inverse(vocab):
     stream = []
     for ln in lines:
         stream.extend(bpe.encode(vocab, ln).ids)
-        stream.append(vocab.specials.eot_id)
+        stream.append(bpe.EOT_ID)
     ds = corpus.pack(lines, vocab, 7)
     assert _unpack(ds) == stream
     assert ds.n_stream_tokens == len(stream)
@@ -212,13 +212,14 @@ def test_pack_conserves_tokens(vocab, seed, block):
     stream = []
     for ln in lines:
         stream.extend(bpe.encode(vocab, ln).ids)
-        stream.append(vocab.specials.eot_id)
+        stream.append(bpe.EOT_ID)
     assert _unpack(ds) == stream
 
 
 def test_pack_batch_shapes_and_mask(vocab):
     ds = corpus.pack(["ke a tseba gore o tla re hwetsa"], vocab, 4)
-    x, y, ignore = ds.batch(range(len(ds)))
+    b = ds.minibatch(range(len(ds)))
+    x, y, ignore = b.inputs, b.targets, b.ignore
     assert x.shape == y.shape == ignore.shape == (len(ds), 4)
     np.testing.assert_array_equal(x[:, 1:], y[:, :-1])
     assert ignore.dtype == bool

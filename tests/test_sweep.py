@@ -11,8 +11,6 @@ import pytest
 from occlm import artifacts, corpus, model, sweep, train
 from occlm.errors import ConfigError, SweepError
 
-SPECIALS = (0, 1, 2)
-
 
 def base_model(**over):
     base = dict(
@@ -31,10 +29,7 @@ def base_train(**over):
 
 def tiny_dataset():
     stream = [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 2] * 12
-    return corpus.pack_ids(
-        stream, 8, pad_id=0, eot_id=2, occ_id=1, vocab_size=16,
-        special_ids=SPECIALS,
-    )
+    return corpus.pack_ids(stream, 8)
 
 
 def make_spec(**over):
@@ -351,8 +346,7 @@ def test_parallel_sweep_matches_sequential(tmp_path):
 
 def test_empty_dataset_rejected(tmp_path):
     spec = make_spec()
-    empty = corpus.pack_ids([], 8, pad_id=0, eot_id=2, occ_id=1,
-                            vocab_size=16, special_ids=SPECIALS)
+    empty = corpus.pack_ids([], 8)
     with pytest.raises(SweepError):
         sweep.run_sweep(spec, empty, empty, str(tmp_path / "s"))
 

@@ -24,8 +24,8 @@ from occlm import bpe, corpus, demo, metrics, model, shards, train
 from occlm import tensor as T
 from occlm.errors import ConfigError, ContractError, DivergenceError, NumericsError
 
-SPECIALS = (0, 1, 2)  # pad, occ, eot
-OCC = 1
+SPECIALS = bpe.SPECIAL_IDS
+OCC = bpe.OCC_ID
 
 
 def tiny_config(**over):
@@ -40,10 +40,7 @@ def tiny_config(**over):
 def tiny_dataset(stream=None, block_size=8):
     if stream is None:
         stream = ([3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 2] * 12)
-    return corpus.pack_ids(
-        stream, block_size, pad_id=0, eot_id=2, occ_id=OCC,
-        vocab_size=16, special_ids=SPECIALS,
-    )
+    return corpus.pack_ids(stream, block_size)
 
 
 def tiny_train_config(**over):
@@ -60,7 +57,7 @@ def tiny_train_config(**over):
 def test_occlude_p0_is_identity():
     rng = np.random.default_rng(0)
     inputs = np.array([[3, 4, 0, 2], [5, 1, 6, 7]])
-    out, flags = train.occlude_batch(inputs, 0.0, OCC, rng, SPECIALS)
+    out, flags = train.occlude_batch(inputs, 0.0, rng)
     assert np.array_equal(out, inputs)
     assert not flags.any()
 
@@ -68,7 +65,7 @@ def test_occlude_p0_is_identity():
 def test_occlude_p1_hits_every_eligible_position():
     rng = np.random.default_rng(0)
     inputs = np.array([[3, 4, 0, 2], [5, 1, 6, 7]])
-    out, flags = train.occlude_batch(inputs, 1.0, OCC, rng, SPECIALS)
+    out, flags = train.occlude_batch(inputs, 1.0, rng)
     eligible = ~np.isin(inputs, SPECIALS)
     assert np.array_equal(flags, eligible)
     assert (out[eligible] == OCC).all()
@@ -81,7 +78,7 @@ def test_occlude_binomial_within_3_sigma(p):
     rng = np.random.default_rng(1234)
     inputs = np.full((100, 100), 5, dtype=np.int64)  # 10,000 eligible
     n = inputs.size
-    out, flags = train.occlude_batch(inputs, p, OCC, rng, SPECIALS)
+    out, flags = train.occlude_batch(inputs, p, rng)
     count = int(flags.sum())
     sigma = math.sqrt(p * (1 - p) * n)
     assert abs(count - p * n) <= 3 * sigma
@@ -93,20 +90,14 @@ def test_occlude_input_copy_original_untouched():
     rng = np.random.default_rng(7)
     inputs = np.array([[3, 4, 5, 6]] * 4)
     keep = inputs.copy()
-    train.occlude_batch(inputs, 1.0, OCC, rng, SPECIALS)
+    train.occlude_batch(inputs, 1.0, rng)
     assert np.array_equal(inputs, keep)
-
-
-def test_occlude_occ_id_must_be_special():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ConfigError):
-        train.occlude_batch(np.array([[3, 4]]), 0.5, 9, rng, SPECIALS)
 
 
 def test_occlude_bad_probability_rejected():
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigError):
-        train.occlude_batch(np.array([[3]]), 1.5, OCC, rng, SPECIALS)
+        train.occlude_batch(np.array([[3]]), 1.5, rng)
 
 
 @given(
@@ -117,7 +108,7 @@ def test_occlude_bad_probability_rejected():
 def test_occlude_flags_partition_the_grid(seed, p):
     rng = np.random.default_rng(seed)
     inputs = np.random.default_rng(seed + 1).integers(0, 16, size=(5, 9))
-    out, flags = train.occlude_batch(inputs, p, OCC, rng, SPECIALS)
+    out, flags = train.occlude_batch(inputs, p, rng)
     assert (out[flags] == OCC).all()
     assert np.array_equal(out[~flags], inputs[~flags])
     assert not flags[np.isin(inputs, SPECIALS)].any()
@@ -467,10 +458,7 @@ def test_memorization_200_steps():
     pattern = list(range(3, 35))
     assert len(pattern) == 32
     stream = pattern * 24
-    ds = corpus.pack_ids(
-        stream, 16, pad_id=0, eot_id=2, occ_id=OCC,
-        vocab_size=35, special_ids=SPECIALS,
-    )
+    ds = corpus.pack_ids(stream, 16)
     cfg = tiny_config(vocab_size=35, block_size=16, d_model=16)
     params = model.init(cfg, seed=0)
     tcfg = tiny_train_config(batch_size=8, base_lr=3e-3)
@@ -502,8 +490,7 @@ def test_fit_empty_dataset_rejected():
     cfg = tiny_config()
     params = model.init(cfg, seed=0)
     ds = tiny_dataset()
-    empty = corpus.pack_ids([], 8, pad_id=0, eot_id=2, occ_id=1,
-                            vocab_size=16, special_ids=SPECIALS)
+    empty = corpus.pack_ids([], 8)
     from occlm.errors import DataError
     with pytest.raises(DataError):
         train.fit(params, ds, empty, tiny_train_config())
@@ -654,12 +641,14 @@ GOLDEN_LOSSES = {
           4.3371429, 4.3304820],
 }
 GOLDEN_ATOL = 1e-5
+AC4_VOCAB = 512
 
 
 @pytest.fixture(scope="module")
 def ac4_train_ds():
     lines = demo.make_sentences(4800, seed=0, style="mono")
-    vocab = bpe.train_bpe(lines, target_size=512)
+    vocab = bpe.train_bpe(lines, target_size=AC4_VOCAB)
+    assert vocab.size == AC4_VOCAB
     tr, _, _ = corpus.split(lines, corpus.SplitSpec(seed=0))
     return corpus.pack(tr, vocab, 64)
 
@@ -667,7 +656,7 @@ def ac4_train_ds():
 @pytest.mark.parametrize("occlusion_prob", sorted(GOLDEN_LOSSES))
 def test_golden_loss_trajectory(ac4_train_ds, occlusion_prob):
     ds = ac4_train_ds
-    mcfg = model.ModelConfig(vocab_size=ds.vocab_size, block_size=64,
+    mcfg = model.ModelConfig(vocab_size=AC4_VOCAB, block_size=64,
                              d_model=64, n_layers=2, n_heads=2, dropout=0.1,
                              ffn_mult=4)
     tcfg = train.TrainConfig(batch_size=32, base_lr=3e-3, warmup_fraction=0.1,
@@ -691,7 +680,7 @@ def test_golden_loss_trajectory(ac4_train_ds, occlusion_prob):
 
 
 def _ac4_setup(ds, **train_over):
-    mcfg = model.ModelConfig(vocab_size=ds.vocab_size, block_size=64,
+    mcfg = model.ModelConfig(vocab_size=AC4_VOCAB, block_size=64,
                              d_model=64, n_layers=2, n_heads=2, dropout=0.1,
                              ffn_mult=4)
     tcfg = train.TrainConfig(batch_size=32, base_lr=3e-3, seed=0, **train_over)
@@ -776,8 +765,7 @@ def test_padded_second_half_runs_one_shard(ac4_train_ds, monkeypatch):
     full = ac4_train_ds.minibatch(np.arange(32))
     ignore = full.ignore.copy()
     ignore[16:] = True
-    batch = corpus.Batch(full.inputs, full.targets, ignore, full.occ_id,
-                         full.special_ids)
+    batch = corpus.Batch(full.inputs, full.targets, ignore)
     rows_seen = []
     forward = model.forward
 
@@ -803,7 +791,7 @@ def test_two_shard_overflow_raises_divergence_without_warning(
     worker = ThreadPoolExecutor(max_workers=1)
     monkeypatch.setattr(shards, "_shard_worker", lambda: worker)
     ds = ac4_train_ds
-    mcfg = model.ModelConfig(vocab_size=ds.vocab_size, block_size=64,
+    mcfg = model.ModelConfig(vocab_size=AC4_VOCAB, block_size=64,
                              d_model=64, n_layers=2, n_heads=2, dropout=0.1,
                              ffn_mult=4, tie_embeddings=False)
     tcfg = train.TrainConfig(batch_size=32, base_lr=3e-3, seed=0)
@@ -812,14 +800,13 @@ def test_two_shard_overflow_raises_divergence_without_warning(
     batch = ds.minibatch(np.arange(32))
     bad_rows, good_rows = ((slice(0, 16), slice(16, 32)) if bad_half == "caller"
                            else (slice(16, 32), slice(0, 16)))
-    bad = next(i for i in range(3, ds.vocab_size)
+    bad = next(i for i in range(3, AC4_VOCAB)
                if i not in batch.inputs[good_rows])
     inputs = batch.inputs.copy()
     inputs[bad_rows, 0] = bad
     # untied, so only the rows holding `bad` see the overflowing embedding
     params["tok_emb"].data[bad] = 3e38
-    batch = corpus.Batch(inputs, batch.targets, batch.ignore, batch.occ_id,
-                         batch.special_ids)
+    batch = corpus.Batch(inputs, batch.targets, batch.ignore)
     assert shards.shard_count(inputs, 64) == 2
     try:
         with pytest.raises(DivergenceError):
@@ -919,13 +906,13 @@ def test_sharded_perplexity_overflow_waits_for_both_shards(
     valid = _ac4_valid(ac4_train_ds)
     bad_rows, good_rows = ((slice(0, 16), slice(16, 32)) if bad_half == "caller"
                            else (slice(16, 32), slice(0, 16)))
-    bad = next(i for i in range(3, valid.vocab_size)
+    bad = next(i for i in range(3, AC4_VOCAB)
                if i not in valid.windows[good_rows, :-1]
                and i not in valid.windows[32:, :-1])
     windows = valid.windows.copy()
     windows[bad_rows, 0] = bad
     valid = dataclasses.replace(valid, windows=windows)
-    mcfg = model.ModelConfig(vocab_size=valid.vocab_size, block_size=64,
+    mcfg = model.ModelConfig(vocab_size=AC4_VOCAB, block_size=64,
                              d_model=64, n_layers=2, n_heads=2, dropout=0.1,
                              ffn_mult=4, tie_embeddings=False)
     params = model.init(mcfg, seed=0)
