@@ -10,8 +10,9 @@ detokenization exact.
 
 from __future__ import annotations
 
+import heapq
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from . import artifacts
@@ -111,14 +112,6 @@ def _word_symbols(word):
     return tuple(BYTE_TO_UNICODE[b] for b in word.encode("utf-8"))
 
 
-def _count_pairs(word_freqs):
-    counts = Counter()
-    for symbols, freq in word_freqs.items():
-        for pair in zip(symbols, symbols[1:]):
-            counts[pair] += freq
-    return counts
-
-
 def _merge_word(symbols, pair, merged):
     out = []
     i = 0
@@ -138,7 +131,16 @@ def train_bpe(corpus, target_size):
 
     DEFAULT_SPECIALS take ids 0, 1 and 2 and the 256 byte symbols follow.
     Merging is greedy by pair frequency (ties: lexicographically smaller
-    pair) and stops at target_size or when no pair occurs twice.
+    pair), skips a pair whose merged string is already a token, and stops at
+    target_size or when no pair occurs twice.
+
+    The pairs are counted incrementally (Sennrich et al. 2016): each distinct
+    word is split into byte symbols once, and the pair counts and a map from
+    each pair to the words that may hold it persist across merges. A merge
+    re-merges and recounts only those words, and a lazy heap of
+    (-count, pair) entries yields the next pair, skipping entries whose count
+    is stale. The merges are exactly those of recounting every pair of every
+    word before each merge.
     """
     base = len(DEFAULT_SPECIALS) + 256
     if target_size <= base:
@@ -146,11 +148,10 @@ def train_bpe(corpus, target_size):
             f"target_size {target_size} must exceed specials+bytes ({base})"
         )
 
-    word_freqs = Counter()
+    word_counts = Counter()
     for line in corpus:
-        for word in PRETOKEN_RE.findall(normalize(line)):
-            word_freqs[_word_symbols(word)] += 1
-    if not word_freqs:
+        word_counts.update(PRETOKEN_RE.findall(normalize(line)))
+    if not word_counts:
         raise DataError("tokenizer training corpus is empty")
 
     token_to_id = {}
@@ -159,27 +160,45 @@ def train_bpe(corpus, target_size):
     for b in range(256):
         token_to_id[BYTE_TO_UNICODE[b]] = len(token_to_id)
 
+    words = [_word_symbols(w) for w in word_counts]
+    freqs = list(word_counts.values())
+    counts = Counter()
+    holders = defaultdict(set)  # pair -> indices of the words that may hold it
+    for i, (symbols, freq) in enumerate(zip(words, freqs)):
+        for pair in zip(symbols, symbols[1:]):
+            counts[pair] += freq
+            holders[pair].add(i)
+    # only pairs that occur at least twice are ever pushed
+    heap = [(-c, pair) for pair, c in counts.items() if c >= 2]
+    heapq.heapify(heap)
+
     merges = []
-    while len(token_to_id) < target_size:
-        counts = _count_pairs(word_freqs)
-        eligible = [
-            pair
-            for pair, freq in counts.items()
-            if freq >= 2 and (pair[0] + pair[1]) not in token_to_id
-        ]
-        if not eligible:
-            break
+    while heap and len(token_to_id) < target_size:
         # highest frequency wins; ties go to the lexicographically smaller pair
-        pair = min(eligible, key=lambda p: (-counts[p], p))
+        neg_count, pair = heapq.heappop(heap)
         merged = pair[0] + pair[1]
+        if -neg_count != counts[pair] or merged in token_to_id:
+            continue
         merges.append(pair)
         token_to_id[merged] = len(token_to_id)
-        word_freqs = Counter(
-            {
-                (_merge_word(w, pair, merged) if pair[0] in w else w): f
-                for w, f in word_freqs.items()
-            }
-        )
+        delta = Counter()
+        for i in holders.pop(pair):
+            symbols = words[i]
+            new = _merge_word(symbols, pair, merged)
+            if new == symbols:
+                continue
+            freq = freqs[i]
+            for p in zip(symbols, symbols[1:]):
+                delta[p] -= freq
+            for p in zip(new, new[1:]):
+                delta[p] += freq
+                holders[p].add(i)
+            words[i] = new
+        for p, d in delta.items():
+            if d:
+                counts[p] += d
+                if counts[p] >= 2:
+                    heapq.heappush(heap, (-counts[p], p))
 
     id_to_token = {i: t for t, i in token_to_id.items()}
     return Vocabulary(

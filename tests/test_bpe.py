@@ -1,5 +1,7 @@
 """Tokenizer tests: reference-trainer oracle, round trips, file format."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,55 @@ def test_merge_list_matches_reference_trainer():
     v = bpe.train_bpe(lines, target_size=256 + 3 + 60)
     ref = reference_trainer(lines, 60)
     assert v.merges == ref
+
+
+# multi-byte letters, a run whose pairs overlap, and the pieces "ab" and "bc",
+# which overlap in "abc", the string both (a, bc) and (ab, c) spell
+ORACLE_PIECES = ["a", "b", "c", "š", "ê", "ô", "aaaa", "ab", "bc"]
+oracle_word = st.lists(st.sampled_from(ORACLE_PIECES), min_size=1,
+                       max_size=6).map("".join)
+oracle_lines = st.lists(st.lists(oracle_word, min_size=1, max_size=6).map(" ".join),
+                        min_size=1, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_lines, st.integers(1, 120))
+def test_merges_match_reference_trainer_property(lines, n_merges):
+    # n_merges runs past the point where no pair occurs twice
+    v = bpe.train_bpe(lines, target_size=256 + 3 + n_merges)
+    assert v.merges == reference_trainer(lines, n_merges)
+
+
+def test_no_merge_remakes_a_special_written_as_text():
+    # each line opens with the word "<|pad|>": the pair that would spell it
+    # occurs 4 times but is skipped, since the string is already a token
+    lines = [" ".join(bpe.DEFAULT_SPECIALS)] * 4
+    v = bpe.train_bpe(lines, target_size=400)
+    assert not {a + b for a, b in v.merges} & set(bpe.DEFAULT_SPECIALS)
+    ids = bpe.encode(v, bpe.PAD_TOKEN).ids
+    assert [v.id_to_token[i] for i in ids] == ["<|pad", "|>"]
+
+
+def test_thousands_of_distinct_words_train_fast():
+    """Recounting every word before each merge took 14 s on this corpus on a
+    2-vCPU x86_64 VM; counting incrementally takes 0.7 s there."""
+    rng = np.random.default_rng(0)
+    syllables = np.array(["ba", "ka", "la", "ma", "na", "pa", "se", "te", "šo",
+                          "tê", "mô", "ng", "hl", "tš", "di", "ro", "lo", "go"])
+    words = set()
+    while len(words) < 5000:
+        k = int(rng.integers(2, 7))
+        words.add("".join(syllables[rng.integers(0, len(syllables), size=k)]))
+    words = np.array(sorted(words))
+    lines = [" ".join(words[i:i + 50]) for i in range(0, len(words), 50)]
+    lines += [" ".join(words[rng.integers(0, len(words), size=10)])
+              for _ in range(1500)]
+    start = time.perf_counter()
+    v = bpe.train_bpe(lines, target_size=1000)
+    elapsed = time.perf_counter() - start
+    assert len(v.merges) == 1000 - 256 - 3
+    assert v.check().size == 1000
+    assert elapsed < 5.0, f"train_bpe took {elapsed:.2f} s"
 
 
 def test_any_utf8_encodes_without_unknowns():

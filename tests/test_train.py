@@ -761,6 +761,16 @@ def test_shard_worker_and_inline_are_bit_identical(ac4_train_ds, monkeypatch):
                                       err_msg=name)
 
 
+def test_run_keeps_heap_pages_once_without_a_worker(monkeypatch):
+    calls = []
+    monkeypatch.setattr(shards, "_keep_heap_pages", lambda: calls.append(1))
+    monkeypatch.setattr(shards, "_heap_pages_kept", False)
+    monkeypatch.setattr(shards, "_shard_worker", lambda: None)
+    assert shards.run(lambda j: j, 2) == [0, 1]
+    assert shards.run(lambda j: j, 1) == [0]
+    assert calls == [1]
+
+
 def test_padded_second_half_runs_one_shard(ac4_train_ds, monkeypatch):
     full = ac4_train_ds.minibatch(np.arange(32))
     ignore = full.ignore.copy()
