@@ -22,9 +22,14 @@ public kernels because that composition, built from them, is the reference
 the fused kernels are tested against, and the benchmark's tracer times them
 by name.
 
-Tensors are immutable after creation except for gradient accumulation.
-A tape belongs to one training context; the active-tape stack is
-thread-local so independent contexts can run on separate threads.
+Kernels never write into their inputs; only the optimizer updates a
+parameter's data in place (``train.adamw_update``). A tape belongs to one
+training context and serves one ``backward``, which consumes it: each entry,
+its saved activations and its output's gradient are freed as soon as the
+walk has used them, so a step's peak holds the activations plus only the
+live gradients, and only leaves (tensors no entry produced) get ``.grad``.
+The active-tape stack is thread-local so independent contexts can run on
+separate threads.
 """
 
 from __future__ import annotations
@@ -94,10 +99,14 @@ class Tape:
         with Tape() as tape:
             loss = cross_entropy(forward(...), targets)
             backward(loss, tape)
+
+    ``backward`` takes the entries off as it runs them, so a tape serves
+    one backward; a second one on it raises ContractError.
     """
 
     def __init__(self):
         self.entries = []
+        self.used = False
 
     def __enter__(self):
         _local.tapes.append(self)
@@ -171,19 +180,25 @@ def _unbroadcast(grad, shape):
 
 
 def backward(loss, tape=None):
-    """Accumulate dLoss/dT into .grad of every requires_grad tensor on the tape.
+    """Accumulate dLoss/dT into .grad of every leaf that requires grad.
 
-    The tape is walked exactly once in reverse execution order. Gradients are
-    staged in a scratch map during the walk and added to each tensor's .grad
-    at the end, so calling backward again (without zeroing) accumulates one
-    more full, correct pass.
+    The tape is consumed in reverse execution order: each entry is taken off
+    it, its output's staged gradient is handed to its backward and then
+    dropped with the entry, so activations and intermediate gradients are
+    freed once used. Only leaves (tensors no entry on the tape produced, and
+    a root that is one) get .grad, added at the end, so a fresh tape over
+    the same leaves accumulates one more full, correct pass. The tape is
+    used up: a second backward on it raises ContractError.
     """
     if tape is None:
         tape = active_tape()
     if tape is None:
         raise ContractError("backward requires a tape (none active, none given)")
+    if tape.used:
+        raise ContractError("backward on a used tape: each tape serves one backward")
     if loss.size != 1:
         raise ShapeError(f"backward root must be scalar, got shape {loss.shape}")
+    tape.used = True
 
     staged = {id(loss): np.ones_like(loss.data)}
     holders = {id(loss): loss}
@@ -199,12 +214,15 @@ def backward(loss, tape=None):
             staged[key] = grad
             holders[key] = tensor
 
+    entries = tape.entries
     with np.errstate(all="ignore"):
-        for entry in reversed(tape.entries):
-            out_grad = staged.get(id(entry.output))
-            if out_grad is None:
-                continue
-            entry.backward_fn(out_grad, sink)
+        while entries:
+            entry = entries.pop()
+            key = id(entry.output)
+            holders.pop(key, None)
+            out_grad = staged.pop(key, None)
+            if out_grad is not None:
+                entry.backward_fn(out_grad, sink)
 
     for key, grad in staged.items():
         t = holders[key]
@@ -528,8 +546,10 @@ def cross_entropy(logits, targets, ignore_mask=None):
     out_data = np.asarray(-(picked * w).sum() / denom, dtype=DTYPE)
 
     def back(g, sink):
+        # built in the saved softmax: a consumed tape runs this once
         w_norm = w / denom
-        grad = soft * w_norm[..., None]
+        grad = soft
+        grad *= w_norm[..., None]
         # each row has exactly one target, so fancy-index subtraction is safe
         grad[np.indices(targets.shape, sparse=True) + (safe_targets,)] -= w_norm
         grad *= g

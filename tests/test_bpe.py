@@ -34,7 +34,8 @@ def reference_trainer(lines, n_merges):
             syms = tuple(bpe.BYTE_TO_UNICODE[b] for b in w.encode("utf-8"))
             words[syms] = words.get(syms, 0) + 1
     merges = []
-    made = set()
+    # the specials and the byte symbols are tokens before any merge
+    made = set(bpe.DEFAULT_SPECIALS) | set(bpe.BYTE_TO_UNICODE.values())
     for _ in range(n_merges):
         counts = {}
         for syms, freq in words.items():
@@ -78,9 +79,11 @@ def test_merge_list_matches_reference_trainer():
     assert v.merges == ref
 
 
-# multi-byte letters, a run whose pairs overlap, and the pieces "ab" and "bc",
-# which overlap in "abc", the string both (a, bc) and (ab, c) spell
-ORACLE_PIECES = ["a", "b", "c", "š", "ê", "ô", "aaaa", "ab", "bc"]
+# multi-byte letters, a run whose pairs overlap, the pieces "ab" and "bc",
+# which overlap in "abc", the string both (a, bc) and (ab, c) spell, and a
+# special written as text with its parts, whose merges must stop short of it
+ORACLE_PIECES = ["a", "b", "c", "š", "ê", "ô", "aaaa", "ab", "bc",
+                 "<|pad|>", "<|", "|>", "pad"]
 oracle_word = st.lists(st.sampled_from(ORACLE_PIECES), min_size=1,
                        max_size=6).map("".join)
 oracle_lines = st.lists(st.lists(oracle_word, min_size=1, max_size=6).map(" ".join),
@@ -101,6 +104,7 @@ def test_no_merge_remakes_a_special_written_as_text():
     lines = [" ".join(bpe.DEFAULT_SPECIALS)] * 4
     v = bpe.train_bpe(lines, target_size=400)
     assert not {a + b for a, b in v.merges} & set(bpe.DEFAULT_SPECIALS)
+    assert v.merges == reference_trainer(lines, 400 - 259)
     ids = bpe.encode(v, bpe.PAD_TOKEN).ids
     assert [v.id_to_token[i] for i in ids] == ["<|pad", "|>"]
 

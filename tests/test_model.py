@@ -1,5 +1,7 @@
 """Model tests: init, forward oracles, causality, grads, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,29 @@ def test_whole_model_gradient_check():
         num = fd_grad(oracle, [t], h=5e-4)[0]
         err = max_rel_err(t.grad, num, floor=1e-3)
         assert err <= 1e-2, f"{name}: rel err {err:.3e}"
+
+
+def test_backward_frees_activations_as_it_goes():
+    # one ac4 row shard (16 rows of 64 positions, d_model 64, 2 layers);
+    # with the tape still referenced, what is live after backward is the
+    # logits, the leaves' gradients and little else
+    cfg = model.ModelConfig(vocab_size=512, block_size=64, d_model=64,
+                            n_layers=2, n_heads=2, dropout=0.1, ffn_mult=4)
+    p = model.init(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    ids = rng.integers(0, cfg.vocab_size, size=(16, 64))
+    targets = rng.integers(0, cfg.vocab_size, size=(16, 64))
+    tracemalloc.start()
+    try:
+        with T.Tape() as tape:
+            logits = model.forward(p, cfg, ids, train=True, rng=rng)
+            loss = T.cross_entropy(logits, targets)
+            after_forward = tracemalloc.get_traced_memory()[0]
+            T.backward(loss, tape)
+            after_backward = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after_backward < 0.25 * after_forward, (after_forward, after_backward)
 
 
 def test_sequence_logprob_uniform_model():

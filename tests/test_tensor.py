@@ -126,17 +126,20 @@ def test_matmul_of_a_view_is_bit_identical_to_its_copy():
     # (here the batch-1 decoding head); matmul must not depend on the view
     rng = np.random.default_rng(0)
     w = T.Tensor(rng.standard_normal((512, 64)) * 0.02, requires_grad=True)
+    # the view's gradient reaches only its leaf w, so w.grad is compared
+    # with the transposed gradient of the copy (itself a leaf)
     for s in (1, 2, 10, 21):
         x = T.Tensor(rng.standard_normal((1, s, 64)), requires_grad=True)
         grads = []
-        for rhs in (lambda: T.transpose(w, (1, 0)),
-                    lambda: T.Tensor(w.data.T.copy(), requires_grad=True)):
+        for view in (True, False):
             with T.Tape() as tape:
-                b = rhs()
+                b = (T.transpose(w, (1, 0)) if view
+                     else T.Tensor(w.data.T.copy(), requires_grad=True))
                 out = T.matmul(x, b)
                 T.backward(T.sum_all(T.mul(out, out)), tape)
-            grads.append((out.data, x.grad, b.grad))
+            grads.append((out.data, x.grad, w.grad if view else b.grad.T))
             x.zero_grad()
+            w.zero_grad()
         for got, want in zip(*grads):
             np.testing.assert_array_equal(got, want)
 
@@ -235,6 +238,39 @@ def test_grads_accumulate_across_backward_calls():
             loss = T.sum_all(T.mul(x, x))
             T.backward(loss, tape)
     np.testing.assert_allclose(x.grad, [4.0, 8.0], rtol=1e-6)
+
+
+def test_backward_uses_up_its_tape():
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    with T.Tape() as tape:
+        loss = T.sum_all(T.mul(x, x))
+        T.backward(loss, tape)
+        assert len(tape) == 0
+        with pytest.raises(ContractError):
+            T.backward(loss, tape)
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
+def test_backward_fills_only_leaves():
+    x = T.Tensor([1.0, -2.0, 3.0], requires_grad=True)
+    w = T.Tensor([0.5, 4.0, -1.0], requires_grad=True)
+    with T.Tape() as tape:
+        y = T.mul(x, w)
+        z = T.add(y, x)
+        loss = T.sum_all(T.mul(z, z))
+        T.backward(loss, tape)
+    assert y.grad is None and z.grad is None and loss.grad is None
+    # dloss/dz = 2z, so x gets 2z (w + 1) and w gets 2z x
+    zd = x.data * w.data + x.data
+    np.testing.assert_array_equal(x.grad, 2 * zd * (w.data + 1))
+    np.testing.assert_array_equal(w.grad, 2 * zd * x.data)
+
+
+def test_backward_of_a_leaf_root_fills_it():
+    x = T.Tensor(3.0, requires_grad=True)
+    with T.Tape() as tape:
+        T.backward(x, tape)
+    assert x.grad == 1.0
 
 
 def test_no_tape_records_nothing():
