@@ -492,10 +492,10 @@ def _add_config_sources(p):
 
 def _add_config_flags(p, classes):
     """One flag per field of the config ``classes``, named after it (dest is
-    the field name), less vocab_size and tie_embeddings; plus --metrics."""
+    the field name), less vocab_size; plus --metrics."""
     for cls in classes:
         for f in dataclasses.fields(cls):
-            if f.name not in ("vocab_size", "tie_embeddings"):
+            if f.name != "vocab_size":
                 p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
                                type=int if f.type == "int" else float)
     p.add_argument("--metrics", help="metrics JSONL path")

@@ -25,7 +25,6 @@ class ModelConfig:
     n_heads: int = 4
     dropout: float = 0.3
     ffn_mult: int = 4
-    tie_embeddings: bool = True
 
     def check(self):
         for name in ("d_model", "n_heads", "n_layers", "ffn_mult"):
@@ -49,8 +48,6 @@ class ModelConfig:
 _ACCEPTS = {
     "int": lambda v: type(v) is int,
     "float": lambda v: type(v) in (int, float),
-    "float | None": lambda v: v is None or type(v) in (int, float),
-    "bool": lambda v: type(v) is bool,
     "str": lambda v: type(v) is str,
     "tuple": lambda v: (type(v) in (list, tuple)
                         and all(type(x) in (int, float) for x in v)),
@@ -140,8 +137,6 @@ def param_shapes(config):
         shapes[f"{p}.ffn.b2"] = (d,)
     shapes["ln_f.g"] = (d,)
     shapes["ln_f.b"] = (d,)
-    if not c.tie_embeddings:
-        shapes["head.w"] = (d, c.vocab_size)
     return shapes
 
 
@@ -183,8 +178,8 @@ def _block(params, config, i, x, train, rng):
 def forward(params, config, ids, train=False, rng=None):
     """Run the decoder; returns logits of shape B x T x V.
 
-    Position t logits depend only on ids[..t] (causal mask). With tied
-    embeddings the output head reuses tok_emb storage.
+    Position t logits depend only on ids[..t] (causal mask). The output
+    head is tied: it reuses tok_emb storage.
     """
     ids = np.asarray(ids)
     if ids.ndim == 1:
@@ -207,9 +202,7 @@ def forward(params, config, ids, train=False, rng=None):
         for i in range(config.n_layers):
             x = _block(params, config, i, x, train, rng)
         x = T.layer_norm(x, params["ln_f.g"], params["ln_f.b"])
-        if config.tie_embeddings:
-            return T.matmul(x, T.transpose(params["tok_emb"], (1, 0)))
-        return T.matmul(x, params["head.w"])
+        return T.matmul(x, T.transpose(params["tok_emb"], (1, 0)))
 
 
 def sequence_logprob(params, config, ids):
@@ -234,11 +227,12 @@ def token_logprobs(logits, targets):
 
 @dataclass
 class FreezeMask:
-    """Trainable flags per freeze group."""
+    """Trainable flags for the embeddings group and for each block. The
+    "head" group, the final layer norm, always trains; the tied output
+    projection is tok_emb and trains with the embeddings."""
 
     embeddings: bool
     blocks: tuple
-    head: bool = True
 
     def check(self, config):
         if len(self.blocks) != config.n_layers:
@@ -246,20 +240,18 @@ class FreezeMask:
                 f"freeze mask has {len(self.blocks)} block flags for "
                 f"{config.n_layers} layers"
             )
-        if not (self.embeddings or self.head or any(self.blocks)):
-            raise ConfigError("freeze mask leaves no layer trainable")
         return self
 
     @classmethod
     def all_trainable(cls, config):
-        return cls(embeddings=True, blocks=(True,) * config.n_layers, head=True)
+        return cls(embeddings=True, blocks=(True,) * config.n_layers)
 
     def allows(self, name):
         group = ParameterSet.group(name)
         if group == "embeddings":
             return self.embeddings
         if group == "head":
-            return self.head
+            return True
         return self.blocks[int(group[len("block"):])]
 
     def trainable_names(self, params):
@@ -317,8 +309,16 @@ def _read_checkpoint(path, payload=True):
                 raise CheckpointError(
                     f"unsupported checkpoint version {header.get('format_version')}"
                 )
+            given = header["config"]
+            # older headers store the head's tying: a tied one loads, with
+            # the key dropped from the header it returns
+            if isinstance(given, dict) and given.pop("tie_embeddings", True) is not True:
+                raise CheckpointError(
+                    f"{path} has an untied output head, which occlm no longer "
+                    "supports"
+                )
             config = ModelConfig(**check_fields(
-                f"{path} config", header["config"], field_types(ModelConfig)
+                f"{path} config", given, field_types(ModelConfig)
             )).check()
             tensors, extras = {}, {}
             if not payload:

@@ -442,15 +442,6 @@ def _gelu_bwd(v, t, g):
     return dx
 
 
-def relu(x):
-    out_data = np.maximum(x.data, 0.0)
-
-    def back(g, sink):
-        sink(x, g * (x.data > 0))
-
-    return _result(out_data, "relu", (x,), back)
-
-
 def dropout(x, p, train, rng):
     """Inverted dropout: zero with probability p and rescale by 1/(1-p).
 

@@ -48,7 +48,6 @@ class TrainConfig:
     patience: int = 5
     occlusion_prob: float = 0.0
     seed: int = 0
-    grad_clip: float | None = None
 
     def check(self):
         if not 0 < self.base_lr < math.inf:
@@ -69,10 +68,6 @@ class TrainConfig:
             )
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigError("batch_size and max_epochs must be >= 1")
-        if self.grad_clip is not None and not 0 < self.grad_clip < math.inf:
-            raise ConfigError(
-                f"grad_clip must be finite and > 0, got {self.grad_clip}"
-            )
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
@@ -241,34 +236,17 @@ def train_step(params, state, batch, cfg, lr=None, batch_index=None):
             params, x, batch, state.rng,
             shards.shard_count(x, params.config.d_model),
         )
+        if not math.isfinite(loss_val):
+            raise NumericsError("training loss is not finite")
+        for name, grad in grads.items():
+            params[name].grad = grad
+        adamw_update(params, state, state.freeze_mask.trainable_names(params),
+                     lr, cfg)
     except NumericsError as exc:
         raise DivergenceError(
             f"non-finite value during training step: {exc}",
             step=state.step, lr=lr, batch_index=batch_index,
         ) from exc
-    if not math.isfinite(loss_val):
-        raise DivergenceError(
-            "training loss is not finite",
-            step=state.step, lr=lr, batch_index=batch_index,
-        )
-    for name, grad in grads.items():
-        params[name].grad = grad
-
-    trainable = state.freeze_mask.trainable_names(params)
-    if cfg.grad_clip is not None:
-        sq = 0.0
-        for name in trainable:
-            g = params[name].grad
-            if g is not None:
-                sq += float((g.astype(np.float64) ** 2).sum())
-        norm = math.sqrt(sq)
-        if norm > cfg.grad_clip:
-            scale = T.DTYPE(cfg.grad_clip / norm)
-            for name in trainable:
-                if params[name].grad is not None:
-                    params[name].grad *= scale
-
-    adamw_update(params, state, trainable, lr, cfg)
     state.step += 1
     return loss_val, state
 
@@ -278,7 +256,11 @@ def adamw_update(params, state, names, lr, cfg):
 
     Decay applies to matrix-shaped parameters only (embeddings, projections);
     vectors (biases, layer-norm) are exempt. Per-parameter step counters keep
-    bias correction right when parameters unfreeze at different epochs."""
+    bias correction right when parameters unfreeze at different epochs.
+
+    A finite gradient can still overflow the bias-corrected second moment
+    (float32, from about 1.8e19 on the first step); that raises NumericsError
+    naming the parameter before its data moves."""
     for name in names:
         p = params[name]
         g = p.grad
@@ -288,12 +270,15 @@ def adamw_update(params, state, names, lr, cfg):
         tt = state.t[name]
         m = state.m[name]
         v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1 - ADAM_BETA2) * g * g
-        m_hat = m / T.DTYPE(1 - ADAM_BETA1**tt)
-        v_hat = v / T.DTYPE(1 - ADAM_BETA2**tt)
+        with np.errstate(over="ignore"):
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            m_hat = m / T.DTYPE(1 - ADAM_BETA1**tt)
+            v_hat = v / T.DTYPE(1 - ADAM_BETA2**tt)
+        if not np.isfinite(v_hat).all():
+            raise NumericsError(f"AdamW second moment of {name} overflowed")
         if cfg.weight_decay and p.data.ndim >= 2:
             p.data -= T.DTYPE(lr * cfg.weight_decay) * p.data
         p.data -= T.DTYPE(lr) * m_hat / (np.sqrt(v_hat) + T.DTYPE(ADAM_EPS))
@@ -333,9 +318,8 @@ def unfreeze_schedule(config):
         n_open = min(config.n_layers,
                      UNFREEZE_TOP_K + epoch // UNFREEZE_INTERVAL_EPOCHS)
         blocks = tuple(i >= config.n_layers - n_open for i in range(config.n_layers))
-        return model.FreezeMask(
-            embeddings=(n_open >= config.n_layers), blocks=blocks, head=True
-        )
+        return model.FreezeMask(embeddings=(n_open >= config.n_layers),
+                                blocks=blocks)
 
     return mask_at
 
@@ -497,7 +481,6 @@ def save_train_checkpoint(path, params, state, vocab_hash, metadata=None, best_p
         "freeze_mask": {
             "embeddings": state.freeze_mask.embeddings,
             "blocks": list(state.freeze_mask.blocks),
-            "head": state.freeze_mask.head,
         },
         "rng_state": state.rng.bit_generator.state,
         "history": state.history,
@@ -516,7 +499,6 @@ def load_train_checkpoint(path, expect_config=None, expect_vocab_hash=None):
     mask = model.FreezeMask(
         embeddings=meta["freeze_mask"]["embeddings"],
         blocks=tuple(meta["freeze_mask"]["blocks"]),
-        head=meta["freeze_mask"]["head"],
     )
     state = TrainState(
         step=meta["step"],

@@ -1,4 +1,5 @@
-"""Shared test oracles: finite-difference gradient checking.
+"""Shared test oracles: finite-difference gradient checking, and a
+checkpoint header editor.
 
 The numeric side reads op outputs through a float64 projection so the
 only noise left is the float32 quantization of the op itself. Relative
@@ -6,8 +7,11 @@ error uses a small absolute floor so near-zero gradients are compared
 absolutely instead of blowing up the ratio.
 """
 
+import json
+
 import numpy as np
 
+from occlm import model
 from occlm import tensor as T
 
 
@@ -70,3 +74,18 @@ def check_op_grads(op_fn, inputs, h=1e-3, rtol=1e-3, floor=0.5, seed=0):
         t.zero_grad()
     assert worst <= rtol, f"gradient mismatch: max rel err {worst:.3e} > {rtol}"
     return worst
+
+
+def edit_checkpoint_config(path, edit):
+    """Rewrite the header config of the checkpoint at path with edit(config),
+    serialized as save_checkpoint does and with the length prefix to match."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    start = len(model.CKPT_MAGIC) + 8
+    size = int.from_bytes(raw[len(model.CKPT_MAGIC):start], "little")
+    header = json.loads(raw[start:start + size])
+    edit(header["config"])
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    with open(path, "wb") as fh:
+        fh.write(model.CKPT_MAGIC + len(blob).to_bytes(8, "little") + blob
+                 + raw[start + size:])

@@ -4,11 +4,16 @@ import argparse
 import dataclasses
 import json
 import os
+import shutil
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import occlm
+from helpers import edit_checkpoint_config
 from occlm import bpe, cli, corpus, demo, metrics, model, sweep, train
 from occlm.errors import ConfigError
 
@@ -53,6 +58,16 @@ def smoke(tmp_path_factory):
 
 def test_version_flag_exits_zero(capsys):
     assert cli.dispatch(["--version"]) == 0
+
+
+def test_runs_as_a_module_from_a_source_tree():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "occlm", "--version"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stdout.strip() == f"occlm {occlm.__version__}"
 
 
 def test_no_command_prints_usage_exit_2(capsys):
@@ -109,12 +124,12 @@ FLAG_SURFACE = {
     "corpus": "--data --help --no-clean --out-dir --seed --train-frac "
               "--valid-frac --vocab -h",
     "pretrain": "--base-lr --batch-size --block-size --config --d-model --data "
-                "--deterministic --dropout --ffn-mult --grad-clip --help "
+                "--deterministic --dropout --ffn-mult --help "
                 "--max-epochs --metrics --n-heads --n-layers --objective "
                 "--occlusion-prob --out --patience --preset --seed --vocab "
                 "--warmup-fraction --weight-decay -h",
     "finetune": "--base-lr --batch-size --checkpoint --config --data "
-                "--deterministic --grad-clip --help --max-epochs --metrics "
+                "--deterministic --help --max-epochs --metrics "
                 "--objective --occlusion-prob --out --patience --preset --seed "
                 "--vocab --warmup-fraction --weight-decay -h",
     "eval": "--bleu --checkpoint --gen-seed --help --out --prompt-frac "
@@ -133,7 +148,7 @@ def test_flag_surface_is_pinned():
            for name, p in sub.choices.items()}
     assert got == {name: flags.split() for name, flags in FLAG_SURFACE.items()}
     assert {name: len(flags) for name, flags in got.items()} == {
-        "tokenizer": 8, "corpus": 9, "pretrain": 25, "finetune": 20,
+        "tokenizer": 8, "corpus": 9, "pretrain": 24, "finetune": 19,
         "eval": 13, "sweep": 8, "generate": 10, "quickstart": 4}
 
 
@@ -141,9 +156,10 @@ def test_flag_surface_is_pinned():
 # other; a new knob or a per-object copy of a constant needs an edit here
 CONFIG_SURFACE = {
     model.ModelConfig: "vocab_size block_size d_model n_layers n_heads "
-                       "dropout ffn_mult tie_embeddings",
+                       "dropout ffn_mult",
     train.TrainConfig: "batch_size max_epochs base_lr warmup_fraction "
-                       "weight_decay patience occlusion_prob seed grad_clip",
+                       "weight_decay patience occlusion_prob seed",
+    model.FreezeMask: "embeddings blocks",
     corpus.SplitSpec: "train_frac valid_frac seed",
     metrics.GenerationConfig: "max_new_tokens strategy temperature top_k seed",
     sweep.SweepSpec: "base_model base_train lr_range n_layers_choices "
@@ -690,6 +706,12 @@ def test_sweep_malformed_spec_exit_1(capsys, smoke, tmp_path):
     ("sweep", '{"trial_count": 1, "max_epochs": 1, "base_model": {'
               '"vocab_size": 280, "block_size": 32, "d_model": 32, '
               '"n_heads": 2}, "base_train": {}}', "vocab_size"),
+    # fields of the untied output head and gradient clipping, both deleted
+    ("pretrain", '{"model": {"tie_embeddings": true}}', "tie_embeddings"),
+    ("pretrain", '{"train": {"grad_clip": 1.0}}', "grad_clip"),
+    ("sweep", '{"trial_count": 1, "max_epochs": 1, "base_model": {'
+              '"block_size": 32, "d_model": 32, "n_heads": 2, '
+              '"tie_embeddings": true}, "base_train": {}}', "tie_embeddings"),
     # out-of-range values; flags after the command name follow DESK_FLAGS
     ("pretrain --n-heads 0", "{}", "n_heads"),
     ("pretrain --d-model 0", "{}", "d_model"),
@@ -704,7 +726,6 @@ def test_sweep_malformed_spec_exit_1(capsys, smoke, tmp_path):
     ("corpus --train-frac 0.8 --valid-frac 0.3", "{}",
      "train_frac + valid_frac"),
     ("pretrain --weight-decay -5", "{}", "weight_decay"),
-    ("pretrain --grad-clip nan", "{}", "grad_clip"),
     ("pretrain --base-lr nan", "{}", "base_lr"),
     # an objective that contradicts an explicit occlusion probability
     ("pretrain --objective occlusion --occlusion-prob 0", "{}",
@@ -770,6 +791,33 @@ def test_eval_malformed_vocab_exit_1(capsys, smoke, tmp_path):
     assert rc == 1
     err = capsys.readouterr().err
     assert str(bad) in err
+    assert "Traceback" not in err
+
+
+def test_checkpoint_header_tied_head_key(capsys, smoke, tmp_path):
+    # headers written while the head could be untied all say it is tied:
+    # such a checkpoint evaluates as before, and an untied one exits 1
+    old = tmp_path / "old.ckpt"
+    shutil.copy(smoke["ckpt"], old)
+    edit_checkpoint_config(old, lambda c: c.update(tie_embeddings=True))
+    losses = []
+    for ckpt in (smoke["ckpt"], str(old)):
+        out = tmp_path / (os.path.basename(ckpt) + ".json")
+        assert cli.dispatch(
+            ["eval", "--checkpoint", ckpt, "--vocab", smoke["vocab"],
+             "--split", os.path.join(smoke["work"], "valid.txt"),
+             "--out", str(out)]
+        ) == 0
+        losses.append(json.loads(out.read_text())["loss"])
+    assert losses[1] == losses[0]
+    capsys.readouterr()
+    edit_checkpoint_config(old, lambda c: c.update(tie_embeddings=False))
+    assert cli.dispatch(
+        ["eval", "--checkpoint", str(old), "--vocab", smoke["vocab"],
+         "--split", os.path.join(smoke["work"], "valid.txt")]
+    ) == 1
+    err = capsys.readouterr().err
+    assert f"{old} has an untied output head" in err
     assert "Traceback" not in err
 
 

@@ -11,7 +11,6 @@ PROGRAM = (PACKAGE, os.path.join(ROOT, "scripts"), os.path.join(ROOT, "perfbench
 
 # name -> why it stays without a caller in the program
 ALLOWED_UNREFERENCED = {
-    "relu": "ac1 and the fused-kernel reference chain build on it",
     "mul": "ac1 and the fused-kernel reference chain build on it",
     "sum_all": "ac1 and the fused-kernel reference chain build on it",
     "softmax_lastdim": "ac1 and the fused-kernel reference chain build on it",

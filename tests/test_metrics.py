@@ -265,14 +265,13 @@ def test_bleu_self_match_property(tokens):
 
 def eot_emitting_params(cfg):
     """Hand-built weights whose logits always argmax at eot."""
-    assert not cfg.tie_embeddings
     params = model.init(cfg, seed=0)
     for name in params.names():
         params[name].data[:] = 0.0
         if name.endswith("ln1.g") or name.endswith("ln2.g") or name == "ln_f.g":
             params[name].data[:] = 1.0
     params["ln_f.b"].data[0] = 1.0
-    params["head.w"].data[0, 2] = 10.0  # channel 0 votes for eot
+    params["tok_emb"].data[2, 0] = 10.0  # channel 0 votes for eot
     return params
 
 
@@ -332,7 +331,7 @@ def test_generation_prompt_validation():
 
 
 def test_generation_stops_on_eot():
-    cfg = tiny_config(tie_embeddings=False)
+    cfg = tiny_config()
     params = eot_emitting_params(cfg)
     vocab = _id_vocab(cfg.vocab_size)
     out = metrics.generate(

@@ -1,11 +1,13 @@
 """Model tests: init, forward oracles, causality, grads, checkpoints."""
 
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import fd_grad, max_rel_err
+from helpers import edit_checkpoint_config, fd_grad, max_rel_err
 from occlm import model
 from occlm import tensor as T
 from occlm.errors import (
@@ -56,18 +58,10 @@ def test_param_count_hand_oracle():
     # final ln 64; head tied
     cfg = model.ModelConfig(
         vocab_size=100, block_size=16, d_model=32, n_layers=2, n_heads=4,
-        dropout=0.0, ffn_mult=4, tie_embeddings=True,
+        dropout=0.0, ffn_mult=4,
     )
     assert model.param_count(cfg) == 28_928
     assert sum(t.size for _, t in model.init(cfg, 0).items()) == 28_928
-
-
-def test_param_count_untied_adds_head():
-    tied = model.ModelConfig(vocab_size=50, d_model=16, n_heads=2, n_layers=1)
-    untied = model.ModelConfig(
-        vocab_size=50, d_model=16, n_heads=2, n_layers=1, tie_embeddings=False
-    )
-    assert model.param_count(untied) == model.param_count(tied) + 16 * 50
 
 
 def test_forward_minimal_shape():
@@ -154,8 +148,7 @@ def hand_forward(p, cfg, ids):
         act = 0.5 * a * (1 + np.tanh(np.sqrt(2 / np.pi) * (a + 0.044715 * a**3)))
         x = x + act @ w[f"{b}.ffn.w2"] + w[f"{b}.ffn.b2"]
     x = ln(x, w["ln_f.g"], w["ln_f.b"])
-    head = w["tok_emb"].T if cfg.tie_embeddings else w["head.w"]
-    return x @ head
+    return x @ w["tok_emb"].T
 
 
 def hand_loss(p, cfg, ids, targets):
@@ -309,21 +302,16 @@ def test_sequence_logprob_rejects_short():
 
 def test_freeze_mask_groups():
     p = model.init(TINY, seed=0)
-    mask = model.FreezeMask(embeddings=False, blocks=(False,), head=True)
+    mask = model.FreezeMask(embeddings=False, blocks=(False,))
     names = mask.check(TINY).trainable_names(p)
     assert names == ["ln_f.g", "ln_f.b"]
     full = model.FreezeMask.all_trainable(TINY)
     assert full.trainable_names(p) == p.names()
 
 
-def test_freeze_mask_rejects_all_frozen():
-    with pytest.raises(ConfigError):
-        model.FreezeMask(embeddings=False, blocks=(False,), head=False).check(TINY)
-
-
 def test_freeze_mask_rejects_wrong_arity():
     with pytest.raises(ConfigError):
-        model.FreezeMask(embeddings=True, blocks=(True, True), head=True).check(TINY)
+        model.FreezeMask(embeddings=True, blocks=(True, True)).check(TINY)
 
 
 # -------------------------------------------------------------- checkpoint
@@ -382,19 +370,10 @@ def test_checkpoint_garbage_fails(tmp_path):
 
 
 def test_checkpoint_missing_config_field_fails(tmp_path):
-    import json
-
     p = model.init(TINY, seed=0)
     path = tmp_path / "m.ckpt"
     model.save_checkpoint(path, p, vocab_hash="h")
-    raw = path.read_bytes()
-    start = len(model.CKPT_MAGIC) + 8
-    size = int.from_bytes(raw[len(model.CKPT_MAGIC):start], "little")
-    header = json.loads(raw[start:start + size])
-    del header["config"]["vocab_size"]
-    blob = json.dumps(header).encode("utf-8")
-    path.write_bytes(model.CKPT_MAGIC + len(blob).to_bytes(8, "little")
-                     + blob + raw[start + size:])
+    edit_checkpoint_config(path, lambda c: c.pop("vocab_size"))
     with pytest.raises(CheckpointError, match="vocab_size"):
         model.load_checkpoint(path)
     with pytest.raises(CheckpointError, match="vocab_size"):
@@ -405,21 +384,24 @@ def test_checkpoint_missing_config_field_fails(tmp_path):
     ("n_layers", True), ("d_model", "8"), ("ffn_mult", 2.0), ("heads", 2),
 ])
 def test_checkpoint_header_config_is_type_checked(tmp_path, field, value):
-    import json
-    import re
-
     path = tmp_path / "m.ckpt"
     model.save_checkpoint(path, model.init(TINY, seed=0), vocab_hash="h")
-    raw = path.read_bytes()
-    start = len(model.CKPT_MAGIC) + 8
-    size = int.from_bytes(raw[len(model.CKPT_MAGIC):start], "little")
-    header = json.loads(raw[start:start + size])
-    header["config"][field] = value
-    blob = json.dumps(header).encode("utf-8")
-    path.write_bytes(model.CKPT_MAGIC + len(blob).to_bytes(8, "little")
-                     + blob + raw[start + size:])
+    edit_checkpoint_config(path, lambda c: c.update({field: value}))
     with pytest.raises(ConfigError, match=re.escape(f"{path} config: ") + ".*" + field):
         model.read_checkpoint_header(path)
+
+
+def test_checkpoint_header_with_tied_head_key_loads(tmp_path):
+    # headers written while the head could be untied say so; a tied one
+    # loads as the same model, and the key is gone from the header returned
+    p = model.init(TINY, seed=3)
+    path = tmp_path / "m.ckpt"
+    model.save_checkpoint(path, p, vocab_hash="h")
+    edit_checkpoint_config(path, lambda c: c.update(tie_embeddings=True))
+    loaded, header, _ = model.load_checkpoint(path, expect_config=TINY)
+    assert header["config"] == dataclasses.asdict(TINY)
+    for name in p.names():
+        np.testing.assert_array_equal(loaded[name].data, p[name].data)
 
 
 def test_checkpoint_save_failure_keeps_previous_file(tmp_path, monkeypatch):

@@ -92,11 +92,6 @@ def test_gelu_pinned_points():
     np.testing.assert_allclose(out.data, [0.0, 100.0, 0.0], atol=1e-5)
 
 
-def test_relu():
-    out = T.relu(T.Tensor([-2.0, 0.0, 3.0]))
-    np.testing.assert_array_equal(out.data, [0.0, 0.0, 3.0])
-
-
 def test_causal_mask_upper_triangle_filled():
     x = T.Tensor(np.zeros((2, 4, 4)))
     out = T.causal_mask_fill(x)

@@ -216,21 +216,6 @@ def test_weight_decay_skips_vectors():
     assert np.array_equal(params["b"].data, np.array([1.0], dtype=np.float32))
 
 
-def test_grad_clip_bounds_global_norm():
-    cfg = tiny_config()
-    params = model.init(cfg, seed=0)
-    ds = tiny_dataset()
-    tcfg = tiny_train_config(grad_clip=1e-6)
-    state = train.init_state(params, tcfg)
-    before = {n: params[n].data.copy() for n in params.names()}
-    train.train_step(params, state, ds.minibatch(np.arange(4)), tcfg)
-    # with the norm squashed to 1e-6 the first adam step is ~lr per element;
-    # the point is that clipping ran without changing shapes or exploding
-    for n in params.names():
-        delta = np.abs(params[n].data - before[n]).max()
-        assert delta <= 2 * tcfg.base_lr + 0.5 * tcfg.weight_decay * tcfg.base_lr
-
-
 # ---------------------------------------------------------------------------
 # lr schedule
 # ---------------------------------------------------------------------------
@@ -377,7 +362,7 @@ def test_frozen_params_bit_identical_across_steps():
     params = model.init(cfg, seed=0)
     ds = tiny_dataset()
     tcfg = tiny_train_config()
-    mask = model.FreezeMask(embeddings=False, blocks=(False, True), head=True)
+    mask = model.FreezeMask(embeddings=False, blocks=(False, True))
     state = train.init_state(params, tcfg, freeze_mask=mask)
     before = {n: params[n].data.copy() for n in params.names()}
     for b in range(6):
@@ -412,7 +397,6 @@ def test_unfreeze_schedule_l6_k2_interval2():
     assert not schedule(0).embeddings
     assert not schedule(7).embeddings
     assert schedule(8).embeddings
-    assert all(schedule(e).head for e in range(9))
 
 
 def test_finetune_epoch0_freezes_bottom_blocks():
@@ -803,7 +787,7 @@ def test_two_shard_overflow_raises_divergence_without_warning(
     ds = ac4_train_ds
     mcfg = model.ModelConfig(vocab_size=AC4_VOCAB, block_size=64,
                              d_model=64, n_layers=2, n_heads=2, dropout=0.1,
-                             ffn_mult=4, tie_embeddings=False)
+                             ffn_mult=4)
     tcfg = train.TrainConfig(batch_size=32, base_lr=3e-3, seed=0)
     params = model.init(mcfg, seed=0)
     state = train.init_state(params, tcfg)
@@ -814,15 +798,36 @@ def test_two_shard_overflow_raises_divergence_without_warning(
                if i not in batch.inputs[good_rows])
     inputs = batch.inputs.copy()
     inputs[bad_rows, 0] = bad
-    # untied, so only the rows holding `bad` see the overflowing embedding
-    params["tok_emb"].data[bad] = 3e38
+    # the layer-norm variance of the rows holding `bad` overflows; through
+    # the tied head the other shard's loss is huge but finite
+    params["tok_emb"].data[bad, 0] = 1e20
     batch = corpus.Batch(inputs, batch.targets, batch.ignore)
     assert shards.shard_count(inputs, 64) == 2
     try:
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError, match="layer_norm"):
             train.train_step(params, state, batch, tcfg, lr=1e-3)
     finally:
         worker.shutdown()
+
+
+@pytest.mark.filterwarnings("error")
+def test_adamw_second_moment_overflow_is_a_divergence(ac4_train_ds):
+    """A finite gradient whose square overflows the float32 second moment is
+    a DivergenceError naming the parameter, not a numpy warning and a
+    parameter whose updates then vanish (m_hat / inf is 0)."""
+    params, state, tcfg = _ac4_setup(ac4_train_ds)
+    batch = ac4_train_ds.minibatch(np.arange(16))
+    bad = next(i for i in range(3, AC4_VOCAB) if i not in batch.inputs)
+    # every logit row sees tok_emb[bad] through the tied head: the loss is
+    # finite (about 6e19) and so are the grads, but their squares are not
+    params["tok_emb"].data[bad, 0] = 1e20
+    with pytest.raises(DivergenceError, match="AdamW second moment of ") as err:
+        train.train_step(params, state, batch, tcfg, lr=1e-3, batch_index=5)
+    assert (err.value.step, err.value.lr, err.value.batch_index) == (0, 1e-3, 5)
+    name = str(err.value).rsplit("AdamW second moment of ", 1)[1].split()[0]
+    assert name in params
+    assert np.isfinite(params[name].grad).all()
+    assert np.isfinite(state.m[name]).all()
 
 
 def test_sharded_step_error_waits_for_both_shards(ac4_train_ds, monkeypatch):
@@ -924,10 +929,11 @@ def test_sharded_perplexity_overflow_waits_for_both_shards(
     valid = dataclasses.replace(valid, windows=windows)
     mcfg = model.ModelConfig(vocab_size=AC4_VOCAB, block_size=64,
                              d_model=64, n_layers=2, n_heads=2, dropout=0.1,
-                             ffn_mult=4, tie_embeddings=False)
+                             ffn_mult=4)
     params = model.init(mcfg, seed=0)
-    # untied, so only the rows holding `bad` see the overflowing embedding
-    params["tok_emb"].data[bad] = 3e38
+    # the layer-norm variance of the rows holding `bad` overflows; through
+    # the tied head the other shard's scores are huge but finite
+    params["tok_emb"].data[bad, 0] = 1e20
     good_done = []
 
     def slow_good_shard(on_main):
@@ -941,7 +947,13 @@ def test_sharded_perplexity_overflow_waits_for_both_shards(
             metrics.perplexity(params, mcfg, valid)
         assert good_done == [True]
         assert sorted(seen) == [(16, False), (16, True)]
-        train_ds = dataclasses.replace(valid, windows=valid.windows[good_rows])
+        # training on the good rows would move `bad`'s embedding through the
+        # tied head, so fit gets fresh weights that overflow at a position
+        # only validation reaches
+        params = model.init(mcfg, seed=0)
+        params["pos_emb"].data[40, 0] = 1e20
+        train_ds = dataclasses.replace(
+            valid, windows=valid.windows[good_rows, :33])
         tcfg = train.TrainConfig(batch_size=16, max_epochs=1, seed=0)
         with pytest.raises(DivergenceError) as err:
             train.fit(params, train_ds, valid, tcfg)
