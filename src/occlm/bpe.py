@@ -229,19 +229,23 @@ def _apply_merges(v, symbols):
 
 
 def encode(v, text):
-    """Tokenize text (normalizing first) into an EncodedText."""
+    """Tokenize text (normalizing first) into an EncodedText.
+
+    Each distinct word's ids are cached on the vocabulary; the returned ids
+    are a fresh list, so a caller may change them.
+    """
     norm = normalize(text)
     ids = []
     cache = v._word_cache
     for word in PRETOKEN_RE.findall(norm):
-        toks = cache.get(word)
-        if toks is None:
-            toks = _apply_merges(v, _word_symbols(word))
+        word_ids = cache.get(word)
+        if word_ids is None:
+            word_ids = [v.token_to_id[t]
+                        for t in _apply_merges(v, _word_symbols(word))]
             if len(cache) > 65536:
                 cache.clear()
-            cache[word] = toks
-        for tok in toks:
-            ids.append(v.token_to_id[tok])
+            cache[word] = word_ids
+        ids += word_ids
     return EncodedText(ids=ids)
 
 

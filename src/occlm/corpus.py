@@ -16,7 +16,6 @@ from .errors import ConfigError, DataError, EncodingError
 _SPECIAL_CHARS = re.compile(r"[^\w\s.,'\-]|_")
 _REPEATED_STOPS = re.compile(r"\.{2,}")
 _SPACES = re.compile(r"\s+")
-_AFTER_STOP = re.compile(r"(?<=\.)")
 
 
 @dataclass
@@ -64,7 +63,8 @@ def clean(lines):
         line = _SPECIAL_CHARS.sub("", line)
         line = _REPEATED_STOPS.sub(".", line)
         line = _SPACES.sub(" ", line).strip()
-        for piece in _AFTER_STOP.split(line):
+        *stops, tail = line.split(".")
+        for piece in [s + "." for s in stops] + [tail]:
             piece = piece.strip().lower()
             if piece:
                 yield piece

@@ -49,44 +49,53 @@ NEWS_EVENTS = [
 _STYLE_TAG = {"mono": 0x40, "news": 0x41}
 
 
+def _pick(rng, seq):
+    # the bounded-integer draw Generator.choice makes for a 1-D population,
+    # without choice's conversion of the whole list to an array on every call
+    return seq[rng.integers(0, len(seq))]
+
+
 def _mono_sentence(rng):
     kind = rng.integers(0, 4)
     if kind == 0:
-        return (f"the {rng.choice(ADJS)} {rng.choice(NOUNS)} "
-                f"{rng.choice(VERBS)} the {rng.choice(NOUNS)} "
-                f"{rng.choice(PLACES)}.")
+        return (f"the {_pick(rng, ADJS)} {_pick(rng, NOUNS)} "
+                f"{_pick(rng, VERBS)} the {_pick(rng, NOUNS)} "
+                f"{_pick(rng, PLACES)}.")
     if kind == 1:
-        return (f"the {rng.choice(NOUNS)} {rng.choice(VERBS)} "
-                f"the {rng.choice(ADJS)} {rng.choice(NOUNS)} "
-                f"{rng.choice(TIMES)}.")
+        return (f"the {_pick(rng, NOUNS)} {_pick(rng, VERBS)} "
+                f"the {_pick(rng, ADJS)} {_pick(rng, NOUNS)} "
+                f"{_pick(rng, TIMES)}.")
     if kind == 2:
-        return (f"{rng.choice(TIMES)} the {rng.choice(NOUNS)} and the "
-                f"{rng.choice(NOUNS)} {rng.choice(VERBS)} the "
-                f"{rng.choice(NOUNS)}.")
-    return (f"the {rng.choice(NOUNS)} {rng.choice(PLACES)} is "
-            f"{rng.choice(ADJS)} and {rng.choice(ADJS)}.")
+        return (f"{_pick(rng, TIMES)} the {_pick(rng, NOUNS)} and the "
+                f"{_pick(rng, NOUNS)} {_pick(rng, VERBS)} the "
+                f"{_pick(rng, NOUNS)}.")
+    return (f"the {_pick(rng, NOUNS)} {_pick(rng, PLACES)} is "
+            f"{_pick(rng, ADJS)} and {_pick(rng, ADJS)}.")
 
 
 def _news_sentence(rng):
     kind = rng.integers(0, 3)
     if kind == 0:
-        return (f"{rng.choice(NEWS_SOURCES)} {rng.choice(NEWS_VERBS)} that "
-                f"{rng.choice(NEWS_EVENTS)}.")
+        return (f"{_pick(rng, NEWS_SOURCES)} {_pick(rng, NEWS_VERBS)} that "
+                f"{_pick(rng, NEWS_EVENTS)}.")
     if kind == 1:
-        return (f"{rng.choice(NEWS_SOURCES)} {rng.choice(PLACES)} "
-                f"{rng.choice(NEWS_VERBS)} that the {rng.choice(ADJS)} "
-                f"{rng.choice(NOUNS)} {rng.choice(VERBS)} the "
-                f"{rng.choice(NOUNS)}.")
-    return (f"{rng.choice(TIMES)} {rng.choice(NEWS_SOURCES)} "
-            f"{rng.choice(NEWS_VERBS)} that {rng.choice(NEWS_EVENTS)}.")
+        return (f"{_pick(rng, NEWS_SOURCES)} {_pick(rng, PLACES)} "
+                f"{_pick(rng, NEWS_VERBS)} that the {_pick(rng, ADJS)} "
+                f"{_pick(rng, NOUNS)} {_pick(rng, VERBS)} the "
+                f"{_pick(rng, NOUNS)}.")
+    return (f"{_pick(rng, TIMES)} {_pick(rng, NEWS_SOURCES)} "
+            f"{_pick(rng, NEWS_VERBS)} that {_pick(rng, NEWS_EVENTS)}.")
 
 
 def make_sentences(n, seed=0, style="mono"):
-    """n template sentences in the given style, reproducible per (seed, style)."""
+    """n template sentences in the given style, reproducible per (seed, style);
+    seed is an integer >= 0."""
     if style not in _STYLE_TAG:
         raise ConfigError(f"unknown demo style {style!r}")
     if n < 1:
         raise ConfigError(f"need at least one sentence, got {n}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"demo seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STYLE_TAG[style]]))
     make = _mono_sentence if style == "mono" else _news_sentence
     return [make(rng) for _ in range(n)]

@@ -199,10 +199,11 @@ def loss_and_grads(params, x, batch, rng, n_shards):
         }
         shard = model.ParameterSet(params.config, leaves)
         with T.Tape() as tape, np.errstate(all="ignore"):
-            logits = model.forward(shard, params.config, x[part], train=True,
-                                   rng=draws[j])
+            # no name holds the logits, so backward frees them once used
             loss = T.cross_entropy(
-                logits, batch.targets[part], ignore_mask=batch.ignore[part],
+                model.forward(shard, params.config, x[part], train=True,
+                              rng=draws[j]),
+                batch.targets[part], ignore_mask=batch.ignore[part],
             )
             T.backward(T.scale(loss, d[j] / total), tape)
         return float(loss.data), {n: t.grad for n, t in leaves.items()}

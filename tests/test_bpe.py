@@ -179,6 +179,17 @@ def test_encode_single_base_byte(vocab):
     assert vocab.id_to_token[enc.ids[0]] == "q"
 
 
+@pytest.mark.parametrize("text", ["tseba", "ke a tseba gore ke a tseba"])
+def test_encode_cache_hands_out_fresh_ids(vocab, text):
+    vocab._word_cache.clear()
+    cold = list(bpe.encode(vocab, text).ids)
+    first = bpe.encode(vocab, text)
+    assert first.ids == cold
+    first.ids[0] = -1
+    first.ids.append(-2)
+    assert bpe.encode(vocab, text).ids == cold
+
+
 def test_round_trip_corpus_lines(vocab):
     for line in seed_corpus(500, seed=11):
         enc = bpe.encode(vocab, line)

@@ -2,10 +2,11 @@
 
 import collections
 import pathlib
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from occlm import bpe, corpus
@@ -48,6 +49,33 @@ def test_clean_idempotent_on_golden():
 def test_clean_idempotent_property(s):
     once = list(corpus.clean([s]))
     assert list(corpus.clean(once)) == once
+
+
+def _regex_clean(lines):
+    # reference: the sentence split as a zero-width regex split after each stop
+    after_stop = re.compile(r"(?<=\.)")
+    for line in lines:
+        line = line.replace("/", " ").replace("\\", " ")
+        line = re.sub(r"[^\w\s.,'\-]|_", "", line)
+        line = re.sub(r"\.{2,}", ".", line)
+        line = re.sub(r"\s+", " ", line).strip()
+        for piece in after_stop.split(line):
+            piece = piece.strip().lower()
+            if piece:
+                yield piece
+
+
+_CLEAN_PIECES = ["a", "B", " ", ".", "..", "...", "\n", "\r", "\t", "\x0b",
+                 "\x1c", "/", "\\", "_", "-", "'", ",", "!", "…", "Σ", "σ",
+                 "İ", "é"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_CLEAN_PIECES), max_size=16)
+                .map("".join), min_size=1, max_size=5))
+@example(["a\nb. c"])  # one line, two sentences: ["a b.", "c"]
+def test_clean_matches_regex_reference(lines):
+    assert list(corpus.clean(lines)) == list(_regex_clean(lines))
 
 
 def test_read_lines_reports_bad_utf8(tmp_path):

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -743,6 +744,54 @@ def test_shard_worker_and_inline_are_bit_identical(ac4_train_ds, monkeypatch):
     for name in finals[0]:
         np.testing.assert_array_equal(finals[0][name], finals[1][name],
                                       err_msg=name)
+
+
+def test_backward_frees_the_logits_before_the_blocks(monkeypatch):
+    # at vocab 2000 the (rows, S, V) logits are the step's largest array;
+    # live traced memory is read when block0's attention backward starts,
+    # once with the caller holding the logits and once in loss_and_grads
+    cfg = model.ModelConfig(vocab_size=2000, block_size=64, d_model=32,
+                            n_layers=2, n_heads=2, dropout=0.1, ffn_mult=4)
+    params = model.init(cfg, seed=0)
+    ids = np.random.default_rng(0).integers(3, cfg.vocab_size, size=(16, 65))
+    batch = corpus.Batch(inputs=ids[:, :-1], targets=ids[:, 1:],
+                         ignore=np.zeros((16, 64), dtype=bool))
+    readings = []
+    attention = T.attention
+
+    def attention_reading_memory(*args):
+        out = attention(*args)
+        entry = T.active_tape().entries[-1]
+        back = entry.backward_fn
+
+        def read_then_back(g, sink):
+            readings.append(tracemalloc.get_traced_memory()[0] - start)
+            back(g, sink)
+
+        entry.backward_fn = read_then_back
+        return out
+
+    monkeypatch.setattr(T, "attention", attention_reading_memory)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with T.Tape() as tape:
+            logits = model.forward(params, cfg, batch.inputs, train=True,
+                                   rng=np.random.default_rng(1))
+            loss = T.cross_entropy(logits, batch.targets, ignore_mask=batch.ignore)
+            T.backward(loss, tape)
+        held = readings[-1]
+        start = tracemalloc.get_traced_memory()[0]
+        loss_sharded, grads = train.loss_and_grads(
+            params, batch.inputs, batch, np.random.default_rng(1), n_shards=1)
+        freed = readings[-1]
+    finally:
+        tracemalloc.stop()
+    assert loss_sharded == float(loss.data)
+    for name in params.names():
+        np.testing.assert_array_equal(grads[name], params[name].grad, err_msg=name)
+    assert 0.9 * logits.data.nbytes <= held - freed <= 1.1 * logits.data.nbytes, \
+        (held, freed, logits.data.nbytes)
 
 
 def test_run_keeps_heap_pages_once_without_a_worker(monkeypatch):
