@@ -99,11 +99,11 @@ def brevity_penalty(c, r):
     return math.exp(1.0 - r / c)
 
 
-def bleu_corpus(candidates, references, max_n=4, smooth_eps=0.0):
+def bleu_corpus(candidates, references, max_n=4):
     """Corpus-level BLEU in [0, 1]: clipped n-gram counts summed over the
     corpus, uniform 1/max_n weights, brevity penalty on total lengths.
 
-    Any order with zero matches zeroes the score unless smooth_eps > 0.
+    Any order with zero matches zeroes the score (no smoothing).
     """
     if len(candidates) != len(references):
         raise ContractError(
@@ -134,10 +134,9 @@ def bleu_corpus(candidates, references, max_n=4, smooth_eps=0.0):
             # shorter than n): the order is absent, not zero, so identity
             # still holds for texts shorter than max_n
             continue
-        if smooth_eps <= 0.0 and m == 0:
+        if m == 0:
             return 0.0
-        p = (m + smooth_eps) / (t + smooth_eps)
-        log_p += math.log(p) / max_n
+        log_p += math.log(m / t) / max_n
     return brevity_penalty(c_len, r_len) * math.exp(log_p)
 
 

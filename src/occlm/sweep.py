@@ -76,20 +76,21 @@ class TrialRecord:
     trial_id: int
     sampled: dict
     history: list
-    best_valid_loss: float
-    best_valid_ppl: float
     stop_reason: str
     wall_s: float
+
+    @property
+    def best_valid_loss(self):
+        """The history's least validation loss; inf with no epoch."""
+        return min((h["valid_loss"] for h in self.history), default=math.inf)
+
+    @property
+    def best_valid_ppl(self):
+        return metrics.safe_exp(self.best_valid_loss)
 
     def check(self):
         if self.stop_reason not in ("early_stop", "max_epochs", "diverged"):
             raise ConfigError(f"unknown stop reason {self.stop_reason!r}")
-        if self.history:
-            want = min(h["valid_loss"] for h in self.history)
-            if not math.isclose(self.best_valid_loss, want, rel_tol=1e-12):
-                raise ConfigError(
-                    f"best_valid_loss {self.best_valid_loss} != history min {want}"
-                )
         return self
 
 
@@ -155,10 +156,6 @@ def _none_for_inf(x):
     return None if not math.isfinite(x) else x
 
 
-def _inf_for_none(x):
-    return math.inf if x is None else x
-
-
 def record_to_dict(rec):
     return {
         "trial_id": rec.trial_id,
@@ -172,15 +169,21 @@ def record_to_dict(rec):
 
 
 def record_from_dict(d):
-    return TrialRecord(
+    """A checked TrialRecord from a record.json dict, whose stored
+    best_valid_loss must be its history's least validation loss."""
+    rec = TrialRecord(
         trial_id=int(d["trial_id"]),
         sampled=dict(d["sampled"]),
         history=list(d["history"]),
-        best_valid_loss=_inf_for_none(d["best_valid_loss"]),
-        best_valid_ppl=_inf_for_none(d["best_valid_ppl"]),
         stop_reason=d["stop_reason"],
         wall_s=float(d["wall_s"]),
     ).check()
+    if d["best_valid_loss"] != _none_for_inf(rec.best_valid_loss):
+        raise ConfigError(
+            f"best_valid_loss {d['best_valid_loss']} != history min "
+            f"{rec.best_valid_loss}"
+        )
+    return rec
 
 
 def trial_config(spec, trial_id):
@@ -210,7 +213,6 @@ def run_trial(spec, trial_id, train_ds, valid_ds, out_dir, vocab_hash, run_id):
     params = model.init(mcfg, seed=sampled["init_seed"])
     trial_run_id = f"{run_id}/trial_{trial_id}"
     t0 = time.perf_counter()
-    best_params = None
     try:
         sink = train.MetricsSink(os.path.join(tdir, "metrics.jsonl"))
 
@@ -226,25 +228,15 @@ def run_trial(spec, trial_id, train_ds, valid_ds, out_dir, vocab_hash, run_id):
     except DivergenceError as exc:
         history = list(exc.history or [])
         stop_reason = "diverged"
-    wall_s = time.perf_counter() - t0
-
-    if history:
-        best_loss = min(h["valid_loss"] for h in history)
-        best_ppl = metrics.safe_exp(best_loss)
-    else:
-        best_loss = math.inf
-        best_ppl = math.inf
     rec = TrialRecord(
         trial_id=trial_id,
         sampled=sampled,
         history=history,
-        best_valid_loss=best_loss,
-        best_valid_ppl=best_ppl,
         stop_reason=stop_reason,
-        wall_s=wall_s,
+        wall_s=time.perf_counter() - t0,
     ).check()
 
-    if stop_reason != "diverged" and best_params is not None:
+    if stop_reason != "diverged":
         model.save_checkpoint(
             os.path.join(tdir, "checkpoint.ckpt"),
             best_params,

@@ -72,12 +72,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self):
-        return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"<Tensor shape={self.shape} requires_grad={self.requires_grad}{tag}>"

@@ -89,8 +89,7 @@ class TrainState:
     stop_reason: str | None = None
 
 
-def init_state(params, cfg, freeze_mask=None):
-    mask = freeze_mask or model.FreezeMask.all_trainable(params.config)
+def init_state(params, cfg):
     return TrainState(
         step=0,
         epoch=0,
@@ -99,7 +98,7 @@ def init_state(params, cfg, freeze_mask=None):
         t={n: 0 for n in params.names()},
         best_valid_loss=math.inf,
         epochs_since_improvement=0,
-        freeze_mask=mask.check(params.config),
+        freeze_mask=model.FreezeMask.all_trainable(params.config),
         rng=np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x0CC])),
     )
 
@@ -239,10 +238,8 @@ def train_step(params, state, batch, cfg, lr=None, batch_index=None):
         )
         if not math.isfinite(loss_val):
             raise NumericsError("training loss is not finite")
-        for name, grad in grads.items():
-            params[name].grad = grad
-        adamw_update(params, state, state.freeze_mask.trainable_names(params),
-                     lr, cfg)
+        trainable = state.freeze_mask.trainable_names(params)
+        adamw_update(params, state, {n: grads[n] for n in trainable}, lr, cfg)
     except NumericsError as exc:
         raise DivergenceError(
             f"non-finite value during training step: {exc}",
@@ -252,8 +249,9 @@ def train_step(params, state, batch, cfg, lr=None, batch_index=None):
     return loss_val, state
 
 
-def adamw_update(params, state, names, lr, cfg):
-    """AdamW with bias correction and decoupled, lr-scaled weight decay.
+def adamw_update(params, state, grads, lr, cfg):
+    """AdamW with bias correction and decoupled, lr-scaled weight decay,
+    applied to each parameter named in grads (name -> gradient or None).
 
     Decay applies to matrix-shaped parameters only (embeddings, projections);
     vectors (biases, layer-norm) are exempt. Per-parameter step counters keep
@@ -262,11 +260,10 @@ def adamw_update(params, state, names, lr, cfg):
     A finite gradient can still overflow the bias-corrected second moment
     (float32, from about 1.8e19 on the first step); that raises NumericsError
     naming the parameter before its data moves."""
-    for name in names:
-        p = params[name]
-        g = p.grad
+    for name, g in grads.items():
         if g is None:
             continue
+        p = params[name]
         state.t[name] += 1
         tt = state.t[name]
         m = state.m[name]
@@ -283,31 +280,6 @@ def adamw_update(params, state, names, lr, cfg):
         if cfg.weight_decay and p.data.ndim >= 2:
             p.data -= T.DTYPE(lr * cfg.weight_decay) * p.data
         p.data -= T.DTYPE(lr) * m_hat / (np.sqrt(v_hat) + T.DTYPE(ADAM_EPS))
-
-
-class EarlyStopper:
-    """Patience counter over validation losses; improvement is strict <."""
-
-    def __init__(self, patience, best=math.inf, since=0, best_epoch=None):
-        if patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {patience}")
-        self.patience = patience
-        self.best = best
-        self.since = since
-        self.best_epoch = best_epoch
-
-    def update(self, loss, epoch=None):
-        if loss < self.best:
-            self.best = loss
-            self.best_epoch = epoch
-            self.since = 0
-            return True
-        self.since += 1
-        return False
-
-    @property
-    def should_stop(self):
-        return self.since >= self.patience
 
 
 def unfreeze_schedule(config):
@@ -348,8 +320,10 @@ def fit(
     valid_loss, valid_ppl, wall_ms} is appended to state.history, and then,
     once the best snapshot and state.epoch are updated, passed to
     on_epoch(record, state); a truthy return ends the run with stop_reason
-    "diverged". The returned parameters are the best-validation snapshot,
-    not the last. A DivergenceError carries the history accumulated so far.
+    "diverged". Only a validation loss strictly below the best so far is an
+    improvement, and the run stops once cfg.patience epochs in a row bring
+    none. The returned parameters are the best-validation snapshot, not the
+    last. A DivergenceError carries the history accumulated so far.
     Pass a previously saved state to resume mid-run.
     """
     cfg.check()
@@ -359,12 +333,6 @@ def fit(
         state = init_state(params, cfg)
     n_batches = math.ceil(len(train_ds) / cfg.batch_size)
     total_steps = n_batches * cfg.max_epochs
-    stopper = EarlyStopper(
-        cfg.patience,
-        best=state.best_valid_loss,
-        since=state.epochs_since_improvement,
-        best_epoch=state.best_epoch,
-    )
     if best_params is None:
         best_params = params.copy()
     state.stop_reason = None
@@ -403,12 +371,11 @@ def fit(
                 params, params.config, valid_ds
             )
         except NumericsError as exc:
-            err = DivergenceError(
+            raise DivergenceError(
                 f"non-finite value during validation: {exc}",
                 step=state.step, lr=lr, batch_index=None,
-            )
-            err.history = state.history
-            raise err from exc
+                history=state.history,
+            ) from exc
         wall_ms = (time.perf_counter() - t0) * 1000.0
 
         record = {
@@ -424,17 +391,19 @@ def fit(
         }
         state.history.append(record)
 
-        if stopper.update(valid_loss, epoch):
+        if valid_loss < state.best_valid_loss:
             best_params = params.copy()
-        state.best_valid_loss = stopper.best
-        state.epochs_since_improvement = stopper.since
-        state.best_epoch = stopper.best_epoch
+            state.best_valid_loss = valid_loss
+            state.best_epoch = epoch
+            state.epochs_since_improvement = 0
+        else:
+            state.epochs_since_improvement += 1
         state.epoch = epoch + 1
 
         if on_epoch is not None and on_epoch(record, state):
             state.stop_reason = "diverged"
             break
-        if stopper.should_stop:
+        if state.epochs_since_improvement >= cfg.patience:
             state.stop_reason = "early_stop"
             break
     if state.stop_reason is None:

@@ -1,5 +1,5 @@
-"""Shared test oracles: finite-difference gradient checking, and a
-checkpoint header editor.
+"""Shared test oracles: finite-difference gradient checking, a checkpoint
+header editor, and a fit driven by scripted validation losses.
 
 The numeric side reads op outputs through a float64 projection so the
 only noise left is the float32 quantization of the op itself. Relative
@@ -8,10 +8,11 @@ absolutely instead of blowing up the ratio.
 """
 
 import json
+import math
 
 import numpy as np
 
-from occlm import model
+from occlm import corpus, metrics, model, train
 from occlm import tensor as T
 
 
@@ -71,7 +72,7 @@ def check_op_grads(op_fn, inputs, h=1e-3, rtol=1e-3, floor=0.5, seed=0):
     for t, num in zip(inputs, numeric):
         assert t.grad is not None, "op recorded no gradient for an input"
         worst = max(worst, max_rel_err(t.grad, num, floor))
-        t.zero_grad()
+        t.grad = None
     assert worst <= rtol, f"gradient mismatch: max rel err {worst:.3e} > {rtol}"
     return worst
 
@@ -89,3 +90,28 @@ def edit_checkpoint_config(path, edit):
     with open(path, "wb") as fh:
         fh.write(model.CKPT_MAGIC + len(blob).to_bytes(8, "little") + blob
                  + raw[start + size:])
+
+
+def fit_on_scripted_losses(monkeypatch, losses, patience, max_epochs=None):
+    """train.fit on a tiny model whose validation loss after epoch e is
+    losses[e] (metrics.perplexity is patched); an epoch past the script
+    raises IndexError. Returns (final TrainState, each epoch's
+    epochs_since_improvement as on_epoch saw it)."""
+    seen, since = [], []
+
+    def scripted_perplexity(params, config, ds):
+        seen.append(losses[len(seen)])
+        return seen[-1], math.exp(seen[-1])
+
+    def on_epoch(record, state):
+        since.append(state.epochs_since_improvement)
+
+    monkeypatch.setattr(metrics, "perplexity", scripted_perplexity)
+    cfg = model.ModelConfig(vocab_size=16, block_size=8, d_model=8, n_layers=1,
+                            n_heads=2, dropout=0.0, ffn_mult=2)
+    ds = corpus.pack_ids([3, 4, 5, 6, 7, 2] * 6, 8)
+    tcfg = train.TrainConfig(batch_size=8, patience=patience,
+                             max_epochs=max_epochs or len(losses) + 3)
+    _, state = train.fit(model.init(cfg, seed=0), ds, ds, tcfg,
+                         on_epoch=on_epoch)
+    return state, since

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from helpers import check_op_grads, fd_grad, max_rel_err
+from helpers import check_op_grads, fd_grad, fit_on_scripted_losses, max_rel_err
 from test_metrics import _id_vocab, reference_bleu, uniform_params
 from test_metrics import tiny_config as m_tiny_config
 from test_metrics import tiny_dataset as m_tiny_dataset
@@ -255,7 +255,7 @@ def test_ac5_finetuning_behavior():
     schedule = train.unfreeze_schedule(mcfg)
     initial = {n: params[n].data.copy() for n in params.names()}
     opens_at = {0: 4, 1: 2, 2: 0, 3: 0}  # block index -> first open epoch
-    state = train.init_state(params, tcfg, freeze_mask=schedule(0))
+    state = train.init_state(params, tcfg)
     order = np.random.default_rng(0)
     for epoch in range(5):
         state.freeze_mask = schedule(epoch)
@@ -300,28 +300,22 @@ def test_ac5_finetuning_behavior():
     assert time.perf_counter() - t0 < 900
 
 
-def test_ac6_early_stopping():
+def test_ac6_early_stopping(monkeypatch):
+    # fit on scripted validation losses (metrics.perplexity patched)
     t0 = time.perf_counter()
-    stopper = train.EarlyStopper(patience=5)
-    losses = [3.0, 2.0, 3.0, 3.0, 3.0, 3.0, 3.0]
-    stopped_after = None
-    for epoch, loss in enumerate(losses, start=1):
-        stopper.update(loss, epoch=epoch)
-        if stopper.should_stop:
-            stopped_after = epoch
-            break
-    assert stopped_after == 7  # 5 non-improving epochs after the best at 2
-    assert stopper.best == 2.0
-    assert stopper.best_epoch == 2
+    state, _ = fit_on_scripted_losses(
+        monkeypatch, [3.0, 2.0, 3.0, 3.0, 3.0, 3.0, 3.0], patience=5)
+    assert len(state.history) == 7  # 5 non-improving epochs after the best
+    assert state.stop_reason == "early_stop"
+    assert state.best_valid_loss == 2.0
+    assert state.best_epoch == 1  # the 2nd epoch
 
     # never early, and an equal loss is not an improvement
-    stopper = train.EarlyStopper(patience=2)
-    assert stopper.update(1.0, epoch=1) is True
-    assert stopper.update(1.0, epoch=2) is False
-    assert not stopper.should_stop
-    assert stopper.update(1.0, epoch=3) is False
-    assert stopper.should_stop
-    assert stopper.best_epoch == 1
+    state, since = fit_on_scripted_losses(monkeypatch, [1.0, 1.0, 1.0],
+                                          patience=2)
+    assert since == [0, 1, 2]
+    assert len(state.history) == 3 and state.stop_reason == "early_stop"
+    assert state.best_epoch == 0
     assert time.perf_counter() - t0 < 1.0
 
 

@@ -1,6 +1,7 @@
-"""Every public module-level function and class of occlm has a caller in the
-program: the package, its scripts or its benchmark. Tests do not count, so a
-definition that only tests call fails here unless it is on the allowlist."""
+"""Every public module-level function and class of occlm, and every public
+method of its classes, has a caller in the program: the package, its scripts
+or its benchmark. Tests do not count, so a definition that only tests call
+fails here unless it is on the allowlist."""
 
 import ast
 import os
@@ -32,13 +33,20 @@ def _trees(dirs):
                         yield ast.parse(fh.read(), path)
 
 
+def _public(nodes):
+    return [node for node in nodes
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
 def _public_definitions():
+    """Public module-level names and the public methods of their classes."""
     defs = set()
     for tree in _trees([PACKAGE]):
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defs.add(node.name)
+        for node in _public(tree.body):
+            defs.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defs.update(method.name for method in _public(node.body))
     return defs
 
 

@@ -69,7 +69,7 @@ def _run(kernel, inputs, extra, p, train, seed):
         T.backward(T.sum_all(T.mul(T.add(out, other), probe)), tape)
     grads = [t.grad for t in inputs] + [other.grad]
     for t in inputs:
-        t.zero_grad()
+        t.grad = None
     return out.data, grads, rng.bit_generator.state
 
 

@@ -4,6 +4,7 @@ leaderboard ordering, divergence handling, resume, and report round trips."""
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -365,7 +366,6 @@ def _record(trial_id=0, best=1.0, reason="max_epochs", history=None):
         ]
     return sweep.TrialRecord(
         trial_id=trial_id, sampled={"base_lr": 1e-4}, history=history,
-        best_valid_loss=best, best_valid_ppl=math.exp(best),
         stop_reason=reason, wall_s=0.1,
     )
 
@@ -374,20 +374,65 @@ def test_trial_record_check():
     _record().check()
     with pytest.raises(ConfigError):
         _record(reason="crashed").check()
-    bad = _record()
-    bad.best_valid_loss = 0.5  # history says 1.0
-    with pytest.raises(ConfigError):
-        bad.check()
+
+
+def test_trial_record_best_is_its_history_min():
+    rec = _record(best=1.5)
+    rec.history.append(dict(rec.history[0], epoch=1, valid_loss=0.5))
+    assert rec.best_valid_loss == 0.5
+    assert rec.best_valid_ppl == math.exp(0.5)
+    rec.history = []
+    assert rec.best_valid_loss == rec.best_valid_ppl == math.inf
+
+
+def test_record_from_dict_rejects_a_best_that_is_not_the_history_min():
+    d = sweep.record_to_dict(_record())
+    sweep.record_from_dict(d)
+    for stored in (0.5, None):  # the history says 1.0
+        with pytest.raises(ConfigError, match="best_valid_loss"):
+            sweep.record_from_dict(dict(d, best_valid_loss=stored))
+    empty = dict(d, history=[], best_valid_loss=None)
+    sweep.record_from_dict(empty)
+    with pytest.raises(ConfigError, match="best_valid_loss"):
+        sweep.record_from_dict(dict(empty, best_valid_loss=1.0))
 
 
 def test_record_dict_round_trip_handles_inf():
-    rec = sweep.TrialRecord(
-        trial_id=1, sampled={}, history=[], best_valid_loss=math.inf,
-        best_valid_ppl=math.inf, stop_reason="diverged", wall_s=0.01,
-    )
+    rec = sweep.TrialRecord(trial_id=1, sampled={}, history=[],
+                            stop_reason="diverged", wall_s=0.01)
     back = sweep.record_from_dict(json.loads(json.dumps(sweep.record_to_dict(rec))))
     assert math.isinf(back.best_valid_loss)
     assert back.stop_reason == "diverged"
+
+
+# record.json, leaderboard.json and best.json of make_spec()'s sweep, and a
+# record.json of a trial that diverged before its first epoch, as written
+# when TrialRecord still stored its best loss and perplexity as fields
+SAVED = pathlib.Path(__file__).resolve().parent / "data" / "sweep_records"
+
+
+def test_saved_records_load_to_the_same_bytes(tmp_path, monkeypatch):
+    spec = make_spec()
+    out = tmp_path / "s"
+    for k in range(spec.trial_count):
+        tdir = out / f"trial_{k}"
+        tdir.mkdir(parents=True)
+        artifacts.write_json(str(tdir / "config.json"), sweep.trial_config(spec, k))
+        (tdir / "record.json").write_bytes(
+            (SAVED / f"trial_{k}" / "record.json").read_bytes())
+        (tdir / "checkpoint.ckpt").write_bytes(b"")  # best.json needs one
+
+    def no_rerun(*args):
+        raise AssertionError("a saved record was re-run")
+
+    monkeypatch.setattr(sweep, "run_trial", no_rerun)
+    sweep.run_sweep(spec, tiny_dataset(), tiny_dataset(), str(out))
+    for name in ("leaderboard.json", "best.json"):
+        assert (out / name).read_bytes() == (SAVED / name).read_bytes()
+    diverged = SAVED / "diverged_record.json"
+    rec = sweep.record_from_dict(artifacts.read_json(str(diverged)))
+    artifacts.write_json(str(tmp_path / "r.json"), sweep.record_to_dict(rec))
+    assert (tmp_path / "r.json").read_bytes() == diverged.read_bytes()
 
 
 def test_divergence_rule_windows():

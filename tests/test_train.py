@@ -21,6 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import fit_on_scripted_losses
+
 from occlm import bpe, corpus, demo, metrics, model, shards, train
 from occlm import tensor as T
 from occlm.errors import ConfigError, ContractError, DivergenceError, NumericsError
@@ -172,9 +174,8 @@ def test_adamw_matches_hand_recurrence():
     w_grads = [rng.normal(0, 1, size=(3, 2)) for _ in range(3)]
     b_grads = [rng.normal(0, 1, size=(4,)) for _ in range(3)]
     for gw, gb in zip(w_grads, b_grads):
-        params["w"].grad = gw.astype(np.float32)
-        params["b"].grad = gb.astype(np.float32)
-        train.adamw_update(params, state, ["w", "b"], 1e-3, tcfg)
+        grads = {"w": gw.astype(np.float32), "b": gb.astype(np.float32)}
+        train.adamw_update(params, state, grads, 1e-3, tcfg)
 
     want_w = _hand_adamw(w0.astype(np.float32), w_grads, 1e-3, 1e-2, decay=True)
     want_b = _hand_adamw(b0.astype(np.float32), b_grads, 1e-3, 1e-2, decay=False)
@@ -186,8 +187,8 @@ def test_adamw_single_param_single_step():
     params = _bare_params([[0.5]], [0.0])
     tcfg = tiny_train_config(base_lr=1e-2, weight_decay=1e-2)
     state = train.init_state(params, tcfg)
-    params["w"].grad = np.array([[2.0]], dtype=np.float32)
-    train.adamw_update(params, state, ["w"], 1e-2, tcfg)
+    train.adamw_update(params, state, {"w": np.array([[2.0]], dtype=np.float32)},
+                       1e-2, tcfg)
     # t=1: m_hat = g, v_hat = g*g, so the adam term is lr * g/(|g|+eps)
     want = 0.5 * (1 - 1e-2 * 1e-2) - 1e-2 * 2.0 / (2.0 + train.ADAM_EPS)
     assert abs(float(params["w"].data[0, 0]) - want) < 1e-7
@@ -198,9 +199,9 @@ def test_adamw_lr_zero_is_null_update():
     before = {n: params[n].data.copy() for n in params.names()}
     tcfg = tiny_train_config(weight_decay=1e-2)
     state = train.init_state(params, tcfg)
-    params["w"].grad = np.ones((1, 2), dtype=np.float32)
-    params["b"].grad = np.ones((1,), dtype=np.float32)
-    train.adamw_update(params, state, ["w", "b"], 0.0, tcfg)
+    grads = {"w": np.ones((1, 2), dtype=np.float32),
+             "b": np.ones((1,), dtype=np.float32)}
+    train.adamw_update(params, state, grads, 0.0, tcfg)
     for n in params.names():
         assert np.array_equal(params[n].data, before[n])
 
@@ -209,9 +210,9 @@ def test_weight_decay_skips_vectors():
     params = _bare_params([[1.0, 1.0]], [1.0])
     tcfg = tiny_train_config(base_lr=1e-2, weight_decay=0.5)
     state = train.init_state(params, tcfg)
-    params["w"].grad = np.zeros((1, 2), dtype=np.float32)
-    params["b"].grad = np.zeros((1,), dtype=np.float32)
-    train.adamw_update(params, state, ["w", "b"], 1e-2, tcfg)
+    grads = {"w": np.zeros((1, 2), dtype=np.float32),
+             "b": np.zeros((1,), dtype=np.float32)}
+    train.adamw_update(params, state, grads, 1e-2, tcfg)
     # zero grad isolates the decay term
     np.testing.assert_allclose(params["w"].data, [[1 - 1e-2 * 0.5] * 2], rtol=1e-7)
     assert np.array_equal(params["b"].data, np.array([1.0], dtype=np.float32))
@@ -268,38 +269,35 @@ def test_lr_no_warmup_starts_at_base():
 # ---------------------------------------------------------------------------
 
 
-def test_early_stopper_scripted_patience_5():
-    losses = [3.0, 2.0, 3.0, 3.0, 3.0, 3.0, 3.0]
-    stopper = train.EarlyStopper(patience=5)
-    stopped_after = None
-    for epoch, loss in enumerate(losses, start=1):
-        stopper.update(loss, epoch)
-        if stopper.should_stop:
-            stopped_after = epoch
-            break
-    assert stopped_after == 7
-    assert stopper.best_epoch == 2
-    assert stopper.best == 2.0
+def test_early_stopper_scripted_patience_5(monkeypatch):
+    state, _ = fit_on_scripted_losses(
+        monkeypatch, [3.0, 2.0, 3.0, 3.0, 3.0, 3.0, 3.0], patience=5)
+    # stops after the 7th epoch: 5 non-improving epochs after the best
+    assert len(state.history) == state.epoch == 7
+    assert state.stop_reason == "early_stop"
+    assert state.best_epoch == 1  # the 2nd epoch
+    assert state.best_valid_loss == 2.0
 
 
-def test_early_stopper_no_premature_stop():
-    stopper = train.EarlyStopper(patience=5)
-    for epoch, loss in enumerate([3.0, 2.0, 3.0, 3.0, 3.0, 3.0], start=1):
-        stopper.update(loss, epoch)
-        assert not stopper.should_stop
+def test_early_stopper_no_premature_stop(monkeypatch):
+    state, since = fit_on_scripted_losses(
+        monkeypatch, [3.0, 2.0, 3.0, 3.0, 3.0, 3.0], patience=5, max_epochs=6)
+    assert state.stop_reason == "max_epochs"
+    assert since == [0, 0, 1, 2, 3, 4]
 
 
-def test_early_stopper_equal_loss_is_not_improvement():
-    stopper = train.EarlyStopper(patience=2)
-    assert stopper.update(1.0, 1)
-    assert not stopper.update(1.0, 2)
-    assert not stopper.update(1.0, 3)
-    assert stopper.should_stop
+def test_early_stopper_equal_loss_is_not_improvement(monkeypatch):
+    state, since = fit_on_scripted_losses(monkeypatch, [1.0, 1.0, 1.0], patience=2)
+    assert since == [0, 1, 2]
+    assert state.stop_reason == "early_stop"
+    assert state.best_epoch == 0
 
 
 def test_early_stopper_patience_validation():
-    with pytest.raises(ConfigError):
-        train.EarlyStopper(patience=0)
+    ds = tiny_dataset()
+    with pytest.raises(ConfigError, match="patience"):
+        train.fit(model.init(tiny_config(), seed=0), ds, ds,
+                  train.TrainConfig(patience=0))
 
 
 def test_fit_patience_ge_max_epochs_runs_all():
@@ -364,7 +362,8 @@ def test_frozen_params_bit_identical_across_steps():
     ds = tiny_dataset()
     tcfg = tiny_train_config()
     mask = model.FreezeMask(embeddings=False, blocks=(False, True))
-    state = train.init_state(params, tcfg, freeze_mask=mask)
+    state = train.init_state(params, tcfg)
+    state.freeze_mask = mask
     before = {n: params[n].data.copy() for n in params.names()}
     for b in range(6):
         train.train_step(params, state, ds.minibatch(np.arange(4)), tcfg)
@@ -664,6 +663,21 @@ def test_golden_loss_trajectory(ac4_train_ds, occlusion_prob):
 # ---------------------------------------------------------------------------
 
 
+def _recording_grads(monkeypatch):
+    """Patch train.loss_and_grads to append each call's grads to the
+    returned list."""
+    recorded = []
+    loss_and_grads = train.loss_and_grads
+
+    def recording(*args):
+        loss, grads = loss_and_grads(*args)
+        recorded.append(grads)
+        return loss, grads
+
+    monkeypatch.setattr(train, "loss_and_grads", recording)
+    return recorded
+
+
 def _ac4_setup(ds, **train_over):
     mcfg = model.ModelConfig(vocab_size=AC4_VOCAB, block_size=64,
                              d_model=64, n_layers=2, n_heads=2, dropout=0.1,
@@ -681,6 +695,7 @@ def test_two_shard_step_matches_one_shard(ac4_train_ds, monkeypatch, train_over)
     # 32 rows split 16+16; 27 rows split 14+13, so the shards' dropout rows
     # differ in count and shard 1 starts at an odd row
     min_two = shards.SHARD_MIN_SIZE
+    recorded = _recording_grads(monkeypatch)
     for rows in (32, 27):
         batch = ac4_train_ds.minibatch(np.arange(rows))
         runs = []
@@ -689,8 +704,7 @@ def test_two_shard_step_matches_one_shard(ac4_train_ds, monkeypatch, train_over)
             assert shards.shard_count(batch.inputs, 64) == n_shards
             params, state, tcfg = _ac4_setup(ac4_train_ds, **train_over)
             loss, _ = train.train_step(params, state, batch, tcfg, lr=1e-3)
-            grads = {n: params[n].grad for n in params.names()}
-            runs.append((loss, grads, state.rng.bit_generator.state))
+            runs.append((loss, recorded[-1], state.rng.bit_generator.state))
         (loss2, grads2, rng2), (loss1, grads1, rng1) = runs
         assert abs(loss2 - loss1) <= 1e-6, rows
         for name in grads1:
@@ -728,6 +742,21 @@ def test_shard_gate_reads_the_loaded_blas_thread_count(blas_env, worker):
     assert out[0] == "1" and out[2] == "2"
     assert (int(out[1]) == 1) is worker
     assert out[3] == str(worker)
+
+
+@pytest.mark.parametrize("n_shards", [1, 2])
+def test_train_step_leaves_no_grad_on_the_parameters(ac4_train_ds, monkeypatch,
+                                                      n_shards):
+    if n_shards == 1:
+        monkeypatch.setattr(shards, "SHARD_MIN_SIZE", 10**12)
+    params, state, tcfg = _ac4_setup(ac4_train_ds)
+    batch = ac4_train_ds.minibatch(np.arange(32))
+    assert shards.shard_count(batch.inputs, 64) == n_shards
+    before = {n: params[n].data.copy() for n in params.names()}
+    train.train_step(params, state, batch, tcfg, lr=1e-3)
+    for name in params.names():
+        assert params[name].grad is None, name
+        assert not np.array_equal(params[name].data, before[name]), name
 
 
 def test_shard_worker_and_inline_are_bit_identical(ac4_train_ds, monkeypatch):
@@ -860,7 +889,7 @@ def test_two_shard_overflow_raises_divergence_without_warning(
 
 
 @pytest.mark.filterwarnings("error")
-def test_adamw_second_moment_overflow_is_a_divergence(ac4_train_ds):
+def test_adamw_second_moment_overflow_is_a_divergence(ac4_train_ds, monkeypatch):
     """A finite gradient whose square overflows the float32 second moment is
     a DivergenceError naming the parameter, not a numpy warning and a
     parameter whose updates then vanish (m_hat / inf is 0)."""
@@ -870,12 +899,13 @@ def test_adamw_second_moment_overflow_is_a_divergence(ac4_train_ds):
     # every logit row sees tok_emb[bad] through the tied head: the loss is
     # finite (about 6e19) and so are the grads, but their squares are not
     params["tok_emb"].data[bad, 0] = 1e20
+    recorded = _recording_grads(monkeypatch)
     with pytest.raises(DivergenceError, match="AdamW second moment of ") as err:
         train.train_step(params, state, batch, tcfg, lr=1e-3, batch_index=5)
     assert (err.value.step, err.value.lr, err.value.batch_index) == (0, 1e-3, 5)
     name = str(err.value).rsplit("AdamW second moment of ", 1)[1].split()[0]
     assert name in params
-    assert np.isfinite(params[name].grad).all()
+    assert np.isfinite(recorded[-1][name]).all()
     assert np.isfinite(state.m[name]).all()
 
 
