@@ -82,7 +82,8 @@ class TrialRecord:
     @property
     def best_valid_loss(self):
         """The history's least validation loss; inf with no epoch."""
-        return min((h["valid_loss"] for h in self.history), default=math.inf)
+        best = train.best_record(self.history)
+        return math.inf if best is None else best["valid_loss"]
 
     @property
     def best_valid_ppl(self):

@@ -20,6 +20,7 @@ import numpy as np
 from . import artifacts, bpe, metrics, model, shards
 from . import tensor as T
 from .errors import (
+    CheckpointError,
     ConfigError,
     ContractError,
     DataError,
@@ -75,29 +76,50 @@ class TrainConfig:
 
 @dataclass
 class TrainState:
+    """Optimizer state and epoch history; the epoch count and the best-loss
+    facts below are read from the history, so they cannot contradict it."""
+
     step: int
-    epoch: int
     m: dict
     v: dict
     t: dict
-    best_valid_loss: float
-    epochs_since_improvement: int
     freeze_mask: model.FreezeMask
     rng: np.random.Generator
     history: list = field(default_factory=list)
-    best_epoch: int | None = None
     stop_reason: str | None = None
+
+    @property
+    def epoch(self):
+        return len(self.history)  # epochs completed: the next one's index
+
+    @property
+    def best_valid_loss(self):
+        best = best_record(self.history)
+        return math.inf if best is None else best["valid_loss"]
+
+    @property
+    def best_epoch(self):
+        best = best_record(self.history)
+        return None if best is None else best["epoch"]
+
+    @property
+    def epochs_since_improvement(self):
+        best = best_record(self.history)
+        return 0 if best is None else len(self.history) - 1 - self.history.index(best)
+
+
+def best_record(history):
+    """The first record with the least valid_loss (a later tie is no
+    improvement), or None for an empty history."""
+    return min(history, key=lambda h: h["valid_loss"], default=None)
 
 
 def init_state(params, cfg):
     return TrainState(
         step=0,
-        epoch=0,
         m={n: np.zeros(params[n].shape, dtype=T.DTYPE) for n in params.names()},
         v={n: np.zeros(params[n].shape, dtype=T.DTYPE) for n in params.names()},
         t={n: 0 for n in params.names()},
-        best_valid_loss=math.inf,
-        epochs_since_improvement=0,
         freeze_mask=model.FreezeMask.all_trainable(params.config),
         rng=np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x0CC])),
     )
@@ -317,14 +339,14 @@ def fit(
     Per epoch: full train pass (shuffled deterministically per seed+epoch),
     then validation loss + perplexity without occlusion or dropout. The
     epoch's record {epoch, step, lr, occlusion_prob, train_loss, train_ppl,
-    valid_loss, valid_ppl, wall_ms} is appended to state.history, and then,
-    once the best snapshot and state.epoch are updated, passed to
-    on_epoch(record, state); a truthy return ends the run with stop_reason
-    "diverged". Only a validation loss strictly below the best so far is an
-    improvement, and the run stops once cfg.patience epochs in a row bring
-    none. The returned parameters are the best-validation snapshot, not the
-    last. A DivergenceError carries the history accumulated so far.
-    Pass a previously saved state to resume mid-run.
+    valid_loss, valid_ppl, wall_ms} is appended to state.history and then,
+    once the best snapshot is taken, passed to on_epoch(record, state); a
+    truthy return ends the run with stop_reason "diverged". Only a validation
+    loss strictly below the best so far is an improvement, and the run stops
+    once cfg.patience epochs in a row bring none. The returned parameters
+    are the best-validation snapshot, not the last. A DivergenceError carries
+    the history accumulated so far. Resume with a saved state and its
+    best_params; freeze_schedule sets the mask at the top of every epoch.
     """
     cfg.check()
     if len(train_ds) == 0 or len(valid_ds) == 0:
@@ -334,6 +356,9 @@ def fit(
     n_batches = math.ceil(len(train_ds) / cfg.batch_size)
     total_steps = n_batches * cfg.max_epochs
     if best_params is None:
+        if state.history:
+            raise ContractError(
+                f"resuming after {state.epoch} epochs needs their best_params")
         best_params = params.copy()
     state.stop_reason = None
 
@@ -390,15 +415,8 @@ def fit(
             "wall_ms": wall_ms,
         }
         state.history.append(record)
-
-        if valid_loss < state.best_valid_loss:
+        if state.best_epoch == epoch:
             best_params = params.copy()
-            state.best_valid_loss = valid_loss
-            state.best_epoch = epoch
-            state.epochs_since_improvement = 0
-        else:
-            state.epochs_since_improvement += 1
-        state.epoch = epoch + 1
 
         if on_epoch is not None and on_epoch(record, state):
             state.stop_reason = "diverged"
@@ -411,19 +429,12 @@ def fit(
     return best_params, state
 
 
-def finetune(params, train_ds, valid_ds, cfg, on_epoch=None, state=None):
+def finetune(params, train_ds, valid_ds, cfg, on_epoch=None):
     """Fine-tune with gradual unfreezing (see unfreeze_schedule).
     Checkpoint/config agreement is enforced where the checkpoint is loaded."""
-    schedule = unfreeze_schedule(params.config)
-    return fit(
-        params,
-        train_ds,
-        valid_ds,
-        cfg,
-        freeze_schedule=schedule,
-        on_epoch=on_epoch,
-        state=state,
-    )
+    return fit(params, train_ds, valid_ds, cfg,
+               freeze_schedule=unfreeze_schedule(params.config),
+               on_epoch=on_epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +453,7 @@ def save_train_checkpoint(path, params, state, vocab_hash, metadata=None, best_p
     meta = dict(metadata or {})
     meta["train_state"] = {
         "step": state.step,
-        "epoch": state.epoch,
         "t": state.t,
-        "best_valid_loss": state.best_valid_loss,
-        "epochs_since_improvement": state.epochs_since_improvement,
-        "best_epoch": state.best_epoch,
-        "stop_reason": state.stop_reason,
-        "freeze_mask": {
-            "embeddings": state.freeze_mask.embeddings,
-            "blocks": list(state.freeze_mask.blocks),
-        },
         "rng_state": state.rng.bit_generator.state,
         "history": state.history,
     }
@@ -459,31 +461,29 @@ def save_train_checkpoint(path, params, state, vocab_hash, metadata=None, best_p
 
 
 def load_train_checkpoint(path, expect_config=None, expect_vocab_hash=None):
-    """Returns (params, state, best_params or None, header)."""
+    """Returns (params, state, best_params or None, header). A state file
+    holds no freeze mask or stop reason: the state's mask trains everything
+    until fit's freeze_schedule narrows it, and fit sets the stop reason."""
     params, header, extras = model.load_checkpoint(
         path, expect_config=expect_config, expect_vocab_hash=expect_vocab_hash
     )
-    meta = header["metadata"]["train_state"]
-    rng = np.random.default_rng()
-    rng.bit_generator.state = meta["rng_state"]
-    mask = model.FreezeMask(
-        embeddings=meta["freeze_mask"]["embeddings"],
-        blocks=tuple(meta["freeze_mask"]["blocks"]),
-    )
-    state = TrainState(
-        step=meta["step"],
-        epoch=meta["epoch"],
-        m={n: extras[f"adam.m.{n}"] for n in params.names()},
-        v={n: extras[f"adam.v.{n}"] for n in params.names()},
-        t={n: int(meta["t"][n]) for n in params.names()},
-        best_valid_loss=meta["best_valid_loss"],
-        epochs_since_improvement=meta["epochs_since_improvement"],
-        freeze_mask=mask,
-        rng=rng,
-        history=list(meta["history"]),
-        best_epoch=meta["best_epoch"],
-        stop_reason=meta["stop_reason"],
-    )
+    try:
+        meta = header["metadata"]["train_state"]
+        rng = np.random.default_rng()
+        rng.bit_generator.state = meta["rng_state"]
+        state = TrainState(
+            step=meta["step"],
+            m={n: extras[f"adam.m.{n}"] for n in params.names()},
+            v={n: extras[f"adam.v.{n}"] for n in params.names()},
+            t={n: int(meta["t"][n]) for n in params.names()},
+            freeze_mask=model.FreezeMask.all_trainable(params.config),
+            rng=rng,
+            history=list(meta["history"]),
+        )
+    except KeyError as exc:
+        raise CheckpointError(
+            f"{path} is not a training state file: it has no {exc.args[0]!r}"
+        ) from exc
     best_params = None
     if any(k.startswith("best.") for k in extras):
         tensors = {

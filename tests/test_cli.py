@@ -160,6 +160,8 @@ CONFIG_SURFACE = {
     train.TrainConfig: "batch_size max_epochs base_lr warmup_fraction "
                        "weight_decay patience occlusion_prob seed",
     model.FreezeMask: "embeddings blocks",
+    train.TrainState: "step m v t freeze_mask rng history stop_reason",
+    sweep.TrialRecord: "trial_id sampled history stop_reason wall_s",
     corpus.SplitSpec: "train_frac valid_frac seed",
     metrics.GenerationConfig: "max_new_tokens strategy temperature top_k seed",
     sweep.SweepSpec: "base_model base_train lr_range n_layers_choices "

@@ -23,9 +23,15 @@ from hypothesis import strategies as st
 
 from helpers import fit_on_scripted_losses
 
-from occlm import bpe, corpus, demo, metrics, model, shards, train
+from occlm import bpe, corpus, demo, metrics, model, shards, sweep, train
 from occlm import tensor as T
-from occlm.errors import ConfigError, ContractError, DivergenceError, NumericsError
+from occlm.errors import (
+    CheckpointError,
+    ConfigError,
+    ContractError,
+    DivergenceError,
+    NumericsError,
+)
 
 SPECIALS = bpe.SPECIAL_IDS
 OCC = bpe.OCC_ID
@@ -530,6 +536,116 @@ def test_resume_is_bit_identical_to_uninterrupted(tmp_path):
     full_hist = [h["valid_loss"] for h in state_full.history]
     res_hist = [h["valid_loss"] for h in state_out.history]
     assert full_hist == res_hist
+
+
+def _history_without_wall_time(state):
+    return [{k: v for k, v in h.items() if k != "wall_ms"} for h in state.history]
+
+
+def test_resume_across_an_unfreeze_boundary_needs_no_stored_mask(tmp_path):
+    """A 4-layer unfreeze-schedule run stopped after epoch 3 (3 blocks open,
+    4 from epoch 4) resumes from a state file that holds no mask exactly as
+    if it had not stopped: fit re-applies the schedule each epoch."""
+    cfg = tiny_config(n_layers=4)
+    ds = tiny_dataset()
+    tcfg = tiny_train_config(max_epochs=6, occlusion_prob=0.2, seed=4)
+    schedule = train.unfreeze_schedule(cfg)
+
+    p_full = model.init(cfg, seed=6)
+    best_full, state_full = train.fit(p_full, ds, ds, tcfg,
+                                      freeze_schedule=schedule)
+
+    p_half = model.init(cfg, seed=6)
+    best_half, state_half = train.fit(
+        p_half, ds, ds, tcfg, freeze_schedule=schedule,
+        on_epoch=lambda record, state: state.epoch >= 3,
+    )
+    path = str(tmp_path / "resume.ckpt")
+    train.save_train_checkpoint(
+        path, p_half, state_half, vocab_hash="0" * 64, best_params=best_half
+    )
+    saved = model.read_checkpoint_header(path)["metadata"]["train_state"]
+    assert set(saved) == {"history", "rng_state", "step", "t"}
+    p_res, state_res, best_res, _ = train.load_train_checkpoint(
+        path, expect_config=cfg, expect_vocab_hash="0" * 64
+    )
+    # the loaded mask is wrong for epoch 3, so only the schedule can fix it
+    assert state_res.freeze_mask == model.FreezeMask.all_trainable(cfg)
+    assert schedule(3) != state_res.freeze_mask
+    assert state_res.stop_reason is None
+    best_out, state_out = train.fit(
+        p_res, ds, ds, tcfg, freeze_schedule=schedule,
+        state=state_res, best_params=best_res,
+    )
+
+    assert state_out.step == state_full.step
+    assert state_out.t == state_full.t
+    assert state_out.stop_reason == state_full.stop_reason == "max_epochs"
+    assert _history_without_wall_time(state_out) == \
+        _history_without_wall_time(state_full)
+    for n in p_full.names():
+        assert np.array_equal(p_full[n].data, p_res[n].data), n
+        assert np.array_equal(best_full[n].data, best_out[n].data), n
+        assert np.array_equal(state_full.m[n], state_out.m[n]), n
+        assert np.array_equal(state_full.v[n], state_out.v[n]), n
+
+
+def test_fit_rejects_a_resumed_state_without_its_best_params():
+    cfg = tiny_config()
+    ds = tiny_dataset()
+    params = model.init(cfg, seed=0)
+    _, state = train.fit(params, ds, ds, tiny_train_config(max_epochs=1))
+    with pytest.raises(ContractError, match="best_params"):
+        train.fit(params, ds, ds, tiny_train_config(max_epochs=2), state=state)
+
+
+@pytest.mark.parametrize("missing", ["train_state", "history"])
+def test_load_train_checkpoint_names_a_missing_key(tmp_path, missing):
+    cfg = tiny_config()
+    params = model.init(cfg, seed=0)
+    path = str(tmp_path / "state.ckpt")
+    if missing == "train_state":
+        model.save_checkpoint(path, params, "0" * 64)
+    else:
+        full = str(tmp_path / "full.ckpt")
+        train.save_train_checkpoint(full, params,
+                                    train.init_state(params, tiny_train_config()),
+                                    "0" * 64)
+        _, header, extras = model.load_checkpoint(full)
+        del header["metadata"]["train_state"]["history"]
+        model.save_checkpoint(path, params, "0" * 64,
+                              metadata=header["metadata"], extras=extras)
+    with pytest.raises(CheckpointError) as exc_info:
+        train.load_train_checkpoint(path)
+    assert path in str(exc_info.value)
+    assert repr(missing) in str(exc_info.value)
+
+
+def _strict_improvement_loop(history):
+    best, best_epoch, since = math.inf, None, 0
+    for h in history:
+        if h["valid_loss"] < best:
+            best, best_epoch, since = h["valid_loss"], h["epoch"], 0
+        else:
+            since += 1
+    return best, best_epoch, since
+
+
+@given(st.lists(st.sampled_from([0.25, 1.0, 1.5, 2.0])
+                | st.floats(0.0, 10.0, allow_subnormal=False), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_derived_best_matches_a_strict_improvement_loop(losses):
+    history = [{"epoch": i, "valid_loss": v} for i, v in enumerate(losses)]
+    state = train.TrainState(step=0, m={}, v={}, t={}, freeze_mask=None,
+                             rng=None, history=history)
+    record = sweep.TrialRecord(trial_id=0, sampled={}, history=history,
+                               stop_reason="max_epochs", wall_s=0.0)
+    best, best_epoch, since = _strict_improvement_loop(history)
+    assert state.epoch == len(losses)
+    assert state.best_valid_loss == best
+    assert state.best_epoch == best_epoch
+    assert state.epochs_since_improvement == since
+    assert record.best_valid_loss == best
 
 
 # ---------------------------------------------------------------------------
