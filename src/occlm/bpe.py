@@ -11,6 +11,7 @@ detokenization exact.
 from __future__ import annotations
 
 import heapq
+import itertools
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -148,9 +149,8 @@ def train_bpe(corpus, target_size):
             f"target_size {target_size} must exceed specials+bytes ({base})"
         )
 
-    word_counts = Counter()
-    for line in corpus:
-        word_counts.update(PRETOKEN_RE.findall(normalize(line)))
+    word_counts = Counter(itertools.chain.from_iterable(
+        map(PRETOKEN_RE.findall, map(normalize, corpus))))
     if not word_counts:
         raise DataError("tokenizer training corpus is empty")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from dataclasses import dataclass
@@ -15,7 +16,24 @@ from .errors import ConfigError, DataError, EncodingError
 # (\w covers letters and digits; underscore is excluded explicitly)
 _SPECIAL_CHARS = re.compile(r"[^\w\s.,'\-]|_")
 _REPEATED_STOPS = re.compile(r"\.{2,}")
-_SPACES = re.compile(r"\s+")
+
+
+class _CleanTable(dict):
+    """str.translate table of cleaning rules 1 and 2: a slash becomes a space
+    and a character _SPECIAL_CHARS matches is deleted. Each code point is
+    decided on first sight, and the table is cleared when it holds 65536, so
+    a sweep over all of Unicode does not keep 1.1M entries."""
+
+    def __missing__(self, code):
+        ch = chr(code)
+        out = " " if ch in "/\\" else "" if _SPECIAL_CHARS.match(ch) else ch
+        if len(self) >= 65536:
+            self.clear()
+        self[code] = out
+        return out
+
+
+_CLEAN_TABLE = _CleanTable()
 
 
 @dataclass
@@ -41,15 +59,30 @@ class SplitSpec:
 
 
 def read_lines(path):
-    """Yield decoded lines; invalid UTF-8 fails loudly with the line number."""
+    """Yield decoded lines; invalid UTF-8 fails loudly with the line number.
+
+    Lines end at "\n" alone (not at the other breaks splitlines knows), and
+    trailing "\r"s are stripped. The file is decoded whole; a file that is
+    not UTF-8 is walked again line by line to name its first bad line.
+    """
     with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        # no UTF-8 sequence holds a "\n" byte, so some line fails here too
+        for line_no, raw in enumerate(io.BytesIO(data), start=1):
             try:
-                yield raw.decode("utf-8").rstrip("\n").rstrip("\r")
+                raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise EncodingError(
                     f"invalid UTF-8 on line {line_no}: {exc}", line_no=line_no
                 ) from exc
+    lines = text.split("\n")
+    if not lines[-1]:  # the text after a final "\n" is no line
+        lines.pop()
+    for line in lines:
+        yield line.rstrip("\r")
 
 
 def clean(lines):
@@ -59,10 +92,11 @@ def clean(lines):
     -> lowercase. Empty results are dropped.
     """
     for line in lines:
-        line = line.replace("/", " ").replace("\\", " ")
-        line = _SPECIAL_CHARS.sub("", line)
-        line = _REPEATED_STOPS.sub(".", line)
-        line = _SPACES.sub(" ", line).strip()
+        line = line.translate(_CLEAN_TABLE)
+        if ".." in line:
+            line = _REPEATED_STOPS.sub(".", line)
+        line = " ".join(line.split())  # str.split and re's \s: the same spaces
+        # lowercase only after the split: a final sigma depends on what follows
         *stops, tail = line.split(".")
         for piece in [s + "." for s in stops] + [tail]:
             piece = piece.strip().lower()

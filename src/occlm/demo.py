@@ -49,56 +49,44 @@ NEWS_EVENTS = [
 _STYLE_TAG = {"mono": 0x40, "news": 0x41}
 
 
-def _pick(rng, seq):
-    # the bounded-integer draw Generator.choice makes for a 1-D population,
-    # without choice's conversion of the whole list to an array on every call
-    return seq[rng.integers(0, len(seq))]
-
-
-def _mono_sentence(rng):
-    kind = rng.integers(0, 4)
-    if kind == 0:
-        return (f"the {_pick(rng, ADJS)} {_pick(rng, NOUNS)} "
-                f"{_pick(rng, VERBS)} the {_pick(rng, NOUNS)} "
-                f"{_pick(rng, PLACES)}.")
-    if kind == 1:
-        return (f"the {_pick(rng, NOUNS)} {_pick(rng, VERBS)} "
-                f"the {_pick(rng, ADJS)} {_pick(rng, NOUNS)} "
-                f"{_pick(rng, TIMES)}.")
-    if kind == 2:
-        return (f"{_pick(rng, TIMES)} the {_pick(rng, NOUNS)} and the "
-                f"{_pick(rng, NOUNS)} {_pick(rng, VERBS)} the "
-                f"{_pick(rng, NOUNS)}.")
-    return (f"the {_pick(rng, NOUNS)} {_pick(rng, PLACES)} is "
-            f"{_pick(rng, ADJS)} and {_pick(rng, ADJS)}.")
-
-
-def _news_sentence(rng):
-    kind = rng.integers(0, 3)
-    if kind == 0:
-        return (f"{_pick(rng, NEWS_SOURCES)} {_pick(rng, NEWS_VERBS)} that "
-                f"{_pick(rng, NEWS_EVENTS)}.")
-    if kind == 1:
-        return (f"{_pick(rng, NEWS_SOURCES)} {_pick(rng, PLACES)} "
-                f"{_pick(rng, NEWS_VERBS)} that the {_pick(rng, ADJS)} "
-                f"{_pick(rng, NOUNS)} {_pick(rng, VERBS)} the "
-                f"{_pick(rng, NOUNS)}.")
-    return (f"{_pick(rng, TIMES)} {_pick(rng, NEWS_SOURCES)} "
-            f"{_pick(rng, NEWS_VERBS)} that {_pick(rng, NEWS_EVENTS)}.")
+# each style's templates: the word lists a sentence draws from, in draw
+# order, and the format the drawn words fill
+_TEMPLATES = {
+    "mono": [
+        ((ADJS, NOUNS, VERBS, NOUNS, PLACES), "the {} {} {} the {} {}."),
+        ((NOUNS, VERBS, ADJS, NOUNS, TIMES), "the {} {} the {} {} {}."),
+        ((TIMES, NOUNS, NOUNS, VERBS, NOUNS), "{} the {} and the {} {} the {}."),
+        ((NOUNS, PLACES, ADJS, ADJS), "the {} {} is {} and {}."),
+    ],
+    "news": [
+        ((NEWS_SOURCES, NEWS_VERBS, NEWS_EVENTS), "{} {} that {}."),
+        ((NEWS_SOURCES, PLACES, NEWS_VERBS, ADJS, NOUNS, VERBS, NOUNS),
+         "{} {} {} that the {} {} {} the {}."),
+        ((TIMES, NEWS_SOURCES, NEWS_VERBS, NEWS_EVENTS), "{} {} {} that {}."),
+    ],
+}
 
 
 def make_sentences(n, seed=0, style="mono"):
     """n template sentences in the given style, reproducible per (seed, style);
-    seed is an integer >= 0."""
+    n is an integer >= 1 and seed an integer >= 0."""
     if style not in _STYLE_TAG:
         raise ConfigError(f"unknown demo style {style!r}")
-    if n < 1:
-        raise ConfigError(f"need at least one sentence, got {n}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ConfigError(f"demo n must be an integer >= 1, got {n!r}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ConfigError(f"demo seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _STYLE_TAG[style]]))
-    make = _mono_sentence if style == "mono" else _news_sentence
-    return [make(rng) for _ in range(n)]
+    # one bounded draw picks the template and one vector draw all its words:
+    # the same 32-bit draws, in the same order, as one scalar draw per word
+    templates = [(lists, np.array([len(words) for words in lists]), fmt)
+                 for lists, fmt in _TEMPLATES[style]]
+    sentences = []
+    for _ in range(n):
+        lists, sizes, fmt = templates[rng.integers(0, len(templates))]
+        picks = rng.integers(0, sizes).tolist()
+        sentences.append(fmt.format(*map(list.__getitem__, lists, picks)))
+    return sentences
 
 
 def write_corpus(path, n, seed=0, style="mono"):

@@ -74,8 +74,65 @@ _CLEAN_PIECES = ["a", "B", " ", ".", "..", "...", "\n", "\r", "\t", "\x0b",
 @given(st.lists(st.lists(st.sampled_from(_CLEAN_PIECES), max_size=16)
                 .map("".join), min_size=1, max_size=5))
 @example(["a\nb. c"])  # one line, two sentences: ["a b.", "c"]
+@example(["aΣ.b"])  # final sigma: lowercasing before the split gives "aσ."
+@example(["a . b"])
 def test_clean_matches_regex_reference(lines):
     assert list(corpus.clean(lines)) == list(_regex_clean(lines))
+
+
+def test_clean_matches_regex_reference_on_every_code_point():
+    # 256 code points a line, surrogates included, between two words and
+    # ahead of a tail the sentence split must still see
+    lines = ["x" + "".join(map(chr, range(lo, lo + 256))) + "y b. c"
+             for lo in range(0, 0x110000, 256)]
+    assert list(corpus.clean(lines)) == list(_regex_clean(lines))
+
+
+def test_clean_table_stays_bounded():
+    # more distinct code points than the table keeps
+    lines = ["".join(map(chr, range(lo, lo + 1000)))
+             for lo in range(0x4E00, 0x4E00 + 70_000, 1000)]
+    list(corpus.clean(lines))
+    assert 0 < len(corpus._CLEAN_TABLE) <= 65536
+
+
+def _per_line_read(path):
+    # reference: read_lines as a decode of each "\n"-terminated line
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                yield raw.decode("utf-8").rstrip("\n").rstrip("\r")
+            except UnicodeDecodeError as exc:
+                raise EncodingError(
+                    f"invalid UTF-8 on line {line_no}: {exc}", line_no=line_no
+                ) from exc
+
+
+@pytest.mark.parametrize("data", [
+    b"a\r\nb\r\n", b"a\r\r\nb", b"a\rb\nc\n", "a\x85b\u2028c\x0cd\n".encode(),
+    b"no newline at the end", b"", b"\n", b"a\n\n\nb\n\n", b"\r",
+    "Σé ke a tseba\n".encode(),
+], ids=["crlf", "cr-cr-lf", "lone-cr", "other-breaks", "no-final-newline",
+        "empty", "newline-only", "blank-lines", "cr-only", "multibyte"])
+def test_read_lines_matches_per_line_reference(tmp_path, data):
+    p = tmp_path / "raw.txt"
+    p.write_bytes(data)
+    assert list(corpus.read_lines(p)) == list(_per_line_read(p))
+
+
+@pytest.mark.parametrize("data", [
+    b"\xff first\nsecond\n", b"one\ntwo \xc3\x28\nthree\n",
+    b"one\ncut \xe2\x82\nthree\n", b"one\ncut at the end \xe2\x82",
+], ids=["line-1", "mid-file", "cut-by-newline", "cut-by-eof"])
+def test_read_lines_errors_match_per_line_reference(tmp_path, data):
+    p = tmp_path / "raw.txt"
+    p.write_bytes(data)
+    with pytest.raises(EncodingError) as want:
+        list(_per_line_read(p))
+    with pytest.raises(EncodingError) as got:
+        list(corpus.read_lines(p))
+    assert got.value.line_no == want.value.line_no
+    assert str(got.value) == str(want.value)
 
 
 def test_read_lines_reports_bad_utf8(tmp_path):

@@ -82,3 +82,16 @@ def test_malformed_seed_is_a_config_error(tmp_path, seed):
 
 def test_numpy_integer_seed_matches_int():
     assert demo.make_sentences(5, seed=np.int64(7)) == demo.make_sentences(5, seed=7)
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5, True, "3", None])
+def test_malformed_n_is_a_config_error(tmp_path, n):
+    with pytest.raises(ConfigError, match="demo n "):
+        demo.make_sentences(n)
+    with pytest.raises(ConfigError, match="demo n "):
+        demo.write_corpus(tmp_path / "raw.txt", n)
+    assert not (tmp_path / "raw.txt").exists()
+
+
+def test_numpy_integer_n_matches_int():
+    assert demo.make_sentences(np.int64(5), seed=7) == demo.make_sentences(5, seed=7)
