@@ -14,22 +14,30 @@ The decoder's attention sub-layer and FFN are one kernel each
 (``attention``, ``ffn``): one tape entry and one hand-written backward per
 sub-layer instead of a chain of small ops, which is what batch-1 decoding
 pays for per call. They reuse the primitives' array arithmetic (the shared
-``_softmax_*``, ``_gelu_*`` and ``_dropout_mask`` helpers) and make the same
-products in the same order, so they are bit-identical to the composition of
-primitives they replace. ``softmax_lastdim``, ``causal_mask_fill``,
-``gelu`` and ``reshape`` have no caller left in the decoder; they stay as
-public kernels because that composition, built from them, is the reference
-the fused kernels are tested against, and the benchmark's tracer times them
-by name.
+``_softmax_*``, ``_gelu_*``, ``_dropout_keep`` and ``_dropped`` helpers) and
+make the same products in the same order, so they are bit-identical to the
+composition of primitives they replace. ``softmax_lastdim``,
+``causal_mask_fill``, ``gelu`` and ``reshape`` have no caller left in the
+decoder; they stay as public kernels because that composition, built from
+them, is the reference the fused kernels are tested against, and the
+benchmark's tracer times them by name.
 
 Kernels never write into their inputs; only the optimizer updates a
-parameter's data in place (``train.adamw_update``). A tape belongs to one
+parameter's data in place (``train.adamw_update``). A tape holds only what
+backward reads. Each entry holds its output's gradient handle (a shape, not
+the output array), its inputs' handles (a leaf tensor is its own handle) and
+a backward closure over just the arrays that backward needs, so an op output
+no backward reads (a residual sum, the embedding or dropout output, the
+attention or FFN output, the head logits) is freed as soon as the forward
+stops using it. Dropout keeps a bool keep mask, and ``attention`` recomputes
+its dropped softmax from the saved softmax and mask instead of holding both.
+A forward with no open tape builds no handles. A tape belongs to one
 training context and serves one ``backward``, which consumes it: each entry,
-its saved activations and its output's gradient are freed as soon as the
-walk has used them, so a step's peak holds the activations plus only the
-live gradients, and only leaves (tensors no entry produced) get ``.grad``.
-The active-tape stack is thread-local so independent contexts can run on
-separate threads.
+its saved arrays and its output's gradient are freed as soon as the walk has
+used them, so a step's peak holds the saved arrays plus only the live
+gradients, and only leaves (tensors no op recorded on a tape produced) get
+``.grad``. The active-tape stack is thread-local so independent contexts can
+run on separate threads.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ GELU_C = math.sqrt(2.0 / math.pi)
 class Tensor:
     """A dense float32 array plus an optional same-shape grad accumulator."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name")
+    __slots__ = ("data", "requires_grad", "grad", "name", "_handle")
 
     def __init__(self, data, requires_grad=False, name=None):
         arr = np.asarray(data, dtype=DTYPE)
@@ -59,6 +67,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self.name = name
+        self._handle = None
 
     @property
     def shape(self):
@@ -77,11 +86,22 @@ class Tensor:
         return f"<Tensor shape={self.shape} requires_grad={self.requires_grad}{tag}>"
 
 
-class _TapeEntry:
-    __slots__ = ("output", "backward_fn")
+class _GradHandle:
+    """Stands in on the tape for an op output, so the tape does not pin the
+    output's array. A leaf tensor is its own handle."""
 
-    def __init__(self, output, backward_fn):
+    __slots__ = ("shape",)
+
+    def __init__(self, shape):
+        self.shape = shape
+
+
+class _TapeEntry:
+    __slots__ = ("output", "inputs", "backward_fn")
+
+    def __init__(self, output, inputs, backward_fn):
         self.output = output
+        self.inputs = inputs
         self.backward_fn = backward_fn
 
 
@@ -94,6 +114,9 @@ class Tape:
             loss = cross_entropy(forward(...), targets)
             backward(loss, tape)
 
+    Each entry holds gradient handles for its output and inputs, never an
+    op output's array, and a ``backward_fn(g, sink)`` that reads only the
+    arrays it saved and calls ``sink(i, grad)`` for its i-th input.
     ``backward`` takes the entries off as it runs them, so a tape serves
     one backward; a second one on it raises ContractError.
     """
@@ -138,22 +161,33 @@ def _check_finite(arr, op_name):
 
 def _result(out_data, op_name, inputs, backward_fn):
     """Wrap a kernel output, keeping its strides (a transpose stays a view);
-    record it on the active tape when an input requires grad."""
+    record it on the active tape when an input requires grad. backward_fn(g,
+    sink) hands the gradient of inputs[i] to sink(i, grad)."""
     if type(out_data) is not np.ndarray or out_data.dtype != DTYPE:
         out_data = np.asarray(out_data, dtype=DTYPE)
     _check_finite(out_data, op_name)
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.requires_grad = False
-    out.grad = out.name = None
+    out.grad = out.name = out._handle = None
     for t in inputs:
         if t.requires_grad:
             out.requires_grad = True
             tapes = _local.tapes
             if tapes:
-                tapes[-1].entries.append(_TapeEntry(out, backward_fn))
+                out._handle = _GradHandle(out_data.shape)
+                tapes[-1].entries.append(_TapeEntry(
+                    out._handle, tuple(map(_input_handle, inputs)), backward_fn))
             break
     return out
+
+
+def _input_handle(t):
+    """What a tape entry holds for an input: None when it takes no gradient,
+    else its recorded handle, or the tensor itself for a leaf."""
+    if not t.requires_grad:
+        return None
+    return t if t._handle is None else t._handle
 
 
 def _row_major(arr):
@@ -177,12 +211,15 @@ def backward(loss, tape=None):
     """Accumulate dLoss/dT into .grad of every leaf that requires grad.
 
     The tape is consumed in reverse execution order: each entry is taken off
-    it, its output's staged gradient is handed to its backward and then
-    dropped with the entry, so activations and intermediate gradients are
-    freed once used. Only leaves (tensors no entry on the tape produced, and
-    a root that is one) get .grad, added at the end, so a fresh tape over
-    the same leaves accumulates one more full, correct pass. The tape is
-    used up: a second backward on it raises ContractError.
+    it, its output handle's staged gradient is handed to its backward and
+    then dropped with the entry, so saved arrays and intermediate gradients
+    are freed once used. Gradients are staged per handle; one that already
+    has the handle's shape and float32 dtype is staged as it is, any other
+    is summed over its broadcast axes first. Only leaves (tensors no op
+    recorded on a tape produced, and a root that is one) get .grad, added
+    at the end, so a fresh tape over the same leaves accumulates one more
+    full, correct pass; an op output recorded on another tape gets none.
+    The tape is used up: a second backward on it raises ContractError.
     """
     if tape is None:
         tape = active_tape()
@@ -194,33 +231,33 @@ def backward(loss, tape=None):
         raise ShapeError(f"backward root must be scalar, got shape {loss.shape}")
     tape.used = True
 
-    staged = {id(loss): np.ones_like(loss.data)}
-    holders = {id(loss): loss}
+    # handle -> gradient; the dict keeps each staged handle alive
+    root = loss if loss._handle is None else loss._handle
+    staged = {root: np.ones_like(loss.data)}
+    inputs = ()  # the running entry's input handles, read by sink
 
-    def sink(tensor, grad):
-        if not tensor.requires_grad:
+    def sink(i, grad):
+        handle = inputs[i]
+        if handle is None:
             return
-        grad = _unbroadcast(np.asarray(grad, dtype=DTYPE), tensor.data.shape)
-        key = id(tensor)
-        if key in staged:
-            staged[key] = staged[key] + grad
-        else:
-            staged[key] = grad
-            holders[key] = tensor
+        if (type(grad) is not np.ndarray or grad.dtype != DTYPE
+                or grad.shape != handle.shape):
+            grad = _unbroadcast(np.asarray(grad, dtype=DTYPE), handle.shape)
+        held = staged.get(handle)
+        staged[handle] = grad if held is None else held + grad
 
     entries = tape.entries
     with np.errstate(all="ignore"):
         while entries:
             entry = entries.pop()
-            key = id(entry.output)
-            holders.pop(key, None)
-            out_grad = staged.pop(key, None)
+            out_grad = staged.pop(entry.output, None)
             if out_grad is not None:
+                inputs = entry.inputs
                 entry.backward_fn(out_grad, sink)
 
-    for key, grad in staged.items():
-        t = holders[key]
-        t.grad = grad if t.grad is None else t.grad + grad
+    for t, grad in staged.items():
+        if isinstance(t, Tensor):
+            t.grad = grad if t.grad is None else t.grad + grad
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +270,20 @@ def add(a, b):
     out_data = a.data + b.data
 
     def back(g, sink):
-        sink(a, g)
-        sink(b, g)
+        sink(0, g)
+        sink(1, g)
 
     return _result(out_data, "add", (a, b), back)
 
 
 def mul(a, b):
     """Elementwise product with numpy broadcasting."""
-    out_data = a.data * b.data
+    ad, bd = a.data, b.data
+    out_data = ad * bd
 
     def back(g, sink):
-        sink(a, g * b.data)
-        sink(b, g * a.data)
+        sink(0, g * bd)
+        sink(1, g * ad)
 
     return _result(out_data, "mul", (a, b), back)
 
@@ -256,7 +294,7 @@ def scale(a, s):
     out_data = a.data * DTYPE(s)
 
     def back(g, sink):
-        sink(a, g * DTYPE(s))
+        sink(0, g * DTYPE(s))
 
     return _result(out_data, "scale", (a,), back)
 
@@ -274,16 +312,16 @@ def matmul(a, b):
     out_data = np.matmul(ad, bd)
 
     def back(g, sink):
-        if b.ndim == 2:
+        if bd.ndim == 2:
             # fold a's stack into the rows of one product per gradient instead
             # of per-item products (summed afterwards for b); pays at training
             # sizes, where the stack is large
-            g_rows = g.reshape(-1, b.shape[1])
-            sink(a, (g_rows @ bd.T).reshape(a.shape))
-            sink(b, ad.reshape(-1, b.shape[0]).T @ g_rows)
+            g_rows = g.reshape(-1, bd.shape[1])
+            sink(0, (g_rows @ bd.T).reshape(ad.shape))
+            sink(1, ad.reshape(-1, bd.shape[0]).T @ g_rows)
         else:
-            sink(a, np.matmul(g, bd.swapaxes(-1, -2)))
-            sink(b, np.matmul(ad.swapaxes(-1, -2), g))
+            sink(0, np.matmul(g, bd.swapaxes(-1, -2)))
+            sink(1, np.matmul(ad.swapaxes(-1, -2), g))
 
     return _result(out_data, "matmul", (a, b), back)
 
@@ -294,7 +332,7 @@ def reshape(x, shape):
     in_shape = x.data.shape
 
     def back(g, sink):
-        sink(x, g.reshape(in_shape))
+        sink(0, g.reshape(in_shape))
 
     return _result(out_data, "reshape", (x,), back)
 
@@ -305,7 +343,7 @@ def transpose(x, axes):
     inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def back(g, sink):
-        sink(x, g.transpose(inverse))
+        sink(0, g.transpose(inverse))
 
     return _result(out_data, "transpose", (x,), back)
 
@@ -313,9 +351,10 @@ def transpose(x, axes):
 def sum_all(x):
     """Full reduction to a scalar."""
     out_data = x.data.sum(dtype=DTYPE)
+    shape = x.shape
 
     def back(g, sink):
-        sink(x, np.broadcast_to(g, x.data.shape))
+        sink(0, np.broadcast_to(g, shape))
 
     return _result(out_data, "sum_all", (x,), back)
 
@@ -327,11 +366,12 @@ def embedding_lookup(table, ids):
         bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
         raise TokenIndexError(f"id {bad} outside table of {table.shape[0]} rows")
     out_data = table.data[ids]
+    shape = table.shape
 
     def back(g, sink):
-        grad = np.zeros_like(table.data)
-        np.add.at(grad, ids.reshape(-1), g.reshape(-1, table.shape[-1]))
-        sink(table, grad)
+        grad = np.zeros(shape, dtype=DTYPE)
+        np.add.at(grad, ids.reshape(-1), g.reshape(-1, shape[-1]))
+        sink(0, grad)
 
     return _result(out_data, "embedding_lookup", (table,), back)
 
@@ -343,7 +383,7 @@ def softmax_lastdim(x):
     s = _softmax_fwd(x.data)
 
     def back(g, sink):
-        sink(x, _softmax_bwd(s, g))
+        sink(0, _softmax_bwd(s, g))
 
     return _result(s, "softmax_lastdim", (x,), back)
 
@@ -375,31 +415,33 @@ def layer_norm(x, gain, bias, eps=1e-5):
     _check_finite(var, "layer_norm")
     inv = 1.0 / np.sqrt(var + DTYPE(eps))
     xhat *= inv
-    out_data = xhat * gain.data
+    gd = gain.data
+    out_data = xhat * gd
     out_data += bias.data
 
     def back(g, sink):
         tmp = g * xhat
-        sink(gain, tmp.reshape(-1, d).sum(axis=0))
-        sink(bias, g.reshape(-1, d).sum(axis=0))
-        tmp *= gain.data
+        sink(1, tmp.reshape(-1, d).sum(axis=0))
+        sink(2, g.reshape(-1, d).sum(axis=0))
+        tmp *= gd
         m2 = tmp.sum(axis=-1, keepdims=True) / d
-        dx = g * gain.data
+        dx = g * gd
         dx -= dx.sum(axis=-1, keepdims=True) / d
         np.multiply(xhat, m2, out=tmp)
         dx -= tmp
         dx *= inv
-        sink(x, dx)
+        sink(0, dx)
 
     return _result(out_data, "layer_norm", (x, gain, bias), back)
 
 
 def gelu(x):
     """GELU activation (tanh approximation, the GPT-2 variant)."""
-    out_data, t = _gelu_fwd(x.data)
+    v = x.data
+    out_data, t = _gelu_fwd(v)
 
     def back(g, sink):
-        sink(x, _gelu_bwd(x.data, t, g))
+        sink(0, _gelu_bwd(v, t, g))
 
     return _result(out_data, "gelu", (x,), back)
 
@@ -441,29 +483,38 @@ def dropout(x, p, train, rng):
 
     Identity when train is off or p == 0, regardless of rng.
     """
-    mask = _dropout_mask(x.shape, p, train, rng)
-    if mask is None:
+    keep = _dropout_keep(x.shape, p, train, rng)
+    if keep is None:
         return x
-    out_data = x.data * mask
+    out_data = _dropped(x.data, keep, p)
 
     def back(g, sink):
-        sink(x, g * mask)
+        sink(0, _dropped(g, keep, p))
 
     return _result(out_data, "dropout", (x,), back)
 
 
-def _dropout_mask(shape, p, train, rng):
-    """The inverted-dropout multiplier for one rng.random(shape) draw: 0 or
-    1/(1-p). None (and no draw) when train is off or p == 0."""
+def _dropout_keep(shape, p, train, rng):
+    """The bool keep mask of one rng.random(shape) draw (True where the draw
+    is >= p). None (and no draw) when train is off or p == 0."""
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout probability must be in [0, 1), got {p}")
     if not train or p == 0.0:
         return None
     if rng is None:
         raise ContractError("dropout with train=True and p>0 needs an rng")
-    mask = (rng.random(shape) >= p).astype(DTYPE)
-    mask *= DTYPE(1.0 / (1.0 - p))
-    return mask
+    return rng.random(shape) >= p
+
+
+def _dropped(arr, keep, p, out=None):
+    """arr * keep, then times 1/(1-p), into out (a new buffer by default).
+
+    Bit-identical to arr times the float32 multiplier keep * 1/(1-p):
+    x * 1 * c == x * c, and x * 0 * c keeps the sign of x * 0.
+    """
+    out = np.multiply(arr, keep, out=out)
+    out *= DTYPE(1.0 / (1.0 - p))
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -487,7 +538,7 @@ def causal_mask_fill(scores, fill_value=-1e9):
     out_data = np.where(allowed, scores.data, DTYPE(fill_value))
 
     def back(g, sink):
-        sink(scores, np.where(allowed, g, DTYPE(0.0)))
+        sink(0, np.where(allowed, g, DTYPE(0.0)))
 
     return _result(out_data, "causal_mask_fill", (scores,), back)
 
@@ -538,7 +589,7 @@ def cross_entropy(logits, targets, ignore_mask=None):
         # each row has exactly one target, so fancy-index subtraction is safe
         grad[np.indices(targets.shape, sparse=True) + (safe_targets,)] -= w_norm
         grad *= g
-        sink(logits, grad)
+        sink(0, grad)
 
     return _result(out_data, "cross_entropy", (logits,), back)
 
@@ -557,9 +608,10 @@ def attention(x, wq, wk, wv, wo, n_heads, p, train, rng):
     first, then output) of the primitive chain matmul, reshape, transpose,
     scale, causal_mask_fill, softmax_lastdim, dropout, so its outputs and
     gradients equal that chain's bit for bit. One tape entry; its backward
-    reuses the saved softmax. The finite guard checks v, the scores and the
-    output: a non-finite q row or k row spreads over a whole scores row or
-    column, but a non-finite v entry can hide behind a zero weight.
+    reuses the saved softmax and rebuilds the dropped weights from it and the
+    saved keep mask. The finite guard checks v, the scores and the output: a
+    non-finite q row or k row spreads over a whole scores row or column, but
+    a non-finite v entry can hide behind a zero weight.
     """
     if x.ndim != 3 or x.shape[-1] % n_heads:
         raise ShapeError(f"attention needs (B, S, d) with d divisible by "
@@ -582,38 +634,42 @@ def attention(x, wq, wk, wv, wo, n_heads, p, train, rng):
     _check_finite(scores, "attention")
     allowed = _causal_allowed(S)
     s = _softmax_fwd(np.where(allowed, scores, DTYPE(-1e9)))
-    att_mask = _dropout_mask(s.shape, p, train, rng)
-    att = s if att_mask is None else s * att_mask
+    att_keep = _dropout_keep(s.shape, p, train, rng)
+    att = s if att_keep is None else _dropped(s, att_keep, p)
     ctx = _row_major(np.matmul(att, v).transpose(0, 2, 1, 3).reshape(B, S, d))
+    del att
     out_data = np.matmul(ctx, wod)
-    out_mask = _dropout_mask(out_data.shape, p, train, rng)
-    if out_mask is not None:
-        out_data *= out_mask
+    out_keep = _dropout_keep(out_data.shape, p, train, rng)
+    if out_keep is not None:
+        _dropped(out_data, out_keep, p, out=out_data)
 
     def back(g, sink):
-        if out_mask is not None:
-            g = g * out_mask
+        # inputs: 0 x, 1 wq, 2 wk, 3 wv, 4 wo
+        if out_keep is not None:
+            g = _dropped(g, out_keep, p)
         g_rows = g.reshape(-1, d)
-        sink(wo, ctx.reshape(-1, d).T @ g_rows)
+        sink(4, ctx.reshape(-1, d).T @ g_rows)
         g_ctx = (g_rows @ wod.T).reshape(B, S, H, hd).transpose(0, 2, 1, 3)
         g_att = np.matmul(g_ctx, v.swapaxes(-1, -2))
+        att = s if att_keep is None else _dropped(s, att_keep, p)
         dv = np.matmul(att.swapaxes(-1, -2), g_ctx)
-        if att_mask is not None:
-            g_att *= att_mask
+        del att
+        if att_keep is not None:
+            _dropped(g_att, att_keep, p, out=g_att)
         g_scores = np.where(allowed, _softmax_bwd(s, g_att), DTYPE(0.0))
         g_scores *= scale
         dq = np.matmul(g_scores, kt.swapaxes(-1, -2))
         dkt = np.matmul(q.swapaxes(-1, -2), g_scores)
         # each head gradient back to (B*S, d) rows; x sums v, then k, then q
         dx = None
-        for w, wd, dw_heads in ((wv, wvd, dv.transpose(0, 2, 1, 3)),
-                                (wk, wkd, dkt.transpose(0, 3, 1, 2)),
-                                (wq, wqd, dq.transpose(0, 2, 1, 3))):
+        for i, wd, dw_heads in ((3, wvd, dv.transpose(0, 2, 1, 3)),
+                                (2, wkd, dkt.transpose(0, 3, 1, 2)),
+                                (1, wqd, dq.transpose(0, 2, 1, 3))):
             g_rows = dw_heads.reshape(-1, d)
-            sink(w, xd.reshape(-1, d).T @ g_rows)
+            sink(i, xd.reshape(-1, d).T @ g_rows)
             part = g_rows @ wd.T
             dx = part if dx is None else dx + part
-        sink(x, dx.reshape(x.shape))
+        sink(0, dx.reshape(B, S, d))
 
     return _result(out_data, "attention", (x, wq, wk, wv, wo), back)
 
@@ -637,20 +693,21 @@ def ffn(x, w1, b1, w2, b2, p, train, rng):
     act, t = _gelu_fwd(pre)
     out_data = np.matmul(act, w2d)
     out_data += b2.data
-    mask = _dropout_mask(out_data.shape, p, train, rng)
-    if mask is not None:
-        out_data *= mask
+    keep = _dropout_keep(out_data.shape, p, train, rng)
+    if keep is not None:
+        _dropped(out_data, keep, p, out=out_data)
 
     def back(g, sink):
-        if mask is not None:
-            g = g * mask
-        sink(b2, g)
+        # inputs: 0 x, 1 w1, 2 b1, 3 w2, 4 b2
+        if keep is not None:
+            g = _dropped(g, keep, p)
+        sink(4, g)
         g_rows = g.reshape(-1, d)
-        sink(w2, act.reshape(-1, f).T @ g_rows)
+        sink(3, act.reshape(-1, f).T @ g_rows)
         g_pre = _gelu_bwd(pre, t, (g_rows @ w2d.T).reshape(act.shape))
-        sink(b1, g_pre)
+        sink(2, g_pre)
         g_rows = g_pre.reshape(-1, f)
-        sink(w1, xd.reshape(-1, d).T @ g_rows)
-        sink(x, (g_rows @ w1d.T).reshape(x.shape))
+        sink(1, xd.reshape(-1, d).T @ g_rows)
+        sink(0, (g_rows @ w1d.T).reshape(xd.shape))
 
     return _result(out_data, "ffn", (x, w1, b1, w2, b2), back)

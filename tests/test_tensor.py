@@ -450,6 +450,59 @@ def test_dropout_grad_masks_match_forward():
     np.testing.assert_allclose(x.grad, (out.data != 0) * 2.0, rtol=1e-6)
 
 
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+def test_dropout_bool_mask_equals_float_multiplier(p):
+    # the float32 multiplier (rng.random(shape) >= p) * 1/(1-p), applied to
+    # inputs and gradients of both signs: same values and same zero signs
+    rng = np.random.default_rng(3)
+    x = T.Tensor(rng.standard_normal((32, 64)), requires_grad=True)
+    probe = T.Tensor(rng.standard_normal((32, 64)))
+    with T.Tape() as tape:
+        out = T.dropout(x, p, train=True, rng=np.random.default_rng(11))
+        T.backward(T.sum_all(T.mul(out, probe)), tape)
+    mult = (np.random.default_rng(11).random((32, 64)) >= p).astype(np.float32)
+    mult *= np.float32(1.0 / (1.0 - p))
+    for got, want in ((out.data, x.data * mult), (x.grad, probe.data * mult)):
+        assert (got == 0).any() and (np.signbit(want) & (want == 0)).any()
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_sink_stages_a_matching_gradient_without_unbroadcast(monkeypatch):
+    calls = []
+    unbroadcast = T._unbroadcast
+
+    def counting(grad, shape):
+        calls.append(shape)
+        return unbroadcast(grad, shape)
+
+    monkeypatch.setattr(T, "_unbroadcast", counting)
+    x = T.Tensor(np.ones((2, 3)), requires_grad=True)
+    b = T.Tensor(np.ones(3), requires_grad=True)
+    with T.Tape() as tape:
+        T.backward(T.sum_all(T.mul(T.add(x, x), x)), tape)
+    # sum_all's broadcast view has the root's shape; every other grad matches
+    assert calls == []
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), 4.0))
+    with T.Tape() as tape:
+        T.backward(T.sum_all(T.add(x, b)), tape)
+    assert calls == [(3,)]
+    np.testing.assert_array_equal(b.grad, [2.0, 2.0, 2.0])
+
+
+def test_an_entry_holds_handles_not_outputs():
+    x = T.Tensor(np.ones((2, 3)), requires_grad=True)
+    c = T.Tensor(np.ones((2, 3)))
+    with T.Tape() as tape:
+        y = T.add(x, c)
+        z = T.mul(y, y)
+    first, second = tape.entries
+    assert first.output is y._handle and first.output.shape == (2, 3)
+    assert first.inputs == (x, None)
+    assert second.inputs == (y._handle, y._handle) and second.output is z._handle
+    assert not isinstance(y._handle, T.Tensor)
+
+
 # ------------------------------------------------------------- properties
 
 
