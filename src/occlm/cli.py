@@ -215,14 +215,13 @@ def _run_training(args, command, train_defaults=None, model_defaults=None,
             params, header, _ = model.load_checkpoint(
                 finetune_from, expect_config=mcfg, expect_vocab_hash=vocab_hash
             )
-            runner = train.finetune
         else:
             params = model.init(mcfg, seed=tcfg.seed)
-            runner = train.fit
         metrics_path = args.metrics or args.out + ".metrics.jsonl"
         sink = train.MetricsSink(metrics_path)
-        best, state = runner(
+        best, state = train.fit(
             params, train_ds, valid_ds, tcfg,
+            unfreeze=finetune_from is not None,
             on_epoch=lambda record, _: sink.emit(run_id=run_id, **record),
         )
         model.save_checkpoint(
@@ -313,14 +312,25 @@ GEN_FLAGS = {"strategy": "strategy", "temperature": "temperature",
              "top_k": "top_k", "gen_seed": "seed",
              "max_new_tokens": "max_new_tokens"}
 
+# decoding flag dest -> the strategies that read it
+STRATEGY_FLAGS = {"temperature": ("sample", "topk"), "top_k": ("topk",),
+                  "gen_seed": ("sample", "topk")}
+
 
 def _gen_config(args):
     """A checked GenerationConfig from the decoding flags that were set; the
-    others keep GenerationConfig's defaults."""
-    return metrics.GenerationConfig(**{
+    others keep GenerationConfig's defaults. A set flag that the resolved
+    strategy does not read is an error."""
+    gen = metrics.GenerationConfig(**{
         field: getattr(args, dest) for dest, field in GEN_FLAGS.items()
         if getattr(args, dest, None) is not None
     }).check()
+    for dest, readers in STRATEGY_FLAGS.items():
+        if getattr(args, dest) is not None and gen.strategy not in readers:
+            raise ConfigError(
+                f"--{dest.replace('_', '-')} needs --strategy "
+                f"{' or '.join(readers)}: {gen.strategy} does not read it")
+    return gen
 
 
 def cmd_eval(args):
@@ -330,6 +340,7 @@ def cmd_eval(args):
             if getattr(args, name, None) is not None:
                 raise ConfigError(f"--{name.replace('_', '-')} needs --bleu: "
                                   "eval generates nothing without it")
+    gen = _gen_config(args)
     vocab = bpe.load_vocab(args.vocab)
     vocab_hash = metrics.file_sha256(args.vocab)
     lines = list(corpus.read_lines(args.split))
@@ -346,7 +357,7 @@ def cmd_eval(args):
         args.checkpoint, ds, split=split_name, vocab=vocab,
         vocab_hash=vocab_hash,
         bleu_sentences=lines if args.bleu else None,
-        gen=_gen_config(args), **protocol,
+        gen=gen, **protocol,
     )
     text = report.to_json()
     if args.out:
@@ -619,8 +630,8 @@ def dispatch(argv):
     except OcclmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            PermissionError) as exc:
+    except (FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -225,39 +225,6 @@ def token_logprobs(logits, targets):
     return picked
 
 
-@dataclass
-class FreezeMask:
-    """Trainable flags for the embeddings group and for each block. The
-    "head" group, the final layer norm, always trains; the tied output
-    projection is tok_emb and trains with the embeddings."""
-
-    embeddings: bool
-    blocks: tuple
-
-    def check(self, config):
-        if len(self.blocks) != config.n_layers:
-            raise ConfigError(
-                f"freeze mask has {len(self.blocks)} block flags for "
-                f"{config.n_layers} layers"
-            )
-        return self
-
-    @classmethod
-    def all_trainable(cls, config):
-        return cls(embeddings=True, blocks=(True,) * config.n_layers)
-
-    def allows(self, name):
-        group = ParameterSet.group(name)
-        if group == "embeddings":
-            return self.embeddings
-        if group == "head":
-            return True
-        return self.blocks[int(group[len("block"):])]
-
-    def trainable_names(self, params):
-        return [name for name in params.names() if self.allows(name)]
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------

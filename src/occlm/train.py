@@ -32,9 +32,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# gradual unfreezing (ULMFiT's fixed policy): the top UNFREEZE_TOP_K blocks
-# and the head train from the first epoch, one more block opens every
-# UNFREEZE_INTERVAL_EPOCHS epochs, and the embeddings open last
+# gradual unfreezing (ULMFiT's fixed policy; see frozen_names)
 UNFREEZE_TOP_K = 2
 UNFREEZE_INTERVAL_EPOCHS = 2
 
@@ -83,7 +81,6 @@ class TrainState:
     m: dict
     v: dict
     t: dict
-    freeze_mask: model.FreezeMask
     rng: np.random.Generator
     history: list = field(default_factory=list)
     stop_reason: str | None = None
@@ -120,7 +117,6 @@ def init_state(params, cfg):
         m={n: np.zeros(params[n].shape, dtype=T.DTYPE) for n in params.names()},
         v={n: np.zeros(params[n].shape, dtype=T.DTYPE) for n in params.names()},
         t={n: 0 for n in params.names()},
-        freeze_mask=model.FreezeMask.all_trainable(params.config),
         rng=np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0x0CC])),
     )
 
@@ -238,16 +234,17 @@ def loss_and_grads(params, x, batch, rng, n_shards):
     return loss, grads
 
 
-def train_step(params, state, batch, cfg, lr=None, batch_index=None):
+def train_step(params, state, batch, cfg, lr=None, batch_index=None,
+               frozen=()):
     """One forward/backward/AdamW update on a Batch. Returns (loss, state).
 
     The loss is the plain mean over the scored target positions for both
-    objectives: occlusion corrupts the inputs only. Only parameters allowed
-    by state.freeze_mask move; frozen parameters and their moments stay
-    bit-identical. Decoupled weight decay is scaled by lr and applied to
-    matrix-shaped parameters only. Large minibatches run as two row shards
-    (see loss_and_grads); occlusion is drawn for the full batch first, then
-    each shard draws its own rows of the full-batch dropout masks."""
+    objectives: occlusion corrupts the inputs only. Parameters named in
+    frozen do not move; they and their moments stay bit-identical. Decoupled
+    weight decay is scaled by lr and applied to matrix-shaped parameters
+    only. Large minibatches run as two row shards (see loss_and_grads);
+    occlusion is drawn for the full batch first, then each shard draws its
+    own rows of the full-batch dropout masks."""
     lr = cfg.base_lr if lr is None else lr
     x = batch.inputs
     if cfg.occlusion_prob > 0:
@@ -260,8 +257,9 @@ def train_step(params, state, batch, cfg, lr=None, batch_index=None):
         )
         if not math.isfinite(loss_val):
             raise NumericsError("training loss is not finite")
-        trainable = state.freeze_mask.trainable_names(params)
-        adamw_update(params, state, {n: grads[n] for n in trainable}, lr, cfg)
+        adamw_update(params, state,
+                     {n: g for n, g in grads.items() if n not in frozen},
+                     lr, cfg)
     except NumericsError as exc:
         raise DivergenceError(
             f"non-finite value during training step: {exc}",
@@ -304,19 +302,21 @@ def adamw_update(params, state, grads, lr, cfg):
         p.data -= T.DTYPE(lr) * m_hat / (np.sqrt(v_hat) + T.DTYPE(ADAM_EPS))
 
 
-def unfreeze_schedule(config):
-    """Gradual unfreezing: the top UNFREEZE_TOP_K blocks + head first, one
-    more block every UNFREEZE_INTERVAL_EPOCHS (top to bottom); embeddings
-    open once every block is open."""
+def frozen_names(params, epoch):
+    """The parameter names gradual unfreezing keeps frozen at epoch.
 
-    def mask_at(epoch):
-        n_open = min(config.n_layers,
-                     UNFREEZE_TOP_K + epoch // UNFREEZE_INTERVAL_EPOCHS)
-        blocks = tuple(i >= config.n_layers - n_open for i in range(config.n_layers))
-        return model.FreezeMask(embeddings=(n_open >= config.n_layers),
-                                blocks=blocks)
-
-    return mask_at
+    The top UNFREEZE_TOP_K blocks and the head (the final layer norm) train
+    from epoch 0, one more block opens every UNFREEZE_INTERVAL_EPOCHS epochs,
+    top to bottom, and the embeddings (with the tied output projection)
+    open once every block is open. A model of at most UNFREEZE_TOP_K layers
+    freezes nothing, even at epoch 0."""
+    n_layers = params.config.n_layers
+    n_open = UNFREEZE_TOP_K + epoch // UNFREEZE_INTERVAL_EPOCHS
+    closed = {f"block{i}" for i in range(n_layers - n_open)}
+    if n_open < n_layers:
+        closed.add("embeddings")
+    return frozenset(n for n in params.names()
+                     if model.ParameterSet.group(n) in closed)
 
 
 def _epoch_order(cfg, epoch, n):
@@ -329,7 +329,7 @@ def fit(
     train_ds,
     valid_ds,
     cfg,
-    freeze_schedule=None,
+    unfreeze=False,
     on_epoch=None,
     state=None,
     best_params=None,
@@ -345,8 +345,9 @@ def fit(
     loss strictly below the best so far is an improvement, and the run stops
     once cfg.patience epochs in a row bring none. The returned parameters
     are the best-validation snapshot, not the last. A DivergenceError carries
-    the history accumulated so far. Resume with a saved state and its
-    best_params; freeze_schedule sets the mask at the top of every epoch.
+    the history accumulated so far. With unfreeze, each epoch trains all but
+    frozen_names(params, epoch) (gradual unfreezing, for fine-tuning). Resume
+    with a saved state and its best_params.
     """
     cfg.check()
     if len(train_ds) == 0 or len(valid_ds) == 0:
@@ -364,8 +365,7 @@ def fit(
 
     while state.epoch < cfg.max_epochs:
         epoch = state.epoch
-        if freeze_schedule is not None:
-            state.freeze_mask = freeze_schedule(epoch).check(params.config)
+        frozen = frozen_names(params, epoch) if unfreeze else ()
         order = _epoch_order(cfg, epoch, len(train_ds))
         start_index = state.step - epoch * n_batches
         if not (0 <= start_index < n_batches):
@@ -382,7 +382,8 @@ def fit(
             lr = lr_at(state.step, total_steps, cfg)
             try:
                 loss_val, _ = train_step(
-                    params, state, batch, cfg, lr=lr, batch_index=b
+                    params, state, batch, cfg, lr=lr, batch_index=b,
+                    frozen=frozen,
                 )
             except DivergenceError as exc:
                 exc.history = state.history
@@ -429,14 +430,6 @@ def fit(
     return best_params, state
 
 
-def finetune(params, train_ds, valid_ds, cfg, on_epoch=None):
-    """Fine-tune with gradual unfreezing (see unfreeze_schedule).
-    Checkpoint/config agreement is enforced where the checkpoint is loaded."""
-    return fit(params, train_ds, valid_ds, cfg,
-               freeze_schedule=unfreeze_schedule(params.config),
-               on_epoch=on_epoch)
-
-
 # ---------------------------------------------------------------------------
 # Training checkpoints (parameters + optimizer state, resumable)
 # ---------------------------------------------------------------------------
@@ -462,8 +455,9 @@ def save_train_checkpoint(path, params, state, vocab_hash, metadata=None, best_p
 
 def load_train_checkpoint(path, expect_config=None, expect_vocab_hash=None):
     """Returns (params, state, best_params or None, header). A state file
-    holds no freeze mask or stop reason: the state's mask trains everything
-    until fit's freeze_schedule narrows it, and fit sets the stop reason."""
+    holds no stop reason (fit sets it) and nothing of gradual unfreezing: a
+    resumed fine-tune passes unfreeze=True to fit, which derives each
+    epoch's frozen names from the epoch."""
     params, header, extras = model.load_checkpoint(
         path, expect_config=expect_config, expect_vocab_hash=expect_vocab_hash
     )
@@ -476,7 +470,6 @@ def load_train_checkpoint(path, expect_config=None, expect_vocab_hash=None):
             m={n: extras[f"adam.m.{n}"] for n in params.names()},
             v={n: extras[f"adam.v.{n}"] for n in params.names()},
             t={n: int(meta["t"][n]) for n in params.names()},
-            freeze_mask=model.FreezeMask.all_trainable(params.config),
             rng=rng,
             history=list(meta["history"]),
         )

@@ -252,16 +252,15 @@ def test_ac5_finetuning_behavior():
                              n_layers=4, n_heads=2, dropout=0.0, ffn_mult=2)
     params = model.init(mcfg, seed=0)
     tcfg = train.TrainConfig(batch_size=8, max_epochs=6, base_lr=1e-3, seed=0)
-    schedule = train.unfreeze_schedule(mcfg)
     initial = {n: params[n].data.copy() for n in params.names()}
     opens_at = {0: 4, 1: 2, 2: 0, 3: 0}  # block index -> first open epoch
     state = train.init_state(params, tcfg)
     order = np.random.default_rng(0)
     for epoch in range(5):
-        state.freeze_mask = schedule(epoch)
         for _ in range(6):
             idx = order.integers(0, len(ds), size=8)
-            train.train_step(params, state, ds.minibatch(idx), tcfg, lr=1e-3)
+            train.train_step(params, state, ds.minibatch(idx), tcfg, lr=1e-3,
+                             frozen=train.frozen_names(params, epoch))
         for name in params.names():
             group = model.ParameterSet.group(name)
             if group == "head":
@@ -293,7 +292,7 @@ def test_ac5_finetuning_behavior():
         pretrained, _ = train.fit(model.init(fcfg, seed=seed), *mono_pack, pre_cfg)
         budget = train.TrainConfig(batch_size=32, max_epochs=4, base_lr=1e-3,
                                    patience=5, seed=seed)
-        _, ft = train.finetune(pretrained, *news_pack, budget)
+        _, ft = train.fit(pretrained, *news_pack, budget, unfreeze=True)
         _, scratch = train.fit(model.init(fcfg, seed=seed), *news_pack, budget)
         wins += ft.best_valid_loss < scratch.best_valid_loss
     assert wins >= 4, f"fine-tuning won only {wins}/5"

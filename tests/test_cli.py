@@ -159,8 +159,7 @@ CONFIG_SURFACE = {
                        "dropout ffn_mult",
     train.TrainConfig: "batch_size max_epochs base_lr warmup_fraction "
                        "weight_decay patience occlusion_prob seed",
-    model.FreezeMask: "embeddings blocks",
-    train.TrainState: "step m v t freeze_mask rng history stop_reason",
+    train.TrainState: "step m v t rng history stop_reason",
     sweep.TrialRecord: "trial_id sampled history stop_reason wall_s",
     corpus.SplitSpec: "train_frac valid_frac seed",
     metrics.GenerationConfig: "max_new_tokens strategy temperature top_k seed",
@@ -573,6 +572,30 @@ def test_out_directory_rejected_before_training(command, smoke, tmp_path, capsys
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("command", ["tokenizer", "corpus", "eval", "pretrain"])
+def test_output_path_under_a_regular_file_exits_1(command, smoke, tmp_path,
+                                                    capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    argv = {
+        "tokenizer": ["tokenizer", "--data", smoke["raw"],
+                      "--out", str(blocker / "v.tsv")],
+        "corpus": ["corpus", "--data", smoke["raw"],
+                   "--out-dir", str(blocker)],
+        "eval": ["eval", "--checkpoint", smoke["ckpt"], "--vocab",
+                 smoke["vocab"], "--split",
+                 os.path.join(smoke["work"], "valid.txt"),
+                 "--out", str(blocker / "r.json")],
+        "pretrain": ["pretrain", "--data", smoke["work"], "--vocab",
+                     smoke["vocab"], "--out", str(blocker / "x.ckpt")]
+                    + DESK_FLAGS,
+    }[command]
+    assert cli.dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err
+    assert "Traceback" not in err
+
+
 def test_corpus_splits_and_stats(smoke):
     names = sorted(os.listdir(smoke["work"]))
     assert names == ["stats.json", "test.txt", "train.txt", "valid.txt"]
@@ -753,6 +776,19 @@ def test_sweep_malformed_spec_exit_1(capsys, smoke, tmp_path):
     ("eval --top-k 0", "{}", "--top-k needs --bleu"),
     ("eval --gen-seed 0", "{}", "--gen-seed needs --bleu"),
     ("eval --prompt-frac 0.25", "{}", "--prompt-frac needs --bleu"),
+    # decoding flags the resolved strategy does not read
+    ("generate --top-k 3 --strategy greedy", "{}",
+     "--top-k needs --strategy topk"),
+    ("generate --temperature 5", "{}",
+     "--temperature needs --strategy sample or topk"),
+    ("generate --gen-seed 3", "{}", "--gen-seed needs --strategy sample or topk"),
+    ("generate --strategy sample --top-k 1 --gen-seed 3", "{}",
+     "--top-k needs --strategy topk"),
+    ("eval --bleu --top-k 3", "{}", "--top-k needs --strategy topk"),
+    ("eval --bleu --strategy greedy --temperature 0.5", "{}",
+     "--temperature needs --strategy sample or topk"),
+    ("eval --bleu --gen-seed 1", "{}",
+     "--gen-seed needs --strategy sample or topk"),
 ])
 def test_malformed_config_or_spec_exit_1(capsys, smoke, tmp_path, command,
                                          content, expect):

@@ -385,23 +385,6 @@ def test_sequence_logprob_rejects_short():
         model.sequence_logprob(p, TINY, np.array([1]))
 
 
-# ------------------------------------------------------------- freeze mask
-
-
-def test_freeze_mask_groups():
-    p = model.init(TINY, seed=0)
-    mask = model.FreezeMask(embeddings=False, blocks=(False,))
-    names = mask.check(TINY).trainable_names(p)
-    assert names == ["ln_f.g", "ln_f.b"]
-    full = model.FreezeMask.all_trainable(TINY)
-    assert full.trainable_names(p) == p.names()
-
-
-def test_freeze_mask_rejects_wrong_arity():
-    with pytest.raises(ConfigError):
-        model.FreezeMask(embeddings=True, blocks=(True, True)).check(TINY)
-
-
 # -------------------------------------------------------------- checkpoint
 
 

@@ -367,15 +367,14 @@ def test_frozen_params_bit_identical_across_steps():
     params = model.init(cfg, seed=0)
     ds = tiny_dataset()
     tcfg = tiny_train_config()
-    mask = model.FreezeMask(embeddings=False, blocks=(False, True))
+    frozen = {n for n in params.names()
+              if model.ParameterSet.group(n) in ("embeddings", "block0")}
     state = train.init_state(params, tcfg)
-    state.freeze_mask = mask
     before = {n: params[n].data.copy() for n in params.names()}
     for b in range(6):
-        train.train_step(params, state, ds.minibatch(np.arange(4)), tcfg)
-    for n in params.names():
-        if mask.allows(n):
-            continue
+        train.train_step(params, state, ds.minibatch(np.arange(4)), tcfg,
+                         frozen=frozen)
+    for n in frozen:
         assert np.array_equal(params[n].data, before[n]), n
         assert not state.m[n].any()
         assert state.t[n] == 0
@@ -383,41 +382,53 @@ def test_frozen_params_bit_identical_across_steps():
     assert any(
         not np.array_equal(params[n].data, before[n])
         for n in params.names()
-        if mask.allows(n)
+        if n not in frozen
     )
 
 
-def test_unfreeze_schedule_l6_k2_interval2():
-    cfg = tiny_config(n_layers=6)
-    schedule = train.unfreeze_schedule(cfg)
-    open_blocks = {
-        e: tuple(i for i, f in enumerate(schedule(e).blocks) if f)
-        for e in range(9)
-    }
-    assert open_blocks[0] == (4, 5)
-    assert open_blocks[1] == (4, 5)
-    assert open_blocks[2] == (3, 4, 5)
-    assert open_blocks[4] == (2, 3, 4, 5)
-    assert open_blocks[6] == (1, 2, 3, 4, 5)
-    assert open_blocks[8] == (0, 1, 2, 3, 4, 5)
-    assert not schedule(0).embeddings
-    assert not schedule(7).embeddings
-    assert schedule(8).embeddings
+_BOTTOM4 = {"embeddings", "block0", "block1", "block2", "block3"}
+
+
+# n_layers -> {epoch: the groups frozen_names freezes}; a model of at most
+# UNFREEZE_TOP_K = 2 layers freezes nothing from epoch 0 on
+@pytest.mark.parametrize("n_layers, frozen_groups", [
+    (1, {0: set(), 1: set(), 2: set()}),
+    (2, {0: set(), 1: set(), 2: set()}),
+    (6, {0: _BOTTOM4, 1: _BOTTOM4,
+         2: {"embeddings", "block0", "block1", "block2"},
+         4: {"embeddings", "block0", "block1"},
+         6: {"embeddings", "block0"}, 7: {"embeddings", "block0"},
+         8: set(), 20: set()}),
+], ids=["L1", "L2", "L6"])
+def test_frozen_names_k2_interval2(n_layers, frozen_groups):
+    params = model.init(tiny_config(n_layers=n_layers), seed=0)
+    for epoch, groups in frozen_groups.items():
+        # every name of a frozen group, and no other
+        assert set(train.frozen_names(params, epoch)) == {
+            n for n in params.names()
+            if model.ParameterSet.group(n) in groups}, epoch
 
 
 def test_finetune_epoch0_freezes_bottom_blocks():
+    # each group first moves in the epoch frozen_names opens it
     cfg = tiny_config(n_layers=4)
     params = model.init(cfg, seed=2)
-    before = {n: params[n].data.copy() for n in params.names()}
+    snapshots = [{n: params[n].data.copy() for n in params.names()}]
     ds = tiny_dataset()
-    tcfg = tiny_train_config(max_epochs=1)
-    train.finetune(params, ds, ds, tcfg)
-    for n in params.names():
-        group = model.ParameterSet.group(n)
-        if group in ("embeddings", "block0", "block1"):
-            assert np.array_equal(params[n].data, before[n]), n
-        elif group in ("block2", "block3", "head"):
-            assert not np.array_equal(params[n].data, before[n]), n
+    tcfg = tiny_train_config(max_epochs=6)
+    _, state = train.fit(
+        params, ds, ds, tcfg, unfreeze=True,
+        on_epoch=lambda record, state: snapshots.append(
+            {n: params[n].data.copy() for n in params.names()}),
+    )
+    assert state.epoch == 6
+    first_moved = {}
+    for epoch, (old, new) in enumerate(zip(snapshots, snapshots[1:])):
+        for n in params.names():
+            if not np.array_equal(old[n], new[n]):
+                first_moved.setdefault(model.ParameterSet.group(n), epoch)
+    assert first_moved == {"block2": 0, "block3": 0, "head": 0,
+                           "block1": 2, "block0": 4, "embeddings": 4}
 
 
 # ---------------------------------------------------------------------------
@@ -543,21 +554,20 @@ def _history_without_wall_time(state):
 
 
 def test_resume_across_an_unfreeze_boundary_needs_no_stored_mask(tmp_path):
-    """A 4-layer unfreeze-schedule run stopped after epoch 3 (3 blocks open,
-    4 from epoch 4) resumes from a state file that holds no mask exactly as
-    if it had not stopped: fit re-applies the schedule each epoch."""
+    """A 4-layer gradual-unfreezing run stopped after epoch 3 (3 blocks
+    open, 4 from epoch 4) resumes from a state file that holds no mask
+    exactly as if it had not stopped: fit derives the frozen names from each
+    epoch."""
     cfg = tiny_config(n_layers=4)
     ds = tiny_dataset()
     tcfg = tiny_train_config(max_epochs=6, occlusion_prob=0.2, seed=4)
-    schedule = train.unfreeze_schedule(cfg)
 
     p_full = model.init(cfg, seed=6)
-    best_full, state_full = train.fit(p_full, ds, ds, tcfg,
-                                      freeze_schedule=schedule)
+    best_full, state_full = train.fit(p_full, ds, ds, tcfg, unfreeze=True)
 
     p_half = model.init(cfg, seed=6)
     best_half, state_half = train.fit(
-        p_half, ds, ds, tcfg, freeze_schedule=schedule,
+        p_half, ds, ds, tcfg, unfreeze=True,
         on_epoch=lambda record, state: state.epoch >= 3,
     )
     path = str(tmp_path / "resume.ckpt")
@@ -569,12 +579,9 @@ def test_resume_across_an_unfreeze_boundary_needs_no_stored_mask(tmp_path):
     p_res, state_res, best_res, _ = train.load_train_checkpoint(
         path, expect_config=cfg, expect_vocab_hash="0" * 64
     )
-    # the loaded mask is wrong for epoch 3, so only the schedule can fix it
-    assert state_res.freeze_mask == model.FreezeMask.all_trainable(cfg)
-    assert schedule(3) != state_res.freeze_mask
     assert state_res.stop_reason is None
     best_out, state_out = train.fit(
-        p_res, ds, ds, tcfg, freeze_schedule=schedule,
+        p_res, ds, ds, tcfg, unfreeze=True,
         state=state_res, best_params=best_res,
     )
 
@@ -636,8 +643,8 @@ def _strict_improvement_loop(history):
 @settings(max_examples=200, deadline=None)
 def test_derived_best_matches_a_strict_improvement_loop(losses):
     history = [{"epoch": i, "valid_loss": v} for i, v in enumerate(losses)]
-    state = train.TrainState(step=0, m={}, v={}, t={}, freeze_mask=None,
-                             rng=None, history=history)
+    state = train.TrainState(step=0, m={}, v={}, t={}, rng=None,
+                             history=history)
     record = sweep.TrialRecord(trial_id=0, sampled={}, history=history,
                                stop_reason="max_epochs", wall_s=0.0)
     best, best_epoch, since = _strict_improvement_loop(history)
