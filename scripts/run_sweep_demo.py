@@ -5,7 +5,6 @@
 
 import argparse
 import json
-import os
 
 from occlm import bpe, corpus, demo, model, sweep, train
 
@@ -43,7 +42,6 @@ def main():
     best, records = sweep.run_sweep(
         spec, train_ds, valid_ds, args.out, parallel=args.parallel
     )
-    sweep.write_sweep_report(os.path.join(args.out, "report.json"), records)
 
     print(f"best trial {best.trial_id}: valid loss {best.best_valid_loss:.4f}")
     print(json.dumps(best.sampled, indent=2, sort_keys=True))

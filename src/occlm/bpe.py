@@ -61,29 +61,30 @@ UNICODE_TO_BYTE = {c: b for b, c in BYTE_TO_UNICODE.items()}
 
 @dataclass
 class Vocabulary:
-    token_to_id: dict
-    id_to_token: dict
+    tokens: list          # index is the id: specials, bytes, merge results
     merges: list          # ordered (left, right) pairs; index is the rank
     target_size: int
-    _ranks: dict = field(default_factory=dict, repr=False)
+    token_to_id: dict = field(init=False, repr=False)
+    _ranks: dict = field(init=False, repr=False)
     _word_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if not self._ranks:
-            self._ranks = {pair: i for i, pair in enumerate(self.merges)}
+        self.token_to_id = {tok: i for i, tok in enumerate(self.tokens)}
+        self._ranks = {pair: i for i, pair in enumerate(self.merges)}
 
     @property
     def size(self):
-        return len(self.token_to_id)
+        return len(self.tokens)
 
     def check(self):
         """Validate the structural invariants; raises DataError on breach."""
-        if len(self.token_to_id) != len(self.id_to_token):
-            raise DataError("vocabulary maps are not the same size")
-        for tok, i in self.token_to_id.items():
-            if self.id_to_token.get(i) != tok:
-                raise DataError(f"vocabulary maps disagree at id {i}")
-        if len(self.token_to_id) > self.target_size:
+        if len(self.token_to_id) != len(self.tokens):
+            # token_to_id keeps a repeated token's last id
+            i, tok = next((i, t) for i, t in enumerate(self.tokens)
+                          if self.token_to_id[t] != i)
+            raise DataError(f"token {tok!r} is listed twice, at ids {i} "
+                            f"and {self.token_to_id[tok]}")
+        if len(self.tokens) > self.target_size:
             raise DataError("vocabulary exceeds its target size")
         if len(set(self.merges)) != len(self.merges):
             raise DataError("duplicate merge rule")
@@ -92,9 +93,10 @@ class Vocabulary:
                     *(t for a, b in self.merges for t in (a, b, a + b))]:
             if tok not in self.token_to_id:
                 raise DataError(f"a byte or merge names {tok!r}, not a token")
+        # the byte symbols are tokens, so ids 0..2 exist
         for i in SPECIAL_IDS:
-            if self.id_to_token.get(i) != DEFAULT_SPECIALS[i]:
-                raise DataError(f"token {i} is {self.id_to_token.get(i)!r}, "
+            if self.tokens[i] != DEFAULT_SPECIALS[i]:
+                raise DataError(f"token {i} is {self.tokens[i]!r}, "
                                 f"not the special {DEFAULT_SPECIALS[i]!r}")
         return self
 
@@ -200,13 +202,8 @@ def train_bpe(corpus, target_size):
                 if counts[p] >= 2:
                     heapq.heappush(heap, (-counts[p], p))
 
-    id_to_token = {i: t for t, i in token_to_id.items()}
-    return Vocabulary(
-        token_to_id=token_to_id,
-        id_to_token=id_to_token,
-        merges=merges,
-        target_size=target_size,
-    ).check()
+    return Vocabulary(tokens=list(token_to_id), merges=merges,
+                      target_size=target_size).check()
 
 
 def _apply_merges(v, symbols):
@@ -260,11 +257,13 @@ def decode(v, ids):
             parts.append(raw.decode("utf-8", errors="replace"))
             buf.clear()
 
+    tokens = v.tokens
     for i in ids:
-        tok = v.id_to_token.get(int(i))
-        if tok is None:
-            raise TokenIndexError(f"id {int(i)} is not in the vocabulary")
-        if int(i) in SPECIAL_IDS:
+        i = int(i)
+        if not 0 <= i < len(tokens):
+            raise TokenIndexError(f"id {i} is not in the vocabulary")
+        tok = tokens[i]
+        if i in SPECIAL_IDS:
             flush()
             parts.append(tok)
         else:
@@ -283,8 +282,7 @@ def save_vocab(v, path, run_id=None):
     lines.append("[target_size]")
     lines.append(str(v.target_size))
     lines.append("[tokens]")
-    for i in sorted(v.id_to_token):
-        lines.append(f"{v.id_to_token[i]}\t{i}")
+    lines += [f"{tok}\t{i}" for i, tok in enumerate(v.tokens)]
     lines.append("[merges]")
     for a, b in v.merges:
         lines.append(f"{a}\t{b}")
@@ -304,7 +302,8 @@ def load_vocab(path):
 
     section = None
     specials = []
-    token_to_id = {}
+    tokens = []
+    bad_id = None  # the first [tokens] line whose id is not its index
     merges = []
     target_size = None
     known = ("[specials]", "[target_size]", "[tokens]", "[merges]")
@@ -326,7 +325,11 @@ def load_vocab(path):
                 target_size = int(line)
             elif section == "[tokens]":
                 tok, sid = line.rsplit("\t", 1)
-                token_to_id[tok] = int(sid)
+                if int(sid) != len(tokens) and bad_id is None:
+                    bad_id = (f"{path} line {line_no}: [tokens] id {int(sid)} "
+                              f"is out of order; ids run 0..n-1, expected "
+                              f"{len(tokens)}")
+                tokens.append(tok)
             elif section == "[merges]":
                 a, b = line.split("\t")
                 merges.append((a, b))
@@ -342,10 +345,9 @@ def load_vocab(path):
         raise DataError(f"{path}: [specials] must list exactly "
                         f"{_SPECIAL_ROWS}, got {tuple(specials)}")
 
-    id_to_token = {i: t for t, i in token_to_id.items()}
-    return Vocabulary(
-        token_to_id=token_to_id,
-        id_to_token=id_to_token,
-        merges=merges,
-        target_size=target_size,
-    ).check()
+    v = Vocabulary(tokens=tokens, merges=merges,
+                   target_size=target_size).check()
+    # raised after check(), so a missing byte or merge token is named first
+    if bad_id is not None:
+        raise DataError(bad_id)
+    return v

@@ -285,8 +285,7 @@ def cmd_corpus(args):
         artifacts.write_text(os.path.join(args.out_dir, f"{name}.txt"),
                              "".join(line + "\n" for line in split_lines))
     stats = corpus.stats(named, vocab=vocab)
-    artifacts.write_text(os.path.join(args.out_dir, "stats.json"),
-                         corpus.stats_to_json(stats) + "\n")
+    artifacts.write_json(os.path.join(args.out_dir, "stats.json"), stats)
     print(corpus.render_stats_table(stats))
     return 0
 
@@ -395,7 +394,6 @@ def cmd_sweep(args):
             spec, train_ds, valid_ds, args.out, vocab_hash=vocab_hash,
             run_id=run_id, parallel=args.parallel,
         )
-        sweep.write_sweep_report(os.path.join(args.out, "report.json"), board)
     print(
         f"sweep: best trial {best.trial_id} "
         f"(valid loss {best.best_valid_loss:.4f}, {best.stop_reason}); "

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import io
-import json
 import re
 from dataclasses import dataclass
 
@@ -121,23 +120,8 @@ def split(lines, spec=None):
     return train, valid, test
 
 
-@dataclass
-class SplitStats:
-    sentences: int
-    tokens: int
-    unique_tokens: int
-
-
-@dataclass
-class CorpusStats:
-    per_split: dict
-    sentences: int
-    tokens: int
-    unique_tokens: int
-
-
 def stats(splits, vocab=None):
-    """Tokenized counts per split plus totals.
+    """stats.json's dict: tokenized counts per split plus totals.
 
     splits maps split name to its list of sentences. With a vocabulary the
     counts use BPE ids; otherwise a whitespace-token baseline. Total
@@ -145,8 +129,6 @@ def stats(splits, vocab=None):
     """
     per_split = {}
     all_unique = set()
-    total_sentences = 0
-    total_tokens = 0
     for name, lines in splits.items():
         uniq = set()
         n_tokens = 0
@@ -154,44 +136,20 @@ def stats(splits, vocab=None):
             toks = bpe.encode(vocab, line).ids if vocab else line.split()
             n_tokens += len(toks)
             uniq.update(toks)
-        per_split[name] = SplitStats(
-            sentences=len(lines), tokens=n_tokens, unique_tokens=len(uniq)
-        )
+        per_split[name] = {"sentences": len(lines), "tokens": n_tokens,
+                           "unique_tokens": len(uniq)}
         all_unique.update(uniq)
-        total_sentences += len(lines)
-        total_tokens += n_tokens
-    return CorpusStats(
-        per_split=per_split,
-        sentences=total_sentences,
-        tokens=total_tokens,
-        unique_tokens=len(all_unique),
-    )
-
-
-def stats_to_json(cs):
-    payload = {
-        "per_split": {
-            name: {
-                "sentences": s.sentences,
-                "tokens": s.tokens,
-                "unique_tokens": s.unique_tokens,
-            }
-            for name, s in cs.per_split.items()
-        },
-        "total": {
-            "sentences": cs.sentences,
-            "tokens": cs.tokens,
-            "unique_tokens": cs.unique_tokens,
-        },
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    total = {key: sum(s[key] for s in per_split.values())
+             for key in ("sentences", "tokens")}
+    total["unique_tokens"] = len(all_unique)
+    return {"per_split": per_split, "total": total}
 
 
 def render_stats_table(cs):
     rows = [("split", "#Sentences", "#Tokens", "#Unique tokens")]
-    for name, s in cs.per_split.items():
-        rows.append((name, f"{s.sentences:,}", f"{s.tokens:,}", f"{s.unique_tokens:,}"))
-    rows.append(("total", f"{cs.sentences:,}", f"{cs.tokens:,}", f"{cs.unique_tokens:,}"))
+    for name, s in [*cs["per_split"].items(), ("total", cs["total"])]:
+        rows.append((name, *(f"{s[key]:,}" for key in
+                             ("sentences", "tokens", "unique_tokens"))))
     widths = [max(len(r[i]) for r in rows) for i in range(4)]
     out = []
     for r in rows:

@@ -274,6 +274,8 @@ def run_sweep(
     record counts as missing, and so does one whose trial_<k>/config.json is
     not what ``spec`` gives for trial k, so a sweep never mixes specs. The
     best record is the leaderboard head that finished with a checkpoint.
+    Writes leaderboard.json, then best.json and report.json (sweep_report of
+    the leaderboard); a sweep in which every trial diverged writes neither.
     """
     spec.check()
     if len(train_ds) == 0 or len(valid_ds) == 0:
@@ -333,6 +335,8 @@ def run_sweep(
             "best_valid_ppl": best.best_valid_ppl,
         },
     )
+    artifacts.write_json(os.path.join(out_dir, "report.json"),
+                         sweep_report(board))
     return best, board
 
 
@@ -371,12 +375,6 @@ def sweep_report(records):
         for r in records
     }
     return {"columns": columns, "table": rows, "curves": curves}
-
-
-def write_sweep_report(path, records):
-    report = sweep_report(records)
-    artifacts.write_json(path, report)
-    return report
 
 
 # --- SweepSpec (de)serialization for `occlm sweep --spec file.json` ---------

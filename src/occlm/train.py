@@ -262,7 +262,8 @@ def train_step(params, state, batch, cfg, lr=None, batch_index=None,
                      lr, cfg)
     except NumericsError as exc:
         raise DivergenceError(
-            f"non-finite value during training step: {exc}",
+            f"non-finite value at step {state.step}, batch {batch_index}, "
+            f"lr {lr:.3g}: {exc}",
             step=state.step, lr=lr, batch_index=batch_index,
         ) from exc
     state.step += 1
@@ -398,7 +399,8 @@ def fit(
             )
         except NumericsError as exc:
             raise DivergenceError(
-                f"non-finite value during validation: {exc}",
+                f"non-finite value at step {state.step}, validation, "
+                f"lr {lr:.3g}: {exc}",
                 step=state.step, lr=lr, batch_index=None,
                 history=state.history,
             ) from exc

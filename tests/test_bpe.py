@@ -106,7 +106,7 @@ def test_no_merge_remakes_a_special_written_as_text():
     assert not {a + b for a, b in v.merges} & set(bpe.DEFAULT_SPECIALS)
     assert v.merges == reference_trainer(lines, 400 - 259)
     ids = bpe.encode(v, bpe.PAD_TOKEN).ids
-    assert [v.id_to_token[i] for i in ids] == ["<|pad", "|>"]
+    assert [v.tokens[i] for i in ids] == ["<|pad", "|>"]
 
 
 def test_thousands_of_distinct_words_train_fast():
@@ -135,7 +135,7 @@ def test_any_utf8_encodes_without_unknowns():
     v = bpe.train_bpe(["ke a tseba"], target_size=300)
     for text in ["šatše ŠOŠA", "日本語", "emoji 🙂 mix", "tab\tand\nnewline"]:
         enc = bpe.encode(v, text)
-        assert all(i in v.id_to_token for i in enc.ids)
+        assert all(0 <= i < v.size for i in enc.ids)
         assert bpe.decode(v, enc.ids) == bpe.normalize(text)
 
 
@@ -176,7 +176,7 @@ def test_encode_empty_string(vocab):
 def test_encode_single_base_byte(vocab):
     enc = bpe.encode(vocab, "q")
     assert len(enc.ids) == 1
-    assert vocab.id_to_token[enc.ids[0]] == "q"
+    assert vocab.tokens[enc.ids[0]] == "q"
 
 
 @pytest.mark.parametrize("text", ["tseba", "ke a tseba gore ke a tseba"])
@@ -201,8 +201,10 @@ def test_decode_empty(vocab):
 
 
 def test_decode_unknown_id_raises(vocab):
-    with pytest.raises(TokenIndexError):
-        bpe.decode(vocab, [vocab.size + 5])
+    # -1 must not index the token list from its end
+    for bad in (vocab.size + 5, vocab.size, -1):
+        with pytest.raises(TokenIndexError):
+            bpe.decode(vocab, [bad])
 
 
 def test_decode_renders_specials(vocab):
@@ -217,7 +219,7 @@ def test_random_ids_decode_and_reencode_stably(vocab, seed):
     ids = [int(i) for i in rng.integers(3, vocab.size, size=12)]
     text = bpe.decode(vocab, ids)
     again = bpe.encode(vocab, text)
-    assert all(i in vocab.id_to_token for i in again.ids)
+    assert all(0 <= i < vocab.size for i in again.ids)
     # re-encoding the (normalized) decoded text is a fixed point
     norm = bpe.normalize(text)
     assert bpe.decode(vocab, again.ids) == norm
@@ -242,6 +244,7 @@ def test_vocab_file_round_trip_and_determinism(tmp_path, vocab):
     bpe.save_vocab(vocab, p2)
     assert p1.read_bytes() == p2.read_bytes()
     loaded = bpe.load_vocab(p1)
+    assert loaded.tokens == vocab.tokens
     assert loaded.token_to_id == vocab.token_to_id
     assert loaded.merges == vocab.merges
     assert loaded.target_size == vocab.target_size
@@ -290,4 +293,4 @@ def test_specials_never_produced_by_merges(vocab):
     for a, b in vocab.merges:
         assert (a + b) not in bpe.DEFAULT_SPECIALS
     assert bpe.SPECIAL_IDS == (bpe.PAD_ID, bpe.OCC_ID, bpe.EOT_ID) == (0, 1, 2)
-    assert [vocab.id_to_token[i] for i in range(3)] == list(bpe.DEFAULT_SPECIALS)
+    assert vocab.tokens[:3] == list(bpe.DEFAULT_SPECIALS)

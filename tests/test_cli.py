@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -166,7 +167,7 @@ CONFIG_SURFACE = {
     sweep.SweepSpec: "base_model base_train lr_range n_layers_choices "
                      "n_heads_choices dropout_choices occlusion_prob_choices "
                      "trial_count max_epochs seed",
-    bpe.Vocabulary: "token_to_id id_to_token merges target_size _ranks "
+    bpe.Vocabulary: "tokens merges target_size token_to_id _ranks "
                     "_word_cache",
     corpus.TokenDataset: "windows n_stream_tokens",
     corpus.Batch: "inputs targets ignore",
@@ -206,6 +207,18 @@ def test_pretrain_malformed_config_exit_1(capsys, smoke, tmp_path):
     assert rc == 1
     err = capsys.readouterr().err
     assert str(cfg) in err
+    assert "Traceback" not in err
+
+
+def test_pretrain_divergence_names_step_and_batch_exit_1(capsys, smoke,
+                                                       tmp_path):
+    rc = cli.dispatch(
+        ["pretrain", "--data", smoke["work"], "--vocab", smoke["vocab"],
+         "--out", str(tmp_path / "x.ckpt")] + DESK_FLAGS + ["--base-lr", "1e9"]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert re.match(r"error: non-finite value at step \d+, batch \d+, lr ", err)
     assert "Traceback" not in err
 
 
@@ -873,10 +886,35 @@ def test_checkpoint_header_tied_head_key(capsys, smoke, tmp_path):
         "special-swapped"])
 def test_vocab_naming_a_missing_token_exit_1(capsys, smoke, tmp_path, old,
                                              new, expect):
-    bad = tmp_path / "vocab.tsv"
+    _corpus_with_edited_vocab(capsys, smoke, tmp_path, [(old, new)], expect)
+
+
+# [tokens] ids run 0..n-1 in file order; each of these files used to load,
+# holding an id at or past the vocabulary's size (or leaving one out)
+@pytest.mark.parametrize("old, new, expect", [
+    ("\ning\t279\n", "\ning\t279\n\u0100\t280\n",
+     "token '\u0100' is listed twice, at ids 3 and 280"),
+    ("\ning\t279\n", "\ning\t283\n", "line 289: [tokens] id 283"),
+    ("\n\u0100\t3\n\u0101\t4\n", "\n\u0101\t4\n\u0100\t3\n",
+     "line 13: [tokens] id 4"),
+], ids=["repeated-token", "skipped-id", "out-of-order-id"])
+def test_vocab_with_misnumbered_tokens_exit_1(capsys, smoke, tmp_path, old,
+                                              new, expect):
+    # a spare id under the target size, so only the [tokens] ids are at fault
+    spare = ("[target_size]\n280\n", "[target_size]\n281\n")
+    _corpus_with_edited_vocab(capsys, smoke, tmp_path, [spare, (old, new)],
+                              expect)
+
+
+def _corpus_with_edited_vocab(capsys, smoke, tmp_path, edits, expect):
+    """`occlm corpus` with the smoke vocab after each (old, new) edit exits 1,
+    its stderr holding ``expect``, with no traceback."""
     text = open(smoke["vocab"], encoding="utf-8").read()
-    assert old in text
-    bad.write_text(text.replace(old, new, 1), encoding="utf-8")
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    bad = tmp_path / "vocab.tsv"
+    bad.write_text(text, encoding="utf-8")
     rc = cli.dispatch(["corpus", "--data", smoke["raw"], "--vocab", str(bad),
                        "--out-dir", str(tmp_path / "c")])
     assert rc == 1

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from occlm import bpe, corpus
+from occlm import artifacts, bpe, corpus
 from occlm.errors import ConfigError, DataError, EncodingError
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -196,22 +196,22 @@ def test_split_union_is_input_multiset(seed, n):
 
 def test_stats_empty_split():
     cs = corpus.stats({"train": []})
-    assert cs.per_split["train"].sentences == 0
-    assert cs.per_split["train"].tokens == 0
-    assert cs.per_split["train"].unique_tokens == 0
+    assert cs["per_split"]["train"] == {
+        "sentences": 0, "tokens": 0, "unique_tokens": 0}
 
 
 def test_stats_whitespace_baseline():
     cs = corpus.stats({"train": ["ke a tseba"]})
-    s = cs.per_split["train"]
-    assert (s.sentences, s.tokens, s.unique_tokens) == (1, 3, 3)
+    s = cs["per_split"]["train"]
+    assert (s["sentences"], s["tokens"], s["unique_tokens"]) == (1, 3, 3)
 
 
 def test_stats_totals_are_sums():
     cs = corpus.stats({"a": ["x y", "x"], "b": ["y z z"]})
-    assert cs.sentences == 3
-    assert cs.tokens == cs.per_split["a"].tokens + cs.per_split["b"].tokens
-    assert cs.unique_tokens == 3  # union of {x,y} and {y,z}
+    per, total = cs["per_split"], cs["total"]
+    assert total["sentences"] == 3
+    assert total["tokens"] == per["a"]["tokens"] + per["b"]["tokens"]
+    assert total["unique_tokens"] == 3  # union of {x,y} and {y,z}
 
 
 @settings(max_examples=30, deadline=None)
@@ -223,18 +223,46 @@ def test_stats_union_unique_dominates_each_split(seed):
         for _ in range(int(rng.integers(1, 10)))
     ]
     cs = corpus.stats({"train": mk(), "valid": mk()})
-    assert cs.unique_tokens >= max(
-        cs.per_split["train"].unique_tokens, cs.per_split["valid"].unique_tokens
-    )
-    assert cs.unique_tokens <= cs.tokens or cs.tokens == 0
+    per, total = cs["per_split"], cs["total"]
+    assert total["unique_tokens"] >= max(
+        per["train"]["unique_tokens"], per["valid"]["unique_tokens"])
+    assert total["unique_tokens"] <= total["tokens"] or total["tokens"] == 0
 
 
-def test_stats_json_and_table_render():
+# the stats.json bytes and the table that `occlm corpus` writes and prints
+STATS_JSON = """\
+{
+  "per_split": {
+    "test": {
+      "sentences": 1,
+      "tokens": 1,
+      "unique_tokens": 1
+    },
+    "train": {
+      "sentences": 2,
+      "tokens": 4,
+      "unique_tokens": 3
+    }
+  },
+  "total": {
+    "sentences": 3,
+    "tokens": 5,
+    "unique_tokens": 4
+  }
+}
+"""
+STATS_TABLE = """\
+split  #Sentences  #Tokens  #Unique tokens
+train  2           4        3
+test   1           1        1
+total  3           5        4"""
+
+
+def test_stats_json_and_table_render(tmp_path):
     cs = corpus.stats({"train": ["ke a", "a b"], "test": ["c"]})
-    table = corpus.render_stats_table(cs)
-    assert "#Unique tokens" in table and "train" in table and "total" in table
-    js = corpus.stats_to_json(cs)
-    assert '"unique_tokens"' in js
+    assert corpus.render_stats_table(cs) == STATS_TABLE
+    artifacts.write_json(str(tmp_path / "stats.json"), cs)
+    assert (tmp_path / "stats.json").read_text(encoding="utf-8") == STATS_JSON
 
 
 # ------------------------------------------------------------------- pack

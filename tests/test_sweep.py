@@ -252,6 +252,8 @@ def test_all_diverged_raises_sweep_error(tmp_path):
     ds = tiny_dataset()
     with pytest.raises(SweepError):
         sweep.run_sweep(spec, ds, ds, str(tmp_path / "s"))
+    assert not (tmp_path / "s" / "best.json").exists()
+    assert not (tmp_path / "s" / "report.json").exists()
 
 
 def test_sweep_deterministic_across_directories(tmp_path):
@@ -462,13 +464,14 @@ def test_sweep_report_columns_are_union_of_sampled_names():
     assert report["table"][0]["dropout"] is None
 
 
-def test_sweep_report_round_trip(tmp_path):
-    records = [_record(trial_id=k, best=1.0 + k) for k in range(3)]
-    path = str(tmp_path / "report.json")
-    written = sweep.write_sweep_report(path, records)
-    loaded = artifacts.read_json(path)
-    assert loaded == json.loads(json.dumps(written))
-    assert [row["trial_id"] for row in loaded["table"]] == [0, 1, 2]
+def test_run_sweep_writes_its_report(tmp_path):
+    out = tmp_path / "s"
+    _, board = sweep.run_sweep(make_spec(trial_count=3), tiny_dataset(),
+                               tiny_dataset(), str(out))
+    loaded = artifacts.read_json(str(out / "report.json"))
+    assert loaded == json.loads(json.dumps(sweep.sweep_report(board)))
+    assert [row["trial_id"] for row in loaded["table"]] == [
+        r.trial_id for r in board]
     assert set(loaded["curves"]) == {"0", "1", "2"}
 
 

@@ -1026,6 +1026,7 @@ def test_adamw_second_moment_overflow_is_a_divergence(ac4_train_ds, monkeypatch)
     with pytest.raises(DivergenceError, match="AdamW second moment of ") as err:
         train.train_step(params, state, batch, tcfg, lr=1e-3, batch_index=5)
     assert (err.value.step, err.value.lr, err.value.batch_index) == (0, 1e-3, 5)
+    assert "non-finite value at step 0, batch 5, lr 0.001: " in str(err.value)
     name = str(err.value).rsplit("AdamW second moment of ", 1)[1].split()[0]
     assert name in params
     assert np.isfinite(recorded[-1][name]).all()
@@ -1160,6 +1161,6 @@ def test_sharded_perplexity_overflow_waits_for_both_shards(
         with pytest.raises(DivergenceError) as err:
             train.fit(params, train_ds, valid, tcfg)
         assert err.value.batch_index is None
-        assert "validation" in str(err.value)
+        assert f"at step {err.value.step}, validation, " in str(err.value)
     finally:
         worker.shutdown()
