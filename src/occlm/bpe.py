@@ -64,9 +64,10 @@ class Vocabulary:
     tokens: list          # index is the id: specials, bytes, merge results
     merges: list          # ordered (left, right) pairs; index is the rank
     target_size: int
-    token_to_id: dict = field(init=False, repr=False)
-    _ranks: dict = field(init=False, repr=False)
-    _word_cache: dict = field(default_factory=dict, repr=False)
+    # derived from the fields above, so equality ignores them
+    token_to_id: dict = field(init=False, repr=False, compare=False)
+    _ranks: dict = field(init=False, repr=False, compare=False)
+    _word_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.token_to_id = {tok: i for i, tok in enumerate(self.tokens)}

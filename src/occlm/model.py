@@ -163,15 +163,15 @@ def init(config, seed):
 
 def _block(params, config, i, x, train, rng):
     p = f"block{i}"
-    h = T.layer_norm(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
     x = T.add(x, T.attention(
-        h, params[f"{p}.attn.wq"], params[f"{p}.attn.wk"], params[f"{p}.attn.wv"],
-        params[f"{p}.attn.wo"], config.n_heads, config.dropout, train, rng,
+        x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"], params[f"{p}.attn.wq"],
+        params[f"{p}.attn.wk"], params[f"{p}.attn.wv"], params[f"{p}.attn.wo"],
+        config.n_heads, config.dropout, train, rng,
     ))
-    h = T.layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
     return T.add(x, T.ffn(
-        h, params[f"{p}.ffn.w1"], params[f"{p}.ffn.b1"], params[f"{p}.ffn.w2"],
-        params[f"{p}.ffn.b2"], config.dropout, train, rng,
+        x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"], params[f"{p}.ffn.w1"],
+        params[f"{p}.ffn.b1"], params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"],
+        config.dropout, train, rng,
     ))
 
 

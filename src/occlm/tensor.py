@@ -10,13 +10,20 @@ letting it propagate. numpy's FP warnings are silenced once per engine pass
 so a kernel called outside one may warn before its NumericsError. Outputs
 keep numpy's strides: ``transpose`` returns a view.
 
-The decoder's attention sub-layer and FFN are one kernel each
-(``attention``, ``ffn``): one tape entry and one hand-written backward per
-sub-layer instead of a chain of small ops, which is what batch-1 decoding
-pays for per call. They reuse the primitives' array arithmetic (the shared
-``_softmax_*``, ``_gelu_*``, ``_dropout_keep`` and ``_dropped`` helpers) and
-make the same products in the same order, so they are bit-identical to the
-composition of primitives they replace. ``softmax_lastdim``,
+The decoder's attention sub-layer and FFN, each with the pre-layer-norm in
+front of it, are one kernel each (``attention``, ``ffn``): one tape entry and
+one hand-written backward per sub-layer instead of a chain of small ops,
+which is what batch-1 decoding pays for per call. They reuse the primitives'
+array arithmetic (the shared ``_layer_norm_*``, ``_softmax_*``, ``_gelu_*``,
+``_dropout_keep`` and ``_dropped`` helpers) and make the same products in
+the same order, so they are bit-identical to the composition of primitives
+they replace. Each saves every activation its backward reads once and
+rebuilds the cheap rest with the forward's own operations: both keep the
+layer norm's ``xhat`` and ``inv`` and rebuild its output ``xhat * g + b``;
+``attention`` keeps q, k^T, v, the softmax, the context and the dropout
+masks and rebuilds the dropped softmax; ``ffn`` keeps the pre-activation and
+its dropout mask and reruns the GELU for its output and ``t``.
+``layer_norm`` serves only the decoder's final ``ln_f``. ``softmax_lastdim``,
 ``causal_mask_fill``, ``gelu`` and ``reshape`` have no caller left in the
 decoder; they stay as public kernels because that composition, built from
 them, is the reference the fused kernels are tested against, and the
@@ -27,10 +34,9 @@ parameter's data in place (``train.adamw_update``). A tape holds only what
 backward reads. Each entry holds its output's gradient handle (a shape, not
 the output array), its inputs' handles (a leaf tensor is its own handle) and
 a backward closure over just the arrays that backward needs, so an op output
-no backward reads (a residual sum, the embedding or dropout output, the
-attention or FFN output, the head logits) is freed as soon as the forward
-stops using it. Dropout keeps a bool keep mask, and ``attention`` recomputes
-its dropped softmax from the saved softmax and mask instead of holding both.
+no backward reads (a residual sum, the embedding or dropout output, a
+block's layer-norm output, the attention or FFN output, the head logits) is
+freed as soon as the forward stops using it. Dropout keeps a bool keep mask.
 A forward with no open tape builds no handles. A tape belongs to one
 training context and serves one ``backward``, which consumes it: each entry,
 its saved arrays and its output's gradient are freed as soon as the walk has
@@ -407,32 +413,53 @@ def _softmax_bwd(s, g):
 
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize the last dimension to zero mean / unit variance, then affine."""
+    gd = gain.data
+    out_data, xhat, inv = _layer_norm_fwd(x.data, gd, bias.data, eps)
+
+    def back(g, sink):
+        _layer_norm_bwd(xhat, inv, gd, g, sink)
+
+    return _result(out_data, "layer_norm", (x, gain, bias), back)
+
+
+def _layer_norm_fwd(x, gd, bd, eps=1e-5):
+    """(xhat * gd + bd, xhat, inv): xhat is x normalized over its last axis
+    and inv its 1/std, the two arrays backward reads. Raises NumericsError
+    for a non-finite variance; the caller checks the output."""
     # sum / d is what ndarray.mean computes, without its Python wrapper
     d = x.shape[-1]
-    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    xhat = x - x.sum(axis=-1, keepdims=True) / d
     var = np.square(xhat).sum(axis=-1, keepdims=True) / d
     # an overflowed variance would give inv 0 and a finite output: the bias
     _check_finite(var, "layer_norm")
     inv = 1.0 / np.sqrt(var + DTYPE(eps))
     xhat *= inv
-    gd = gain.data
-    out_data = xhat * gd
-    out_data += bias.data
+    return _layer_norm_affine(xhat, gd, bd), xhat, inv
 
-    def back(g, sink):
-        tmp = g * xhat
-        sink(1, tmp.reshape(-1, d).sum(axis=0))
-        sink(2, g.reshape(-1, d).sum(axis=0))
-        tmp *= gd
-        m2 = tmp.sum(axis=-1, keepdims=True) / d
-        dx = g * gd
-        dx -= dx.sum(axis=-1, keepdims=True) / d
-        np.multiply(xhat, m2, out=tmp)
-        dx -= tmp
-        dx *= inv
-        sink(0, dx)
 
-    return _result(out_data, "layer_norm", (x, gain, bias), back)
+def _layer_norm_affine(xhat, gd, bd):
+    """xhat * gd + bd in one new buffer: layer norm's output, and how the
+    fused kernels rebuild it in backward."""
+    out = xhat * gd
+    out += bd
+    return out
+
+
+def _layer_norm_bwd(xhat, inv, gd, g, sink):
+    """Layer norm's backward from its forward's xhat and inv, given dL/dout
+    = g: hands dgain to sink(1), dbias to sink(2), then dx to sink(0)."""
+    d = xhat.shape[-1]
+    tmp = g * xhat
+    sink(1, tmp.reshape(-1, d).sum(axis=0))
+    sink(2, g.reshape(-1, d).sum(axis=0))
+    tmp *= gd
+    m2 = tmp.sum(axis=-1, keepdims=True) / d
+    dx = g * gd
+    dx -= dx.sum(axis=-1, keepdims=True) / d
+    np.multiply(xhat, m2, out=tmp)
+    dx -= tmp
+    dx *= inv
+    sink(0, dx)
 
 
 def gelu(x):
@@ -599,17 +626,19 @@ def cross_entropy(logits, targets, ignore_mask=None):
 # ---------------------------------------------------------------------------
 
 
-def attention(x, wq, wk, wv, wo, n_heads, p, train, rng):
-    """Causal multi-head self-attention of x (B, S, d) as one kernel.
+def attention(x, ln_g, ln_b, wq, wk, wv, wo, n_heads, p, train, rng):
+    """Causal multi-head self-attention of layer_norm(x) (B, S, d) as one kernel.
 
-    Computes dropout(dropout(softmax(mask(q k^T / sqrt(hd)))) v wo), with
-    q, k, v = x wq, x wk, x wv split into n_heads heads of hd = d / n_heads.
-    It makes the products, operand layouts and rng draws (probabilities
-    first, then output) of the primitive chain matmul, reshape, transpose,
+    With h = layer_norm(x, ln_g, ln_b), computes
+    dropout(dropout(softmax(mask(q k^T / sqrt(hd)))) v wo), with q, k, v =
+    h wq, h wk, h wv split into n_heads heads of hd = d / n_heads. It makes
+    the products, operand layouts and rng draws (probabilities first, then
+    output) of the primitive chain layer_norm, matmul, reshape, transpose,
     scale, causal_mask_fill, softmax_lastdim, dropout, so its outputs and
     gradients equal that chain's bit for bit. One tape entry; its backward
     reuses the saved softmax and rebuilds the dropped weights from it and the
-    saved keep mask. The finite guard checks v, the scores and the output: a
+    saved keep mask, and rebuilds h from the saved xhat. The finite guard
+    checks the layer-norm variance and h, v, the scores and the output: a
     non-finite q row or k row spreads over a whole scores row or column, but
     a non-finite v entry can hide behind a zero weight.
     """
@@ -618,15 +647,20 @@ def attention(x, wq, wk, wv, wo, n_heads, p, train, rng):
                          f"{n_heads} heads, got {x.shape}")
     B, S, d = x.shape
     H, hd = n_heads, d // n_heads
-    if any(w.shape != (d, d) for w in (wq, wk, wv, wo)):
-        raise ShapeError(f"attention weights must be ({d}, {d}), got "
-                         f"{[w.shape for w in (wq, wk, wv, wo)]}")
-    xd = _row_major(x.data)
+    if (ln_g.shape != (d,) or ln_b.shape != (d,)
+            or any(w.shape != (d, d) for w in (wq, wk, wv, wo))):
+        raise ShapeError(f"attention needs ({d},) layer-norm gain and bias and "
+                         f"({d}, {d}) weights, got "
+                         f"{[w.shape for w in (ln_g, ln_b, wq, wk, wv, wo)]}")
+    gd, bd = ln_g.data, ln_b.data
+    h, xhat, inv = _layer_norm_fwd(x.data, gd, bd)
+    _check_finite(h, "layer_norm")
     wqd, wkd, wvd, wod = (_row_major(w.data) for w in (wq, wk, wv, wo))
     # heads as (B, H, S, hd) views; k^T as (B, H, hd, S) in row-major order
-    q = np.matmul(xd, wqd).reshape(B, S, H, hd).transpose(0, 2, 1, 3)
-    kt = _row_major(np.matmul(xd, wkd).reshape(B, S, H, hd).transpose(0, 2, 3, 1))
-    v = np.matmul(xd, wvd).reshape(B, S, H, hd).transpose(0, 2, 1, 3)
+    q = np.matmul(h, wqd).reshape(B, S, H, hd).transpose(0, 2, 1, 3)
+    kt = _row_major(np.matmul(h, wkd).reshape(B, S, H, hd).transpose(0, 2, 3, 1))
+    v = np.matmul(h, wvd).reshape(B, S, H, hd).transpose(0, 2, 1, 3)
+    del h
     _check_finite(v, "attention")
     scale = DTYPE(1.0 / math.sqrt(hd))
     scores = np.matmul(q, kt)
@@ -644,11 +678,11 @@ def attention(x, wq, wk, wv, wo, n_heads, p, train, rng):
         _dropped(out_data, out_keep, p, out=out_data)
 
     def back(g, sink):
-        # inputs: 0 x, 1 wq, 2 wk, 3 wv, 4 wo
+        # inputs: 0 x, 1 ln_g, 2 ln_b, 3 wq, 4 wk, 5 wv, 6 wo
         if out_keep is not None:
             g = _dropped(g, out_keep, p)
         g_rows = g.reshape(-1, d)
-        sink(4, ctx.reshape(-1, d).T @ g_rows)
+        sink(6, ctx.reshape(-1, d).T @ g_rows)
         g_ctx = (g_rows @ wod.T).reshape(B, S, H, hd).transpose(0, 2, 1, 3)
         g_att = np.matmul(g_ctx, v.swapaxes(-1, -2))
         att = s if att_keep is None else _dropped(s, att_keep, p)
@@ -660,54 +694,67 @@ def attention(x, wq, wk, wv, wo, n_heads, p, train, rng):
         g_scores *= scale
         dq = np.matmul(g_scores, kt.swapaxes(-1, -2))
         dkt = np.matmul(q.swapaxes(-1, -2), g_scores)
-        # each head gradient back to (B*S, d) rows; x sums v, then k, then q
-        dx = None
-        for i, wd, dw_heads in ((3, wvd, dv.transpose(0, 2, 1, 3)),
-                                (2, wkd, dkt.transpose(0, 3, 1, 2)),
-                                (1, wqd, dq.transpose(0, 2, 1, 3))):
+        # each head gradient back to (B*S, d) rows; h sums v, then k, then q
+        h_rows = _layer_norm_affine(xhat, gd, bd).reshape(-1, d)
+        dh = None
+        for i, wd, dw_heads in ((5, wvd, dv.transpose(0, 2, 1, 3)),
+                                (4, wkd, dkt.transpose(0, 3, 1, 2)),
+                                (3, wqd, dq.transpose(0, 2, 1, 3))):
             g_rows = dw_heads.reshape(-1, d)
-            sink(i, xd.reshape(-1, d).T @ g_rows)
+            sink(i, h_rows.T @ g_rows)
             part = g_rows @ wd.T
-            dx = part if dx is None else dx + part
-        sink(0, dx.reshape(B, S, d))
+            dh = part if dh is None else dh + part
+        del h_rows
+        _layer_norm_bwd(xhat, inv, gd, dh.reshape(B, S, d), sink)
 
-    return _result(out_data, "attention", (x, wq, wk, wv, wo), back)
+    return _result(out_data, "attention", (x, ln_g, ln_b, wq, wk, wv, wo), back)
 
 
-def ffn(x, w1, b1, w2, b2, p, train, rng):
-    """Position-wise feed-forward dropout(gelu(x w1 + b1) w2 + b2) as one kernel.
+def ffn(x, ln_g, ln_b, w1, b1, w2, b2, p, train, rng):
+    """Position-wise feed-forward dropout(gelu(h w1 + b1) w2 + b2) of
+    h = layer_norm(x, ln_g, ln_b) as one kernel.
 
     Same products, operand layouts and rng draw as the primitive chain
-    matmul, add, gelu, matmul, add, dropout, so its outputs and gradients
-    equal that chain's bit for bit. One tape entry. The finite guard checks
-    the pre-activation and the output.
+    layer_norm, matmul, add, gelu, matmul, add, dropout, so its outputs and
+    gradients equal that chain's bit for bit. One tape entry, which saves
+    xhat, inv, the pre-activation and the keep mask; backward rebuilds h and
+    the GELU with the forward's own operations. The finite guard checks the
+    layer-norm variance and h, the pre-activation and the output.
     """
     d, f = w1.shape
-    if x.shape[-1] != d or b1.shape != (f,) or w2.shape != (f, d) or b2.shape != (d,):
-        raise ShapeError(f"ffn shapes disagree: x {x.shape}, w1 {w1.shape}, "
-                         f"b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}")
-    xd, w1d, w2d = _row_major(x.data), _row_major(w1.data), _row_major(w2.data)
-    pre = np.matmul(xd, w1d)
+    if (x.shape[-1] != d or ln_g.shape != (d,) or ln_b.shape != (d,)
+            or b1.shape != (f,) or w2.shape != (f, d) or b2.shape != (d,)):
+        raise ShapeError(f"ffn shapes disagree: x {x.shape}, ln_g {ln_g.shape}, "
+                         f"ln_b {ln_b.shape}, w1 {w1.shape}, b1 {b1.shape}, "
+                         f"w2 {w2.shape}, b2 {b2.shape}")
+    gd, bd = ln_g.data, ln_b.data
+    h, xhat, inv = _layer_norm_fwd(x.data, gd, bd)
+    _check_finite(h, "layer_norm")
+    w1d, w2d = _row_major(w1.data), _row_major(w2.data)
+    pre = np.matmul(h, w1d)
+    del h
     pre += b1.data
     _check_finite(pre, "ffn")
-    act, t = _gelu_fwd(pre)
-    out_data = np.matmul(act, w2d)
+    out_data = np.matmul(_gelu_fwd(pre)[0], w2d)
     out_data += b2.data
     keep = _dropout_keep(out_data.shape, p, train, rng)
     if keep is not None:
         _dropped(out_data, keep, p, out=out_data)
 
     def back(g, sink):
-        # inputs: 0 x, 1 w1, 2 b1, 3 w2, 4 b2
+        # inputs: 0 x, 1 ln_g, 2 ln_b, 3 w1, 4 b1, 5 w2, 6 b2
         if keep is not None:
             g = _dropped(g, keep, p)
-        sink(4, g)
+        sink(6, g)
         g_rows = g.reshape(-1, d)
-        sink(3, act.reshape(-1, f).T @ g_rows)
-        g_pre = _gelu_bwd(pre, t, (g_rows @ w2d.T).reshape(act.shape))
-        sink(2, g_pre)
+        act, t = _gelu_fwd(pre)
+        sink(5, act.reshape(-1, f).T @ g_rows)
+        del act
+        g_pre = _gelu_bwd(pre, t, (g_rows @ w2d.T).reshape(pre.shape))
+        del t
+        sink(4, g_pre)
         g_rows = g_pre.reshape(-1, f)
-        sink(1, xd.reshape(-1, d).T @ g_rows)
-        sink(0, (g_rows @ w1d.T).reshape(xd.shape))
+        sink(3, _layer_norm_affine(xhat, gd, bd).reshape(-1, d).T @ g_rows)
+        _layer_norm_bwd(xhat, inv, gd, (g_rows @ w1d.T).reshape(xhat.shape), sink)
 
-    return _result(out_data, "ffn", (x, w1, b1, w2, b2), back)
+    return _result(out_data, "ffn", (x, ln_g, ln_b, w1, b1, w2, b2), back)

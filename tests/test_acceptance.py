@@ -62,20 +62,28 @@ def test_ac1_gradient_integrity():
             (lambda l: T.cross_entropy(l, targets, ignore_mask=ignore),
              [_randt(rng, 2, 4, 9)], 1e-2),
         ]
-        # the fused kernels, eval and train (dropout on, one fixed mask)
-        for train_mode in (False, True):
-            checks += [
-                (lambda x, wq, wk, wv, wo, tm=train_mode: T.attention(
-                    x, wq, wk, wv, wo, 2, 0.3, tm, np.random.default_rng(99)),
-                 [_randt(rng, 2, 3, 4)] + [_randt(rng, 4, 4) for _ in range(4)],
-                 1e-2),
-                (lambda x, w1, b1, w2, b2, tm=train_mode: T.ffn(
-                    x, w1, b1, w2, b2, 0.3, tm, np.random.default_rng(99)),
-                 [_randt(rng, 2, 3, 4), _randt(rng, 4, 8), _randt(rng, 8),
-                  _randt(rng, 8, 4), _randt(rng, 4)], 1e-2),
-            ]
         for op_fn, inputs, h in checks:
             check_op_grads(op_fn, inputs, h=h, rtol=1e-3, seed=seed)
+        # the fused kernels, eval and train (dropout on, one fixed mask); their
+        # layer-norm gain and bias come from their own generator, and their
+        # oracle is Richardson's: through a layer norm over 4 features, the
+        # plain central difference's h^2 term alone exceeds 1e-3
+        ln_rng = np.random.default_rng(seed + 2000)
+        for train_mode in (False, True):
+            fused = [
+                (lambda x, g, b, wq, wk, wv, wo, tm=train_mode: T.attention(
+                    x, g, b, wq, wk, wv, wo, 2, 0.3, tm, np.random.default_rng(99)),
+                 [_randt(rng, 2, 3, 4), _randt(ln_rng, 4), _randt(ln_rng, 4)]
+                 + [_randt(rng, 4, 4) for _ in range(4)]),
+                (lambda x, g, b, w1, b1, w2, b2, tm=train_mode: T.ffn(
+                    x, g, b, w1, b1, w2, b2, 0.3, tm, np.random.default_rng(99)),
+                 [_randt(rng, 2, 3, 4), _randt(ln_rng, 4), _randt(ln_rng, 4),
+                  _randt(rng, 4, 8), _randt(rng, 8), _randt(rng, 8, 4),
+                  _randt(rng, 4)]),
+            ]
+            for op_fn, inputs in fused:
+                check_op_grads(op_fn, inputs, h=1e-2, rtol=1e-3, seed=seed,
+                               richardson=True)
 
     for seed in range(10):
         p = model.init(TINY, seed=seed)

@@ -262,6 +262,19 @@ def test_retrain_is_deterministic(tmp_path):
     assert pa.read_bytes() == pb.read_bytes()
 
 
+def test_vocab_equality_survives_an_encode():
+    # equal means the same tokens, merges and target size: the derived maps
+    # and the per-word encode cache do not count
+    lines = seed_corpus(200, seed=5)
+    a = bpe.train_bpe(lines, target_size=300)
+    b = bpe.train_bpe(list(lines), target_size=300)
+    assert a == b
+    bpe.encode(a, "ke a tseba gore")
+    assert a._word_cache and not b._word_cache
+    assert a == b
+    assert a != bpe.train_bpe(lines, target_size=301)
+
+
 def test_load_rejects_garbage(tmp_path):
     p = tmp_path / "bad.vocab"
     p.write_text("not a vocab\n")

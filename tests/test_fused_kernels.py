@@ -1,6 +1,7 @@
 """The fused decoder kernels T.attention and T.ffn against the chains of
-primitive kernels they replace: same outputs, same input gradients and
-the same rng draws, bit for bit, in eval and in train mode."""
+primitive kernels they replace, each starting with the block's pre-layer
+norm: same outputs, same input gradients (the layer-norm gain and bias
+included) and the same rng draws, bit for bit, in eval and in train mode."""
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ from occlm import tensor as T
 from occlm.errors import ContractError, ShapeError
 
 
-def primitive_attention(x, wq, wk, wv, wo, n_heads, p, train, rng):
-    """Causal self-attention composed from primitive kernels only."""
+def primitive_attention(x, ln_g, ln_b, wq, wk, wv, wo, n_heads, p, train, rng):
+    """Causal self-attention of layer_norm(x) composed from primitive kernels only."""
     B, S, d = x.shape
     H, hd = n_heads, d // n_heads
-    q = T.matmul(x, wq)
-    k = T.matmul(x, wk)
-    v = T.matmul(x, wv)
+    h = T.layer_norm(x, ln_g, ln_b)
+    q = T.matmul(h, wq)
+    k = T.matmul(h, wk)
+    v = T.matmul(h, wv)
     # (B,S,d) -> (B,H,S,hd)
     q = T.transpose(T.reshape(q, (B, S, H, hd)), (0, 2, 1, 3))
     k = T.transpose(T.reshape(k, (B, S, H, hd)), (0, 2, 1, 3))
@@ -29,9 +31,11 @@ def primitive_attention(x, wq, wk, wv, wo, n_heads, p, train, rng):
     return T.dropout(out, p, train, rng)
 
 
-def primitive_ffn(x, w1, b1, w2, b2, p, train, rng):
-    """The position-wise feed-forward composed from primitive kernels only."""
-    h = T.gelu(T.add(T.matmul(x, w1), b1))
+def primitive_ffn(x, ln_g, ln_b, w1, b1, w2, b2, p, train, rng):
+    """The position-wise feed-forward of layer_norm(x) composed from primitive
+    kernels only."""
+    h = T.layer_norm(x, ln_g, ln_b)
+    h = T.gelu(T.add(T.matmul(h, w1), b1))
     h = T.add(T.matmul(h, w2), b2)
     return T.dropout(h, p, train, rng)
 
@@ -48,10 +52,12 @@ def _inputs(kind, rows, seq, d, heads, mult, seed):
         return T.Tensor(rng.normal(0.0, scale, size=shape), requires_grad=True)
 
     x = t(rows, seq, d)
+    ln = [T.Tensor(1.0 + rng.normal(0.0, 0.1, size=d), requires_grad=True),
+          t(d, scale=0.1)]
     if kind == "attention":
-        return [x] + [t(d, d, scale=0.2) for _ in range(4)], (heads,)
+        return [x, *ln] + [t(d, d, scale=0.2) for _ in range(4)], (heads,)
     f = mult * d
-    return [x, t(d, f, scale=0.2), t(f, scale=0.1), t(f, d, scale=0.2),
+    return [x, *ln, t(d, f, scale=0.2), t(f, scale=0.1), t(f, d, scale=0.2),
             t(d, scale=0.1)], ()
 
 
@@ -101,11 +107,13 @@ def test_fused_kernels_record_one_tape_entry():
 
 @pytest.mark.parametrize("kind", ["attention", "ffn"])
 def test_fused_kernel_rejects_mismatched_shapes(kind):
-    inputs, extra = _inputs(kind, 2, 3, 8, 2, 2, seed=0)
-    inputs[1] = T.Tensor(np.zeros((4, 8)))
-    with pytest.raises(ShapeError):
-        (T.attention if kind == "attention" else T.ffn)(
-            *inputs, *extra, 0.0, False, None)
+    # a layer-norm gain, then the first weight
+    for i, shape in ((1, (4,)), (3, (4, 8))):
+        inputs, extra = _inputs(kind, 2, 3, 8, 2, 2, seed=0)
+        inputs[i] = T.Tensor(np.zeros(shape))
+        with pytest.raises(ShapeError):
+            (T.attention if kind == "attention" else T.ffn)(
+                *inputs, *extra, 0.0, False, None)
 
 
 def test_fused_kernel_train_dropout_needs_rng():
