@@ -1,11 +1,17 @@
 """Row shards on the second core: the persistent worker thread that runs the
 second half of a training step (`train.loss_and_grads`) or of a validation
-scoring batch (`metrics.perplexity`), and the size from which that pays.
+scoring pass (`metrics.perplexity`), and the size from which that pays.
 Two threads' float32 products (300 (1024, 64) @ (64, 512) each, as direct
 cblas_sgemm calls with the GIL released) ran 1.5-2.3x faster than in turn in
 22 of 27 probe rounds on a shared 2-vCPU x86_64 VM and no faster in the other
-5, so when the shards do not overlap it is not numpy or the GIL that keeps
-them apart."""
+5. One cause of such rounds is the scheduler stacking both threads on one
+CPU: with two threads each running 5 eval forwards of 16 ac4 windows per
+round, both ended their shards on one CPU in nearly every round of 2 of 4
+unpinned processes (the in-turn time over the two-thread time, 0.8-1.1: no
+overlap), and the ratio was 1.2-2.3 in every round of 4 processes with the
+worker pinned to one CPU. In pretrain benchmark processes 15 of 874 and 3 of
+966 two-shard runs were co-located, at about 61 ms against about 26 ms; so
+the worker pins itself (_pin_worker)."""
 
 import ctypes
 import functools
@@ -58,6 +64,17 @@ def _blas_threads_query():
         return None
 
 
+def _pin_worker():
+    """Pin the calling thread (the shard worker, as it starts) to the highest
+    CPU it may run on. Only this thread's affinity changes: the caller, and
+    threads it starts later (sweep --parallel workers), keep theirs. A no-op
+    where the platform has no sched_setaffinity or refuses it."""
+    try:
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    except (AttributeError, OSError):
+        pass
+
+
 def _shard_worker():
     """The one persistent thread that runs shard 1, or None when a second
     thread would not pay: fewer than 2 usable cores, more than one BLAS
@@ -79,7 +96,8 @@ def _shard_worker():
         return None
     if _shard_pool is None:
         _shard_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="occlm-shard")
+            max_workers=1, thread_name_prefix="occlm-shard",
+            initializer=_pin_worker)
     return _shard_pool
 
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occlm import bpe, corpus, demo, metrics, model, train
+from occlm import tensor as T
 from occlm.errors import (
     CheckpointError,
     ConfigError,
@@ -306,6 +307,71 @@ def test_golden_greedy_decode():
     assert out == [5, 17, 9] + GOLDEN_CONTINUATION
     logprob = model.sequence_logprob(params, cfg, np.asarray(out))
     assert abs(logprob - GOLDEN_LOGPROB) <= GOLDEN_LOGPROB_ATOL
+
+
+def _ac4_config():
+    return model.ModelConfig(vocab_size=512, block_size=64, d_model=64,
+                             n_layers=2, n_heads=2, dropout=0.1,
+                             ffn_mult=4).check()
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "sample", "topk"])
+@pytest.mark.parametrize("shape", ["tiny", "ac4"])
+def test_generate_decodes_the_callers_bits(monkeypatch, shape, strategy):
+    """generate decodes from a column-major copy of the tied table: each of
+    its logits, and so each id, is what model.forward gives on the caller's
+    own params (a reference loop that reads them at every token), past
+    block_size, and the caller's table is left as it was."""
+    cfg = tiny_config() if shape == "tiny" else _ac4_config()
+    params = model.init(cfg, seed=3)
+    table = params["tok_emb"].data
+    before = table.copy()
+    gen = metrics.GenerationConfig(max_new_tokens=cfg.block_size + 4,
+                                   strategy=strategy, top_k=5, seed=11)
+    vocab = _id_vocab(cfg.vocab_size)
+    forward = model.forward
+    logits = {"decoded": [], "reference": []}
+
+    def recording(p, c, ids, **kw):
+        out = forward(p, c, ids, **kw)
+        if p is params:
+            logits["reference"].append(out.data)
+        else:
+            assert p["tok_emb"].data.flags.f_contiguous
+            logits["decoded"].append(out.data)
+        return out
+
+    monkeypatch.setattr(model, "forward", recording)
+    out = metrics.generate(params, cfg, vocab, [3, 4, 5], gen)
+    monkeypatch.setattr(model, "forward", lambda p, c, ids, **kw:
+                        recording(params, c, ids, **kw))
+    assert metrics.generate(params, cfg, vocab, [3, 4, 5], gen) == out
+    assert len(logits["decoded"]) == len(logits["reference"]) == len(out) - 3
+    for a, b in zip(logits["decoded"], logits["reference"]):
+        assert a.tobytes() == b.tobytes()
+    assert params["tok_emb"].data is table and table.flags.c_contiguous
+    np.testing.assert_array_equal(table, before)
+
+
+def test_generate_does_not_copy_the_tied_table_per_token(monkeypatch):
+    cfg = _ac4_config()
+    params = model.init(cfg, seed=3)
+    copied = []
+    row_major = T._row_major
+
+    def spy(arr):
+        out = row_major(arr)
+        if out is not arr:
+            copied.append(arr.shape)
+        return out
+
+    monkeypatch.setattr(T, "_row_major", spy)
+    metrics.generate(params, cfg, _id_vocab(cfg.vocab_size), [3, 4, 5],
+                     metrics.GenerationConfig(max_new_tokens=4))
+    assert (cfg.d_model, cfg.vocab_size) not in copied
+    # a forward on the caller's row-major table copies its transpose
+    model.forward(params, cfg, np.asarray([3, 4, 5]))
+    assert (cfg.d_model, cfg.vocab_size) in copied
 
 
 def test_generation_slides_past_block_size():

@@ -956,6 +956,31 @@ def test_run_keeps_heap_pages_once_without_a_worker(monkeypatch):
     assert calls == [1]
 
 
+def test_shard_worker_pins_itself_and_leaves_the_caller(monkeypatch):
+    """The worker runs on one CPU of the caller's set; the caller's own
+    affinity, which threads it starts later inherit, is unchanged."""
+    caller = os.sched_getaffinity(0)
+    if len(caller) < 2:
+        pytest.skip("a shard worker needs two usable CPUs")
+    monkeypatch.setattr(shards, "_shard_pool", None)
+    monkeypatch.setattr(shards, "_blas_threads_query", lambda: lambda: 1)
+    worker = shards._shard_worker()
+    try:
+        seen = shards.run(lambda j: (threading.current_thread().name,
+                                     os.sched_getaffinity(0)), 2)
+    finally:
+        worker.shutdown()
+    (_, on_caller), (worker_name, on_worker) = seen
+    assert worker_name.startswith("occlm-shard")
+    assert on_worker == {max(caller)}
+    assert on_caller == os.sched_getaffinity(0) == caller
+    later = ThreadPoolExecutor(max_workers=1)
+    try:
+        assert later.submit(os.sched_getaffinity, 0).result() == caller
+    finally:
+        later.shutdown()
+
+
 def test_padded_second_half_runs_one_shard(ac4_train_ds, monkeypatch):
     full = ac4_train_ds.minibatch(np.arange(32))
     ignore = full.ignore.copy()
@@ -1067,7 +1092,8 @@ def test_sharded_step_error_waits_for_both_shards(ac4_train_ds, monkeypatch):
 
 
 def _ac4_valid(ds):
-    """One full EVAL_BATCH block and a 13-row tail whose last row is padded."""
+    """45 windows, the last one padded: halves of 23 and 22, each scored as
+    one EVAL_BATCH // 2 chunk and a shorter tail."""
     assert (ds.windows[-1] == ds.pad_id).any()
     return dataclasses.replace(
         ds, windows=np.concatenate([ds.windows[:44], ds.windows[-1:]]))
@@ -1092,41 +1118,48 @@ def _record_eval_forwards(monkeypatch, before=None):
 
 
 def test_sharded_perplexity_is_bit_identical(ac4_train_ds, monkeypatch):
+    """The caller scores the first half and the worker the second, in
+    forwards of up to EVAL_BATCH // 2 windows; the loss is the same bits on
+    the worker, inline, in one shard and in one-window forwards."""
     valid = _ac4_valid(ac4_train_ds)
     params, _, _ = _ac4_setup(ac4_train_ds)
     worker = ThreadPoolExecutor(max_workers=1)
     seen = _record_eval_forwards(monkeypatch)
     runs = {}
-    for mode, pool, min_size in (("worker", worker, shards.SHARD_MIN_SIZE),
-                                 ("inline", None, shards.SHARD_MIN_SIZE),
-                                 ("one shard", worker, 10**12)):
+    for mode, pool, min_size, eval_batch in (
+            ("worker", worker, shards.SHARD_MIN_SIZE, metrics.EVAL_BATCH),
+            ("inline", None, shards.SHARD_MIN_SIZE, metrics.EVAL_BATCH),
+            ("one shard", worker, 10**12, metrics.EVAL_BATCH),
+            ("one-window forwards", worker, shards.SHARD_MIN_SIZE, 1)):
         monkeypatch.setattr(shards, "_shard_worker", lambda: pool)
         monkeypatch.setattr(shards, "SHARD_MIN_SIZE", min_size)
+        monkeypatch.setattr(metrics, "EVAL_BATCH", eval_batch)
         seen.clear()
         runs[mode] = (metrics.perplexity(params, params.config, valid),
                       sorted(seen))
     worker.shutdown()
-    assert runs["worker"][1] == [(13, True), (16, False), (16, True)]
-    assert runs["inline"][1] == [(13, True), (16, True), (16, True)]
+    assert runs["worker"][1] == [(6, False), (7, True), (16, False), (16, True)]
+    assert runs["inline"][1] == [(6, True), (7, True), (16, True), (16, True)]
     assert runs["one shard"][1] == [(13, True), (32, True)]
-    assert runs["worker"][0] == runs["inline"][0] == runs["one shard"][0]
+    assert runs["one-window forwards"][1] == [(1, False)] * 22 + [(1, True)] * 23
+    assert (runs["worker"][0] == runs["inline"][0] == runs["one shard"][0]
+            == runs["one-window forwards"][0])
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad_half", ["caller", "worker"])
 def test_sharded_perplexity_overflow_waits_for_both_shards(
         ac4_train_ds, monkeypatch, bad_half):
-    """An overflow in either shard's rows is a NumericsError raised only once
-    the other shard (slowed down here) has finished, and fit reports it as a
-    DivergenceError outside any training batch."""
+    """An overflow in either half's rows is a NumericsError raised only once
+    the other half (slowed down here) has been scored, and fit reports it as
+    a DivergenceError outside any training batch."""
     worker = ThreadPoolExecutor(max_workers=1)
     monkeypatch.setattr(shards, "_shard_worker", lambda: worker)
     valid = _ac4_valid(ac4_train_ds)
-    bad_rows, good_rows = ((slice(0, 16), slice(16, 32)) if bad_half == "caller"
-                           else (slice(16, 32), slice(0, 16)))
+    bad_rows, good_rows = ((slice(0, 23), slice(23, 45)) if bad_half == "caller"
+                           else (slice(23, 45), slice(0, 23)))
     bad = next(i for i in range(3, AC4_VOCAB)
-               if i not in valid.windows[good_rows, :-1]
-               and i not in valid.windows[32:, :-1])
+               if i not in valid.windows[good_rows, :-1])
     windows = valid.windows.copy()
     windows[bad_rows, 0] = bad
     valid = dataclasses.replace(valid, windows=windows)
@@ -1135,7 +1168,7 @@ def test_sharded_perplexity_overflow_waits_for_both_shards(
                              ffn_mult=4)
     params = model.init(mcfg, seed=0)
     # the layer-norm variance of the rows holding `bad` overflows; through
-    # the tied head the other shard's scores are huge but finite
+    # the tied head the other half's scores are huge but finite
     params["tok_emb"].data[bad, 0] = 1e20
     good_done = []
 
@@ -1148,8 +1181,10 @@ def test_sharded_perplexity_overflow_waits_for_both_shards(
     try:
         with pytest.raises(NumericsError):
             metrics.perplexity(params, mcfg, valid)
-        assert good_done == [True]
-        assert sorted(seen) == [(16, False), (16, True)]
+        # the bad half stops at its first forward, the good half runs both
+        good_tail = (6, False) if bad_half == "caller" else (7, True)
+        assert good_done == [True, True]
+        assert sorted(seen) == sorted([(16, False), (16, True), good_tail])
         # training on the good rows would move `bad`'s embedding through the
         # tied head, so fit gets fresh weights that overflow at a position
         # only validation reaches
