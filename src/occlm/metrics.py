@@ -79,7 +79,7 @@ def perplexity(params, config, dataset):
             w = part[start : start + chunk]
             y = w[:, 1:]
             logits = model.forward(params, config, w[:, :-1], train=False).data
-            picked = model.token_logprobs(logits, np.maximum(y, 0))
+            picked = model.token_logprobs(logits, y)
             valid = y != bpe.PAD_ID
             nll.extend(-(picked * valid).sum(axis=1))
             n_tok.extend(valid.sum(axis=1))
@@ -160,10 +160,8 @@ def _decoding_params(params):
     column-major copy is already row-major, with the bytes of that copy, so
     the head makes the same BLAS call on the same bytes, once per call.
     """
-    tok = params["tok_emb"]
     tensors = dict(params.items())
-    tensors["tok_emb"] = T.Tensor(np.asfortranarray(tok.data),
-                                  requires_grad=tok.requires_grad, name=tok.name)
+    tensors["tok_emb"] = T.Tensor(np.asfortranarray(params["tok_emb"].data))
     return model.ParameterSet(params.config, tensors)
 
 

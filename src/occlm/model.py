@@ -4,13 +4,14 @@ tied output head, plus parameter-set bookkeeping and checkpoint I/O."""
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import artifacts
 from . import tensor as T
-from .errors import CheckpointError, ConfigError, LengthError, TokenIndexError
+from .errors import CheckpointError, ConfigError, LengthError
 
 CKPT_MAGIC = b"OCCLMCKPT1\n"
 CKPT_VERSION = 1
@@ -100,11 +101,9 @@ class ParameterSet:
         return self._tensors.items()
 
     def copy(self):
-        dup = {
-            name: T.Tensor(t.data.copy(), requires_grad=True, name=name)
-            for name, t in self._tensors.items()
-        }
-        return ParameterSet(self.config, dup)
+        return ParameterSet(self.config, {
+            name: T.Tensor(t.data.copy()) for name, t in self._tensors.items()
+        })
 
     @staticmethod
     def group(name):
@@ -157,7 +156,7 @@ def init(config, seed):
             data = np.ones(shape, dtype=T.DTYPE)
         else:
             data = rng.normal(0.0, 0.02, size=shape).astype(T.DTYPE)
-        tensors[name] = T.Tensor(data, requires_grad=True, name=name)
+        tensors[name] = T.Tensor(data)
     return ParameterSet(config, tensors)
 
 
@@ -179,7 +178,8 @@ def forward(params, config, ids, train=False, rng=None):
     """Run the decoder; returns logits of shape B x T x V.
 
     Position t logits depend only on ids[..t] (causal mask). The output
-    head is tied: it reuses tok_emb storage.
+    head is tied: it reuses tok_emb storage. An id outside tok_emb's rows
+    raises TokenIndexError (from the embedding lookup).
     """
     ids = np.asarray(ids)
     if ids.ndim == 1:
@@ -191,9 +191,6 @@ def forward(params, config, ids, train=False, rng=None):
         raise LengthError("forward needs at least one token")
     if S > config.block_size:
         raise LengthError(f"sequence length {S} exceeds block_size {config.block_size}")
-    if ids.min() < 0 or ids.max() >= config.vocab_size:
-        bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
-        raise TokenIndexError(f"token id {bad} outside vocab of {config.vocab_size}")
 
     with np.errstate(all="ignore"):  # the kernels' finite guard is the loud path
         tok = T.embedding_lookup(params["tok_emb"], ids)
@@ -264,18 +261,31 @@ def _read_checkpoint(path, payload=True):
     config, then (with payload) the tensor and extra blobs in header order.
 
     Returns (header, config, tensors, extras); any malformed or truncated
-    part raises CheckpointError.
+    part raises CheckpointError (a malformed config, ConfigError), as does
+    a header that is not an object or lacks an object metadata or a string
+    vocab_hash.
     """
     try:
         with open(path, "rb") as fh:
             if fh.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
                 raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
             size = int.from_bytes(fh.read(8), "little")
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if size > left:
+                raise CheckpointError(
+                    f"{path} header length {size} exceeds the {left} bytes "
+                    "after it")
             header = json.loads(fh.read(size).decode("utf-8"))
+            if not isinstance(header, dict):
+                raise CheckpointError(f"{path} header is not a JSON object")
             if header.get("format_version") != CKPT_VERSION:
                 raise CheckpointError(
                     f"unsupported checkpoint version {header.get('format_version')}"
                 )
+            for key, kind, what in (("metadata", dict, "an object"),
+                                    ("vocab_hash", str, "a string")):
+                if not isinstance(header.get(key), kind):
+                    raise CheckpointError(f"{path} header needs {key} as {what}")
             given = header["config"]
             # older headers store the head's tying: a tied one loads, with
             # the key dropped from the header it returns
@@ -297,9 +307,7 @@ def _read_checkpoint(path, payload=True):
                 if len(raw) != n_bytes:
                     raise CheckpointError(f"{path} truncated at tensor {entry['name']}")
                 data = np.frombuffer(raw, dtype="<f4").reshape(shape)
-                tensors[entry["name"]] = T.Tensor(
-                    data.copy(), requires_grad=True, name=entry["name"]
-                )
+                tensors[entry["name"]] = T.Tensor(data.copy())
             for entry in header["extras"]:
                 shape = tuple(entry["shape"])
                 dt = np.dtype(entry["dtype"])

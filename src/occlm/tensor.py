@@ -41,9 +41,11 @@ A forward with no open tape builds no handles. A tape belongs to one
 training context and serves one ``backward``, which consumes it: each entry,
 its saved arrays and its output's gradient are freed as soon as the walk has
 used them, so a step's peak holds the saved arrays plus only the live
-gradients, and only leaves (tensors no op recorded on a tape produced) get
-``.grad``. The active-tape stack is thread-local so independent contexts can
-run on separate threads.
+gradients. ``backward`` returns the gradients of the leaves (tensors no op
+recorded on that tape produced) as a ``{leaf: gradient}`` dict; a Tensor is
+only its data and its handle, and nothing writes a gradient onto it. The
+active-tape stack is thread-local, so independent contexts, such as two row
+shards over the same parameter tensors, can run on separate threads.
 """
 
 from __future__ import annotations
@@ -62,17 +64,15 @@ GELU_C = math.sqrt(2.0 / math.pi)
 
 
 class Tensor:
-    """A dense float32 array plus an optional same-shape grad accumulator."""
+    """A dense float32 array and, once an op on an open tape made it, that
+    op's gradient handle."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "_handle")
+    __slots__ = ("data", "_handle")
 
-    def __init__(self, data, requires_grad=False, name=None):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=DTYPE)
         _check_finite(arr, "tensor")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self.name = name
         self._handle = None
 
     @property
@@ -88,8 +88,7 @@ class Tensor:
         return self.data.size
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"<Tensor shape={self.shape} requires_grad={self.requires_grad}{tag}>"
+        return f"<Tensor shape={self.shape}>"
 
 
 class _GradHandle:
@@ -118,7 +117,7 @@ class Tape:
 
         with Tape() as tape:
             loss = cross_entropy(forward(...), targets)
-            backward(loss, tape)
+            grads = backward(loss, tape)
 
     Each entry holds gradient handles for its output and inputs, never an
     op output's array, and a ``backward_fn(g, sink)`` that reads only the
@@ -167,33 +166,20 @@ def _check_finite(arr, op_name):
 
 def _result(out_data, op_name, inputs, backward_fn):
     """Wrap a kernel output, keeping its strides (a transpose stays a view);
-    record it on the active tape when an input requires grad. backward_fn(g,
-    sink) hands the gradient of inputs[i] to sink(i, grad)."""
+    record it on the active tape, if any. backward_fn(g, sink) hands the
+    gradient of inputs[i] to sink(i, grad)."""
     if type(out_data) is not np.ndarray or out_data.dtype != DTYPE:
         out_data = np.asarray(out_data, dtype=DTYPE)
     _check_finite(out_data, op_name)
     out = Tensor.__new__(Tensor)
     out.data = out_data
-    out.requires_grad = False
-    out.grad = out.name = out._handle = None
-    for t in inputs:
-        if t.requires_grad:
-            out.requires_grad = True
-            tapes = _local.tapes
-            if tapes:
-                out._handle = _GradHandle(out_data.shape)
-                tapes[-1].entries.append(_TapeEntry(
-                    out._handle, tuple(map(_input_handle, inputs)), backward_fn))
-            break
+    out._handle = None
+    tapes = _local.tapes
+    if tapes:
+        out._handle = _GradHandle(out_data.shape)
+        tapes[-1].entries.append(_TapeEntry(
+            out._handle, tuple(t._handle or t for t in inputs), backward_fn))
     return out
-
-
-def _input_handle(t):
-    """What a tape entry holds for an input: None when it takes no gradient,
-    else its recorded handle, or the tensor itself for a leaf."""
-    if not t.requires_grad:
-        return None
-    return t if t._handle is None else t._handle
 
 
 def _row_major(arr):
@@ -214,18 +200,20 @@ def _unbroadcast(grad, shape):
 
 
 def backward(loss, tape=None):
-    """Accumulate dLoss/dT into .grad of every leaf that requires grad.
+    """Return {leaf: dLoss/dleaf} for every leaf on the tape.
 
+    A leaf is a tensor no op recorded on this tape produced: a parameter, a
+    constant input, an op output recorded on no tape, or a root that is one.
     The tape is consumed in reverse execution order: each entry is taken off
     it, its output handle's staged gradient is handed to its backward and
     then dropped with the entry, so saved arrays and intermediate gradients
     are freed once used. Gradients are staged per handle; one that already
     has the handle's shape and float32 dtype is staged as it is, any other
-    is summed over its broadcast axes first. Only leaves (tensors no op
-    recorded on a tape produced, and a root that is one) get .grad, added
-    at the end, so a fresh tape over the same leaves accumulates one more
-    full, correct pass; an op output recorded on another tape gets none.
-    The tape is used up: a second backward on it raises ContractError.
+    is summed over its broadcast axes first. Nothing is written onto a
+    tensor, so two tapes over the same leaves (two row shards on two
+    threads, say) return two separate dicts. An op output recorded on
+    another tape gets no gradient. The tape is used up: a second backward on
+    it raises ContractError.
     """
     if tape is None:
         tape = active_tape()
@@ -238,14 +226,11 @@ def backward(loss, tape=None):
     tape.used = True
 
     # handle -> gradient; the dict keeps each staged handle alive
-    root = loss if loss._handle is None else loss._handle
-    staged = {root: np.ones_like(loss.data)}
+    staged = {loss._handle or loss: np.ones_like(loss.data)}
     inputs = ()  # the running entry's input handles, read by sink
 
     def sink(i, grad):
         handle = inputs[i]
-        if handle is None:
-            return
         if (type(grad) is not np.ndarray or grad.dtype != DTYPE
                 or grad.shape != handle.shape):
             grad = _unbroadcast(np.asarray(grad, dtype=DTYPE), handle.shape)
@@ -261,9 +246,7 @@ def backward(loss, tape=None):
                 inputs = entry.inputs
                 entry.backward_fn(out_grad, sink)
 
-    for t, grad in staged.items():
-        if isinstance(t, Tensor):
-            t.grad = grad if t.grad is None else t.grad + grad
+    return {t: grad for t, grad in staged.items() if isinstance(t, Tensor)}
 
 
 # ---------------------------------------------------------------------------

@@ -181,17 +181,18 @@ def loss_and_grads(params, x, batch, rng, n_shards):
     (1 or 2) row shards; a shard whose targets are all ignored makes it one
     shard.
 
-    Each shard runs forward, cross-entropy and backward on its own tape and
-    its own leaf tensors (sharing the parameter data), and backpropagates its
-    loss times d_j / D, where d_j is its count of scored targets and D the
-    batch's. The loss is the d_j / D-weighted sum of shard losses and the
-    grads are the shard grads summed in shard order, so both equal the
-    unsharded ones up to float32 rounding. Shards share no mutable state:
+    Each shard runs forward, cross-entropy and backward on its own tape over
+    the parameter tensors themselves (backward returns the shard's gradients
+    and writes nothing onto them), and backpropagates its loss times
+    d_j / D, where d_j is its count of scored targets and D the batch's.
+    The loss is the d_j / D-weighted sum of shard losses and the grads are
+    the shard grads summed in shard order, so both equal the unsharded ones
+    up to float32 rounding. Shards share no mutable state:
     shard 0 draws its dropout rows from rng and shard 1 from a PCG64 copy of
     rng's starting state (see _RowDraws), so the masks and rng's final state
     equal an unsharded forward's. Shard 1 runs on the shard worker when there
     is one; both shards finish before an error from either propagates.
-    Returns (loss, name -> grad or None).
+    Returns (loss, name -> grad).
     """
     rows = len(x)
     bounds = (0, rows) if n_shards == 1 else (0, (rows + 1) // 2, rows)
@@ -210,27 +211,20 @@ def loss_and_grads(params, x, batch, rng, n_shards):
 
     def run(j):
         part = slice(bounds[j], bounds[j + 1])
-        leaves = {
-            name: T.Tensor(t.data, requires_grad=True, name=name)
-            for name, t in params.items()
-        }
-        shard = model.ParameterSet(params.config, leaves)
         with T.Tape() as tape, np.errstate(all="ignore"):
             # no name holds the logits, so backward frees them once used
             loss = T.cross_entropy(
-                model.forward(shard, params.config, x[part], train=True,
+                model.forward(params, params.config, x[part], train=True,
                               rng=draws[j]),
                 batch.targets[part], ignore_mask=batch.ignore[part],
             )
-            T.backward(T.scale(loss, d[j] / total), tape)
-        return float(loss.data), {n: t.grad for n, t in leaves.items()}
+            grads = T.backward(T.scale(loss, d[j] / total), tape)
+        return float(loss.data), grads
 
     results = shards.run(run, len(d))
     loss = sum(d_j / total * loss_j for d_j, (loss_j, _) in zip(d, results))
-    grads = {}
-    for name in params.names():
-        shard_grads = [g[name] for _, g in results if g[name] is not None]
-        grads[name] = functools.reduce(np.add, shard_grads) if shard_grads else None
+    grads = {name: functools.reduce(np.add, [g[t] for _, g in results])
+             for name, t in params.items()}
     return loss, grads
 
 
@@ -272,7 +266,7 @@ def train_step(params, state, batch, cfg, lr=None, batch_index=None,
 
 def adamw_update(params, state, grads, lr, cfg):
     """AdamW with bias correction and decoupled, lr-scaled weight decay,
-    applied to each parameter named in grads (name -> gradient or None).
+    applied to each parameter named in grads (name -> gradient).
 
     Decay applies to matrix-shaped parameters only (embeddings, projections);
     vectors (biases, layer-norm) are exempt. Per-parameter step counters keep
@@ -282,8 +276,6 @@ def adamw_update(params, state, grads, lr, cfg):
     (float32, from about 1.8e19 on the first step); that raises NumericsError
     naming the parameter before its data moves."""
     for name, g in grads.items():
-        if g is None:
-            continue
         p = params[name]
         state.t[name] += 1
         tt = state.t[name]
@@ -481,11 +473,9 @@ def load_train_checkpoint(path, expect_config=None, expect_vocab_hash=None):
         ) from exc
     best_params = None
     if any(k.startswith("best.") for k in extras):
-        tensors = {
-            n: T.Tensor(extras[f"best.{n}"].copy(), requires_grad=True, name=n)
-            for n in params.names()
-        }
-        best_params = model.ParameterSet(params.config, tensors)
+        best_params = model.ParameterSet(params.config, {
+            n: T.Tensor(extras[f"best.{n}"].copy()) for n in params.names()
+        })
     return params, state, best_params, header
 
 

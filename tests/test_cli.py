@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import occlm
-from helpers import edit_checkpoint_config
+from helpers import edit_checkpoint_config, edit_checkpoint_header
 from occlm import bpe, cli, corpus, demo, metrics, model, sweep, train
 from occlm.errors import ConfigError
 
@@ -869,6 +869,49 @@ def test_checkpoint_header_tied_head_key(capsys, smoke, tmp_path):
     ) == 1
     err = capsys.readouterr().err
     assert f"{old} has an untied output head" in err
+    assert "Traceback" not in err
+
+
+def _without(key):
+    def edit(header):
+        del header[key]
+        return header
+
+    return edit
+
+
+# case -> (header edit, length prefix or None for the header's own)
+MALFORMED_HEADERS = {
+    "list": (lambda h: [h], None),
+    "string": (lambda h: "header", None),
+    "number": (lambda h: 3, None),
+    "null": (lambda h: None, None),
+    "no-metadata": (_without("metadata"), None),
+    "list-metadata": (lambda h: {**h, "metadata": []}, None),
+    "no-vocab-hash": (_without("vocab_hash"), None),
+    "int-vocab-hash": (lambda h: {**h, "vocab_hash": 7}, None),
+    "huge-length-prefix": (lambda h: h, 10**12),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_HEADERS))
+@pytest.mark.parametrize("command", ["eval", "generate", "finetune"])
+def test_malformed_checkpoint_header_exit_1(capsys, smoke, tmp_path, command,
+                                            case):
+    ckpt = tmp_path / "bad.ckpt"
+    shutil.copy(smoke["ckpt"], ckpt)
+    edit_checkpoint_header(ckpt, *MALFORMED_HEADERS[case])
+    rest = {
+        "eval": ["--split", os.path.join(smoke["work"], "valid.txt")],
+        "generate": ["--prompt", "a"],
+        "finetune": ["--data", smoke["work"], "--out",
+                     str(tmp_path / "ft.ckpt")] + DESK_TRAIN_FLAGS,
+    }[command]
+    capsys.readouterr()
+    assert cli.dispatch([command, "--checkpoint", str(ckpt),
+                         "--vocab", smoke["vocab"]] + rest) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(ckpt) in err, err
     assert "Traceback" not in err
 
 

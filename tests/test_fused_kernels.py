@@ -49,10 +49,10 @@ def _inputs(kind, rows, seq, d, heads, mult, seed):
     rng = np.random.default_rng(seed)
 
     def t(*shape, scale=1.0):
-        return T.Tensor(rng.normal(0.0, scale, size=shape), requires_grad=True)
+        return T.Tensor(rng.normal(0.0, scale, size=shape))
 
     x = t(rows, seq, d)
-    ln = [T.Tensor(1.0 + rng.normal(0.0, 0.1, size=d), requires_grad=True),
+    ln = [T.Tensor(1.0 + rng.normal(0.0, 0.1, size=d)),
           t(d, scale=0.1)]
     if kind == "attention":
         return [x, *ln] + [t(d, d, scale=0.2) for _ in range(4)], (heads,)
@@ -67,16 +67,13 @@ def _run(kernel, inputs, extra, p, train, seed):
     x = inputs[0]
     probe = T.Tensor(np.random.default_rng(1).choice([-1.0, 1.0], size=x.shape))
     # `other` shares the output's incoming gradient array, so a kernel that
-    # wrote into it in place would change other.grad
-    other = T.Tensor(np.zeros(x.shape), requires_grad=True)
+    # wrote into it in place would change other's returned gradient
+    other = T.Tensor(np.zeros(x.shape))
     rng = np.random.default_rng(seed)
     with T.Tape() as tape:
         out = kernel(*inputs, *extra, p, train, rng)
-        T.backward(T.sum_all(T.mul(T.add(out, other), probe)), tape)
-    grads = [t.grad for t in inputs] + [other.grad]
-    for t in inputs:
-        t.grad = None
-    return out.data, grads, rng.bit_generator.state
+        grads = T.backward(T.sum_all(T.mul(T.add(out, other), probe)), tape)
+    return out.data, [grads[t] for t in [*inputs, other]], rng.bit_generator.state
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))

@@ -86,8 +86,9 @@ def test_forward_rejects_long_sequence():
 
 def test_forward_rejects_bad_ids():
     p = model.init(TINY, seed=0)
-    with pytest.raises(TokenIndexError):
-        model.forward(p, TINY, np.array([[TINY.vocab_size]]))
+    for bad in (TINY.vocab_size, -1):
+        with pytest.raises(TokenIndexError):
+            model.forward(p, TINY, np.array([[1, bad]]))
 
 
 @pytest.mark.filterwarnings("error")
@@ -227,7 +228,7 @@ def test_whole_model_gradient_check():
 
     with T.Tape() as tape:
         loss = T.cross_entropy(model.forward(p, cfg, ids), targets)
-        T.backward(loss, tape)
+        grads = T.backward(loss, tape)
 
     def oracle():
         return hand_loss(p, cfg, ids, targets)
@@ -235,7 +236,7 @@ def test_whole_model_gradient_check():
     for name in p.names():
         t = p[name]
         num = fd_grad(oracle, [t], h=5e-4)[0]
-        err = max_rel_err(t.grad, num, floor=1e-3)
+        err = max_rel_err(grads[t], num, floor=1e-3)
         assert err <= 1e-2, f"{name}: rel err {err:.3e}"
 
 
@@ -255,7 +256,7 @@ def test_backward_frees_activations_as_it_goes():
             logits = model.forward(p, cfg, ids, train=True, rng=rng)
             loss = T.cross_entropy(logits, targets)
             after_forward = tracemalloc.get_traced_memory()[0]
-            T.backward(loss, tape)
+            grads = T.backward(loss, tape)
             after_backward = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -382,7 +383,7 @@ def test_one_shard_step_stays_under_its_memory_bound():
                               rng=np.random.default_rng(1)), targets)
             live = tracemalloc.get_traced_memory()[0] - start
             tracemalloc.reset_peak()
-            T.backward(loss, tape)
+            grads = T.backward(loss, tape)
             peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

@@ -20,7 +20,7 @@ SEEDS = list(range(10))
 
 
 def randt(rng, *shape):
-    return T.Tensor(rng.standard_normal(shape), requires_grad=True)
+    return T.Tensor(rng.standard_normal(shape))
 
 
 # ---------------------------------------------------------------- forward
@@ -120,21 +120,20 @@ def test_matmul_of_a_view_is_bit_identical_to_its_copy():
     # OpenBLAS sums a transposed operand in another order at some sizes
     # (here the batch-1 decoding head); matmul must not depend on the view
     rng = np.random.default_rng(0)
-    w = T.Tensor(rng.standard_normal((512, 64)) * 0.02, requires_grad=True)
-    # the view's gradient reaches only its leaf w, so w.grad is compared
-    # with the transposed gradient of the copy (itself a leaf)
+    w = T.Tensor(rng.standard_normal((512, 64)) * 0.02)
+    # the view's gradient reaches only its leaf w, so w's gradient is
+    # compared with the transposed gradient of the copy (itself a leaf)
     for s in (1, 2, 10, 21):
-        x = T.Tensor(rng.standard_normal((1, s, 64)), requires_grad=True)
-        grads = []
+        x = T.Tensor(rng.standard_normal((1, s, 64)))
+        runs = []
         for view in (True, False):
             with T.Tape() as tape:
                 b = (T.transpose(w, (1, 0)) if view
-                     else T.Tensor(w.data.T.copy(), requires_grad=True))
+                     else T.Tensor(w.data.T.copy()))
                 out = T.matmul(x, b)
-                T.backward(T.sum_all(T.mul(out, out)), tape)
-            grads.append((out.data, x.grad, w.grad if view else b.grad.T))
-            x.grad = w.grad = None
-        for got, want in zip(*grads):
+                g = T.backward(T.sum_all(T.mul(out, out)), tape)
+            runs.append((out.data, g[x], g[w] if view else g[b].T))
+        for got, want in zip(*runs):
             np.testing.assert_array_equal(got, want)
 
 
@@ -196,23 +195,23 @@ def test_layer_norm_variance_overflow_raises_numerics_error():
 
 
 def test_backward_sum_gives_ones():
-    x = T.Tensor(np.arange(6, dtype=np.float32).reshape(2, 3), requires_grad=True)
+    x = T.Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
     with T.Tape() as tape:
         loss = T.sum_all(x)
-        T.backward(loss, tape)
-    np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+        grads = T.backward(loss, tape)
+    np.testing.assert_array_equal(grads[x], np.ones((2, 3)))
 
 
 def test_backward_sum_of_squares():
-    x = T.Tensor([1.0, 2.0, 3.0], requires_grad=True)
+    x = T.Tensor([1.0, 2.0, 3.0])
     with T.Tape() as tape:
         loss = T.sum_all(T.mul(x, x))
-        T.backward(loss, tape)
-    np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
+        grads = T.backward(loss, tape)
+    np.testing.assert_array_equal(grads[x], [2.0, 4.0, 6.0])
 
 
 def test_backward_requires_scalar():
-    x = T.Tensor(np.ones(3), requires_grad=True)
+    x = T.Tensor(np.ones(3))
     with T.Tape() as tape:
         y = T.add(x, x)
         with pytest.raises(ShapeError):
@@ -220,55 +219,79 @@ def test_backward_requires_scalar():
 
 
 def test_backward_without_tape_raises():
-    x = T.Tensor(np.ones(1), requires_grad=True)
+    x = T.Tensor(np.ones(1))
     with pytest.raises(ContractError):
         T.backward(T.sum_all(x))
 
 
-def test_grads_accumulate_across_backward_calls():
-    x = T.Tensor([1.0, 2.0], requires_grad=True)
+def test_a_second_tape_over_the_same_leaves_returns_a_fresh_dict():
+    x = T.Tensor([1.0, 2.0])
+    runs = []
     for _ in range(2):
         with T.Tape() as tape:
-            loss = T.sum_all(T.mul(x, x))
-            T.backward(loss, tape)
-    np.testing.assert_allclose(x.grad, [4.0, 8.0], rtol=1e-6)
+            runs.append(T.backward(T.sum_all(T.mul(x, x)), tape))
+    first, second = runs
+    assert first is not second and first[x] is not second[x]
+    for grads in runs:
+        assert list(grads) == [x]
+        np.testing.assert_array_equal(grads[x], [2.0, 4.0])
 
 
 def test_backward_uses_up_its_tape():
-    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    x = T.Tensor([1.0, 2.0])
     with T.Tape() as tape:
         loss = T.sum_all(T.mul(x, x))
-        T.backward(loss, tape)
+        grads = T.backward(loss, tape)
         assert len(tape) == 0
         with pytest.raises(ContractError):
             T.backward(loss, tape)
-    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    np.testing.assert_array_equal(grads[x], [2.0, 4.0])
 
 
 def test_backward_fills_only_leaves():
-    x = T.Tensor([1.0, -2.0, 3.0], requires_grad=True)
-    w = T.Tensor([0.5, 4.0, -1.0], requires_grad=True)
+    x = T.Tensor([1.0, -2.0, 3.0])
+    w = T.Tensor([0.5, 4.0, -1.0])
     with T.Tape() as tape:
         y = T.mul(x, w)
         z = T.add(y, x)
         loss = T.sum_all(T.mul(z, z))
-        T.backward(loss, tape)
-    assert y.grad is None and z.grad is None and loss.grad is None
+        grads = T.backward(loss, tape)
+    assert set(grads) == {x, w}
     # dloss/dz = 2z, so x gets 2z (w + 1) and w gets 2z x
     zd = x.data * w.data + x.data
-    np.testing.assert_array_equal(x.grad, 2 * zd * (w.data + 1))
-    np.testing.assert_array_equal(w.grad, 2 * zd * x.data)
+    np.testing.assert_array_equal(grads[x], 2 * zd * (w.data + 1))
+    np.testing.assert_array_equal(grads[w], 2 * zd * x.data)
+
+
+def test_backward_returns_exactly_the_leaves_on_the_tape():
+    # a leaf is any tensor no op on this tape made: a constant input, an op
+    # output made with no tape open; an op output recorded on another tape
+    # is no leaf and gets nothing
+    x = T.Tensor([1.0, 2.0])
+    c = T.Tensor([3.0, -1.0])
+    untaped = T.scale(x, 2.0)
+    with T.Tape():
+        other = T.scale(x, 3.0)
+    unused = T.Tensor([5.0, 5.0])
+    with T.Tape() as tape:
+        loss = T.sum_all(T.mul(T.add(T.mul(x, c), untaped), other))
+        grads = T.backward(loss, tape)
+    assert set(grads) == {x, c, untaped}
+    assert unused not in grads and other not in grads
+    np.testing.assert_array_equal(grads[c], x.data * other.data)
+    np.testing.assert_array_equal(grads[untaped], other.data)
+    np.testing.assert_array_equal(grads[x], c.data * other.data)
 
 
 def test_backward_of_a_leaf_root_fills_it():
-    x = T.Tensor(3.0, requires_grad=True)
+    x = T.Tensor(3.0)
     with T.Tape() as tape:
-        T.backward(x, tape)
-    assert x.grad == 1.0
+        grads = T.backward(x, tape)
+    assert list(grads) == [x] and grads[x] == 1.0
 
 
 def test_no_tape_records_nothing():
-    x = T.Tensor(np.ones(3), requires_grad=True)
+    x = T.Tensor(np.ones(3))
     y = T.add(x, x)
     assert y.data is not None
     with T.Tape() as tape:
@@ -277,7 +300,7 @@ def test_no_tape_records_nothing():
 
 
 def test_tape_is_active_only_on_its_own_thread():
-    x = T.Tensor(np.ones(3), requires_grad=True)
+    x = T.Tensor(np.ones(3))
     seen = {}
 
     def other_thread():
@@ -383,11 +406,11 @@ def test_grad_cross_entropy(seed):
 
     with T.Tape() as tape:
         loss = T.cross_entropy(logits, targets, ignore_mask=ignore)
-        T.backward(loss, tape)
+        grads = T.backward(loss, tape)
     num = fd_grad(f64_loss, [logits], h=1e-2)[0]
-    assert max_rel_err(logits.grad, num, floor=0.5) <= 1e-3
+    assert max_rel_err(grads[logits], num, floor=0.5) <= 1e-3
     ignored_cols = np.where(ignore)
-    assert np.all(logits.grad[ignored_cols] == 0.0)
+    assert np.all(grads[logits][ignored_cols] == 0.0)
 
 
 def test_cross_entropy_matches_manual_logsumexp():
@@ -443,11 +466,11 @@ def test_dropout_kept_fraction_and_scale():
 
 def test_dropout_grad_masks_match_forward():
     rng = np.random.default_rng(7)
-    x = T.Tensor(np.ones(64), requires_grad=True)
+    x = T.Tensor(np.ones(64))
     with T.Tape() as tape:
         out = T.dropout(x, 0.5, train=True, rng=rng)
-        T.backward(T.sum_all(out), tape)
-    np.testing.assert_allclose(x.grad, (out.data != 0) * 2.0, rtol=1e-6)
+        grads = T.backward(T.sum_all(out), tape)
+    np.testing.assert_allclose(grads[x], (out.data != 0) * 2.0, rtol=1e-6)
 
 
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
@@ -455,14 +478,14 @@ def test_dropout_bool_mask_equals_float_multiplier(p):
     # the float32 multiplier (rng.random(shape) >= p) * 1/(1-p), applied to
     # inputs and gradients of both signs: same values and same zero signs
     rng = np.random.default_rng(3)
-    x = T.Tensor(rng.standard_normal((32, 64)), requires_grad=True)
+    x = T.Tensor(rng.standard_normal((32, 64)))
     probe = T.Tensor(rng.standard_normal((32, 64)))
     with T.Tape() as tape:
         out = T.dropout(x, p, train=True, rng=np.random.default_rng(11))
-        T.backward(T.sum_all(T.mul(out, probe)), tape)
+        grads = T.backward(T.sum_all(T.mul(out, probe)), tape)
     mult = (np.random.default_rng(11).random((32, 64)) >= p).astype(np.float32)
     mult *= np.float32(1.0 / (1.0 - p))
-    for got, want in ((out.data, x.data * mult), (x.grad, probe.data * mult)):
+    for got, want in ((out.data, x.data * mult), (grads[x], probe.data * mult)):
         assert (got == 0).any() and (np.signbit(want) & (want == 0)).any()
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
@@ -477,28 +500,28 @@ def test_sink_stages_a_matching_gradient_without_unbroadcast(monkeypatch):
         return unbroadcast(grad, shape)
 
     monkeypatch.setattr(T, "_unbroadcast", counting)
-    x = T.Tensor(np.ones((2, 3)), requires_grad=True)
-    b = T.Tensor(np.ones(3), requires_grad=True)
+    x = T.Tensor(np.ones((2, 3)))
+    b = T.Tensor(np.ones(3))
     with T.Tape() as tape:
-        T.backward(T.sum_all(T.mul(T.add(x, x), x)), tape)
+        grads = T.backward(T.sum_all(T.mul(T.add(x, x), x)), tape)
     # sum_all's broadcast view has the root's shape; every other grad matches
     assert calls == []
-    np.testing.assert_array_equal(x.grad, np.full((2, 3), 4.0))
+    np.testing.assert_array_equal(grads[x], np.full((2, 3), 4.0))
     with T.Tape() as tape:
-        T.backward(T.sum_all(T.add(x, b)), tape)
+        grads = T.backward(T.sum_all(T.add(x, b)), tape)
     assert calls == [(3,)]
-    np.testing.assert_array_equal(b.grad, [2.0, 2.0, 2.0])
+    np.testing.assert_array_equal(grads[b], [2.0, 2.0, 2.0])
 
 
 def test_an_entry_holds_handles_not_outputs():
-    x = T.Tensor(np.ones((2, 3)), requires_grad=True)
+    x = T.Tensor(np.ones((2, 3)))
     c = T.Tensor(np.ones((2, 3)))
     with T.Tape() as tape:
         y = T.add(x, c)
         z = T.mul(y, y)
     first, second = tape.entries
     assert first.output is y._handle and first.output.shape == (2, 3)
-    assert first.inputs == (x, None)
+    assert first.inputs == (x, c)
     assert second.inputs == (y._handle, y._handle) and second.output is z._handle
     assert not isinstance(y._handle, T.Tensor)
 
@@ -531,15 +554,15 @@ def test_same_seed_same_dropout(seed):
 def test_matmul_grad_property(seed):
     rng = np.random.default_rng(seed)
     m, k, n = rng.integers(1, 5, size=3)
-    a = T.Tensor(rng.standard_normal((m, k)), requires_grad=True)
-    b = T.Tensor(rng.standard_normal((k, n)), requires_grad=True)
+    a = T.Tensor(rng.standard_normal((m, k)))
+    b = T.Tensor(rng.standard_normal((k, n)))
     probe = rng.standard_normal((m, n)).astype(np.float32)
     with T.Tape() as tape:
         loss = T.sum_all(T.mul(T.matmul(a, b), T.Tensor(probe)))
-        T.backward(loss, tape)
+        grads = T.backward(loss, tape)
     np.testing.assert_allclose(
-        a.grad, probe.astype(np.float64) @ b.data.T.astype(np.float64), rtol=1e-4, atol=1e-5
+        grads[a], probe.astype(np.float64) @ b.data.T.astype(np.float64), rtol=1e-4, atol=1e-5
     )
     np.testing.assert_allclose(
-        b.grad, a.data.T.astype(np.float64) @ probe.astype(np.float64), rtol=1e-4, atol=1e-5
+        grads[b], a.data.T.astype(np.float64) @ probe.astype(np.float64), rtol=1e-4, atol=1e-5
     )

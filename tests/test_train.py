@@ -145,8 +145,8 @@ def test_train_step_leaves_targets_bit_identical():
 def _bare_params(w, b):
     cfg = tiny_config()
     tensors = {
-        "w": T.Tensor(np.asarray(w, dtype=np.float32), requires_grad=True),
-        "b": T.Tensor(np.asarray(b, dtype=np.float32), requires_grad=True),
+        "w": T.Tensor(np.asarray(w, dtype=np.float32)),
+        "b": T.Tensor(np.asarray(b, dtype=np.float32)),
     }
     return model.ParameterSet(cfg, tensors)
 
@@ -878,8 +878,35 @@ def test_train_step_leaves_no_grad_on_the_parameters(ac4_train_ds, monkeypatch,
     before = {n: params[n].data.copy() for n in params.names()}
     train.train_step(params, state, batch, tcfg, lr=1e-3)
     for name in params.names():
-        assert params[name].grad is None, name
+        assert params[name]._handle is None, name
         assert not np.array_equal(params[name].data, before[name]), name
+
+
+def test_sharded_step_runs_on_the_parameter_tensors(ac4_train_ds, monkeypatch):
+    # both row shards record the parameters themselves as their tapes'
+    # leaves: the step makes no tensor of its own
+    params, state, tcfg = _ac4_setup(ac4_train_ds)
+    batch = ac4_train_ds.minibatch(np.arange(32))
+    assert shards.shard_count(batch.inputs, 64) == 2
+    made, leaves = [], []
+    init, backward = T.Tensor.__init__, T.backward
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    def recording_backward(loss, tape):
+        leaves.append({h for entry in tape.entries for h in entry.inputs
+                       if isinstance(h, T.Tensor)})
+        return backward(loss, tape)
+
+    monkeypatch.setattr(T.Tensor, "__init__", counting_init)
+    monkeypatch.setattr(T, "backward", recording_backward)
+    train.train_step(params, state, batch, tcfg, lr=1e-3)
+    assert made == []
+    own = {t for _, t in params.items()}
+    assert len(own) == len(params.names())
+    assert leaves == [own, own]
 
 
 def test_shard_worker_and_inline_are_bit_identical(ac4_train_ds, monkeypatch):
@@ -931,7 +958,7 @@ def test_backward_frees_the_logits_before_the_blocks(monkeypatch):
             logits = model.forward(params, cfg, batch.inputs, train=True,
                                    rng=np.random.default_rng(1))
             loss = T.cross_entropy(logits, batch.targets, ignore_mask=batch.ignore)
-            T.backward(loss, tape)
+            want = T.backward(loss, tape)
         held = readings[-1]
         start = tracemalloc.get_traced_memory()[0]
         loss_sharded, grads = train.loss_and_grads(
@@ -941,7 +968,8 @@ def test_backward_frees_the_logits_before_the_blocks(monkeypatch):
         tracemalloc.stop()
     assert loss_sharded == float(loss.data)
     for name in params.names():
-        np.testing.assert_array_equal(grads[name], params[name].grad, err_msg=name)
+        np.testing.assert_array_equal(grads[name], want[params[name]],
+                                      err_msg=name)
     assert 0.9 * logits.data.nbytes <= held - freed <= 1.1 * logits.data.nbytes, \
         (held, freed, logits.data.nbytes)
 
@@ -1071,8 +1099,9 @@ def test_sharded_step_error_waits_for_both_shards(ac4_train_ds, monkeypatch):
 
     def slow_backward(loss, tape):
         time.sleep(0.2)
-        backward(loss, tape)
+        grads = backward(loss, tape)
         worker_done.append(True)
+        return grads
 
     monkeypatch.setattr(model, "forward", forward_failing_on_caller)
     monkeypatch.setattr(T, "backward", slow_backward)
