@@ -152,14 +152,19 @@ def bleu_corpus(candidates, references, max_n=4):
 
 
 def _decoding_params(params):
-    """params sharing every tensor but tok_emb, which is a column-major copy.
+    """params sharing every tensor but tok_emb, which is a column-major copy;
+    params itself when its tok_emb already is one.
 
     The tied head multiplies by tok_emb's transpose, which tensor._row_major
-    copies to row-major order before BLAS sees it: about 40 us of a ~400 us
-    batch-1 ac4 forward, at every generated token. The transpose of a
-    column-major copy is already row-major, with the bytes of that copy, so
-    the head makes the same BLAS call on the same bytes, once per call.
+    copies to row-major order before BLAS sees it: about 40 us of a batch-1
+    ac4 forward, at every generated token. The transpose of a column-major
+    copy is already row-major, with the bytes of that copy, so the head
+    makes the same BLAS call on the same bytes. bleu_eval_protocol makes the
+    copy once per pass and hands it to every generate call, which then uses
+    it as it is.
     """
+    if params["tok_emb"].data.flags.f_contiguous:
+        return params
     tensors = dict(params.items())
     tensors["tok_emb"] = T.Tensor(np.asfortranarray(params["tok_emb"].data))
     return model.ParameterSet(params.config, tensors)
@@ -176,9 +181,10 @@ def generate(params, config, vocab, prompt_ids, gen=None):
     tracer still call generate with it, and dropping the parameter is a
     change to the benchmark.
 
-    The tied table's layout is chosen once per call (_decoding_params): the
-    head then multiplies by the same bytes at every token without copying
-    them, with the same bits; ``params`` is left as it was.
+    The tied table's layout is chosen once per call (_decoding_params), or
+    not at all when the caller's tok_emb is already column-major: the head
+    then multiplies by the same bytes at every token without copying them,
+    with the same bits; ``params`` is left as it was.
     """
     gen = (gen or GenerationConfig()).check()
     ids = [int(i) for i in prompt_ids]
@@ -189,7 +195,7 @@ def generate(params, config, vocab, prompt_ids, gen=None):
             f"prompt length {len(ids)} must be shorter than block_size "
             f"{config.block_size}"
         )
-    rng = np.random.default_rng(gen.seed)
+    rng = None if gen.strategy == "greedy" else np.random.default_rng(gen.seed)
     decoding = _decoding_params(params)
     for _ in range(gen.max_new_tokens):
         ctx = ids[-config.block_size :]
@@ -229,6 +235,7 @@ def bleu_eval_protocol(params, config, vocab, sentences,
     if not (0 < prompt_frac < 1):
         raise ConfigError(f"prompt_frac must lie in (0, 1), got {prompt_frac}")
     gen = gen or GenerationConfig()
+    decoding = _decoding_params(params)  # once per pass, not per sentence
     candidates = []
     references = []
     n_skipped = 0
@@ -241,7 +248,7 @@ def bleu_eval_protocol(params, config, vocab, sentences,
             continue
         ref_cont = ids[n_prompt:]
         g = replace(gen, max_new_tokens=len(ref_cont))
-        out = generate(params, config, vocab, ids[:n_prompt], g)
+        out = generate(decoding, config, vocab, ids[:n_prompt], g)
         cont = out[n_prompt:]
         candidates.append(cont)
         references.append(ref_cont)

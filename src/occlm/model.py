@@ -3,6 +3,7 @@ tied output head, plus parameter-set bookkeeping and checkpoint I/O."""
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import asdict, dataclass, fields
@@ -11,7 +12,7 @@ import numpy as np
 
 from . import artifacts
 from . import tensor as T
-from .errors import CheckpointError, ConfigError, LengthError
+from .errors import CheckpointError, ConfigError, LengthError, ShapeError
 
 CKPT_MAGIC = b"OCCLMCKPT1\n"
 CKPT_VERSION = 1
@@ -179,7 +180,14 @@ def forward(params, config, ids, train=False, rng=None):
 
     Position t logits depend only on ids[..t] (causal mask). The output
     head is tied: it reuses tok_emb storage. An id outside tok_emb's rows
-    raises TokenIndexError (from the embedding lookup).
+    raises TokenIndexError, and a parameter whose shape config does not
+    imply raises ShapeError.
+
+    With a tape open on this thread the forward runs through the kernels,
+    which record it. With none, nothing would be recorded, so it runs the
+    kernels' array forwards directly (_forward_arrays): the same arithmetic
+    and rng draws, the same finite checks under the same op names, and no
+    Tensor, shape check or backward closure per op.
     """
     ids = np.asarray(ids)
     if ids.ndim == 1:
@@ -191,8 +199,11 @@ def forward(params, config, ids, train=False, rng=None):
         raise LengthError("forward needs at least one token")
     if S > config.block_size:
         raise LengthError(f"sequence length {S} exceeds block_size {config.block_size}")
+    _check_shapes(params, config)
 
     with np.errstate(all="ignore"):  # the kernels' finite guard is the loud path
+        if T.active_tape() is None:
+            return _forward_arrays(params, config, ids, train, rng)
         tok = T.embedding_lookup(params["tok_emb"], ids)
         pos = T.embedding_lookup(params["pos_emb"], np.arange(S))
         x = T.dropout(T.add(tok, pos), config.dropout, train, rng)
@@ -200,6 +211,74 @@ def forward(params, config, ids, train=False, rng=None):
             x = _block(params, config, i, x, train, rng)
         x = T.layer_norm(x, params["ln_f.g"], params["ln_f.b"])
         return T.matmul(x, T.transpose(params["tok_emb"], (1, 0)))
+
+
+def _check_shapes(params, config):
+    """ShapeError unless every parameter has the shape config implies and
+    d_model splits into n_heads heads: what the kernels' shape checks catch,
+    once per forward."""
+    c = config
+    for name, shape in _shape_items(c.vocab_size, c.block_size, c.d_model,
+                                    c.n_layers, c.ffn_mult):
+        got = params[name].data.shape
+        if got != shape:
+            raise ShapeError(f"parameter {name} has shape {got}, "
+                             f"config implies {shape}")
+    if config.d_model % config.n_heads:
+        raise ShapeError(f"d_model {config.d_model} does not split into "
+                         f"{config.n_heads} heads")
+
+
+@functools.lru_cache(maxsize=64)
+def _shape_items(vocab_size, block_size, d_model, n_layers, ffn_mult):
+    """param_shapes' items for these config fields, built once: the table
+    costs more than the check that reads it at every generated token."""
+    return tuple(param_shapes(ModelConfig(
+        vocab_size, block_size, d_model, n_layers, ffn_mult=ffn_mult)).items())
+
+
+def _forward_arrays(params, config, ids, train, rng):
+    """forward with no tape open, on arrays: the ops of the kernel path in
+    its order, each output checked as its kernel's _result checks it.
+    Bit-identical to the kernel path, rng state included."""
+    check, p = T._check_finite, config.dropout
+    w = {name: t.data for name, t in params.items()}
+    table = w["tok_emb"]
+    T._check_ids(ids, table.shape[0])
+    x = table[ids]
+    check(x, "embedding_lookup")
+    pos = w["pos_emb"][: ids.shape[1]]
+    check(pos, "embedding_lookup")
+    x += pos
+    check(x, "add")
+    keep = T._dropout_keep(x.shape, p, train, rng)
+    if keep is not None:
+        T._dropped(x, keep, p, out=x)
+        check(x, "dropout")
+    for i in range(config.n_layers):
+        b = f"block{i}"
+        out = T._attention_fwd(
+            x, w[f"{b}.ln1.g"], w[f"{b}.ln1.b"], w[f"{b}.attn.wq"],
+            w[f"{b}.attn.wk"], w[f"{b}.attn.wv"], w[f"{b}.attn.wo"],
+            config.n_heads, p, train, rng)[0]
+        check(out, "attention")
+        out += x  # x + out: float addition commutes, bit for bit
+        check(out, "add")
+        x = T._ffn_fwd(
+            out, w[f"{b}.ln2.g"], w[f"{b}.ln2.b"], w[f"{b}.ffn.w1"],
+            w[f"{b}.ffn.b1"], w[f"{b}.ffn.w2"], w[f"{b}.ffn.b2"],
+            p, train, rng)[0]
+        check(x, "ffn")
+        x += out
+        check(x, "add")
+    x = T._layer_norm_fwd(x, w["ln_f.g"], w["ln_f.b"])[0]
+    check(x, "layer_norm")
+    head = table.T
+    check(head, "transpose")
+    # the head's matmul kernel: row-major operands; _result checks the
+    # logits and wraps them (it records nothing with no tape open)
+    return T._result(np.matmul(T._row_major(x), T._row_major(head)),
+                     "matmul", (), None)
 
 
 def sequence_logprob(params, config, ids):
@@ -270,7 +349,8 @@ def _read_checkpoint(path, payload=True):
             if fh.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
                 raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
             size = int.from_bytes(fh.read(8), "little")
-            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            end = os.fstat(fh.fileno()).st_size
+            left = end - fh.tell()
             if size > left:
                 raise CheckpointError(
                     f"{path} header length {size} exceeds the {left} bytes "
@@ -300,21 +380,29 @@ def _read_checkpoint(path, payload=True):
             tensors, extras = {}, {}
             if not payload:
                 return header, config, tensors, extras
+
+            def read_blob(n_bytes, what):
+                # a header's shape is checked against the file before a read
+                # sized by it, so a huge shape is an error, not a MemoryError
+                left = end - fh.tell()
+                raw = fh.read(n_bytes) if 0 <= n_bytes <= left else b""
+                if len(raw) != n_bytes:
+                    raise CheckpointError(
+                        f"{path} truncated at {what}: {n_bytes} bytes needed, "
+                        f"{left} left")
+                return raw
+
             for entry in header["tensors"]:
                 shape = tuple(entry["shape"])
                 n_bytes = int(np.prod(shape)) * 4 if shape else 4
-                raw = fh.read(n_bytes)
-                if len(raw) != n_bytes:
-                    raise CheckpointError(f"{path} truncated at tensor {entry['name']}")
+                raw = read_blob(n_bytes, f"tensor {entry['name']}")
                 data = np.frombuffer(raw, dtype="<f4").reshape(shape)
                 tensors[entry["name"]] = T.Tensor(data.copy())
             for entry in header["extras"]:
                 shape = tuple(entry["shape"])
                 dt = np.dtype(entry["dtype"])
                 n_bytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-                raw = fh.read(n_bytes)
-                if len(raw) != n_bytes:
-                    raise CheckpointError(f"{path} truncated at extra {entry['name']}")
+                raw = read_blob(n_bytes, f"extra {entry['name']}")
                 extras[entry["name"]] = np.frombuffer(raw, dtype=dt).reshape(shape).copy()
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc

@@ -12,14 +12,21 @@ keep numpy's strides: ``transpose`` returns a view.
 
 The decoder's attention sub-layer and FFN, each with the pre-layer-norm in
 front of it, are one kernel each (``attention``, ``ffn``): one tape entry and
-one hand-written backward per sub-layer instead of a chain of small ops,
-which is what batch-1 decoding pays for per call. They reuse the primitives'
-array arithmetic (the shared ``_layer_norm_*``, ``_softmax_*``, ``_gelu_*``,
-``_dropout_keep`` and ``_dropped`` helpers) and make the same products in
-the same order, so they are bit-identical to the composition of primitives
-they replace. Each saves every activation its backward reads once and
-rebuilds the cheap rest with the forward's own operations: both keep the
-layer norm's ``xhat`` and ``inv`` and rebuild its output ``xhat * g + b``;
+one hand-written backward per sub-layer instead of a chain of small ops.
+They reuse the primitives' array arithmetic (the shared ``_layer_norm_*``,
+``_softmax_*``, ``_gelu_*``, ``_dropout_keep`` and ``_dropped`` helpers) and
+make the same products in the same order, so they are bit-identical to the
+composition of primitives they replace. Each is a shape check and a tape
+record around an array-level forward (``_attention_fwd``, ``_ffn_fwd``) that
+does the arithmetic, the rng draws and the finite checks of every
+intermediate. A kernel call's bookkeeping (shape checks, a Tensor, a
+closure, ``_result``) is a fixed cost that a batch-1 decoding step, whose
+arrays are tiny, pays at each of its 14 kernel calls; ``model.forward``
+with no open tape records nothing, so it calls the array forwards directly
+and pays only the arithmetic and the checks. Each kernel saves every
+activation its backward reads once and rebuilds the cheap rest with the
+forward's own operations: both keep the layer norm's ``xhat`` and ``inv``
+and rebuild its output ``xhat * g + b``;
 ``attention`` keeps q, k^T, v, the softmax, the context and the dropout
 masks and rebuilds the dropped softmax; ``ffn`` keeps the pre-activation and
 its dropout mask and reruns the GELU for its output and ``t``.
@@ -351,9 +358,7 @@ def sum_all(x):
 def embedding_lookup(table, ids):
     """Gather rows of a (V, d) table by an integer id grid."""
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
-        raise TokenIndexError(f"id {bad} outside table of {table.shape[0]} rows")
+    _check_ids(ids, table.shape[0])
     out_data = table.data[ids]
     shape = table.shape
 
@@ -363,6 +368,15 @@ def embedding_lookup(table, ids):
         sink(0, grad)
 
     return _result(out_data, "embedding_lookup", (table,), back)
+
+
+def _check_ids(ids, n_rows):
+    """Raise TokenIndexError for an id of the array ids outside [0, n_rows)."""
+    if ids.size:
+        low, high = ids.min(), ids.max()
+        if low < 0 or high >= n_rows:
+            bad = int(low) if low < 0 else int(high)
+            raise TokenIndexError(f"id {bad} outside table of {n_rows} rows")
 
 
 def softmax_lastdim(x):
@@ -621,9 +635,9 @@ def attention(x, ln_g, ln_b, wq, wk, wv, wo, n_heads, p, train, rng):
     gradients equal that chain's bit for bit. One tape entry; its backward
     reuses the saved softmax and rebuilds the dropped weights from it and the
     saved keep mask, and rebuilds h from the saved xhat. The finite guard
-    checks the layer-norm variance and h, v, the scores and the output: a
-    non-finite q row or k row spreads over a whole scores row or column, but
-    a non-finite v entry can hide behind a zero weight.
+    checks the layer-norm variance and h, v, the scores (in _attention_fwd)
+    and the output: a non-finite q row or k row spreads over a whole scores
+    row or column, but a non-finite v entry can hide behind a zero weight.
     """
     if x.ndim != 3 or x.shape[-1] % n_heads:
         raise ShapeError(f"attention needs (B, S, d) with d divisible by "
@@ -636,29 +650,11 @@ def attention(x, ln_g, ln_b, wq, wk, wv, wo, n_heads, p, train, rng):
                          f"({d}, {d}) weights, got "
                          f"{[w.shape for w in (ln_g, ln_b, wq, wk, wv, wo)]}")
     gd, bd = ln_g.data, ln_b.data
-    h, xhat, inv = _layer_norm_fwd(x.data, gd, bd)
-    _check_finite(h, "layer_norm")
-    wqd, wkd, wvd, wod = (_row_major(w.data) for w in (wq, wk, wv, wo))
-    # heads as (B, H, S, hd) views; k^T as (B, H, hd, S) in row-major order
-    q = np.matmul(h, wqd).reshape(B, S, H, hd).transpose(0, 2, 1, 3)
-    kt = _row_major(np.matmul(h, wkd).reshape(B, S, H, hd).transpose(0, 2, 3, 1))
-    v = np.matmul(h, wvd).reshape(B, S, H, hd).transpose(0, 2, 1, 3)
-    del h
-    _check_finite(v, "attention")
-    scale = DTYPE(1.0 / math.sqrt(hd))
-    scores = np.matmul(q, kt)
-    scores *= scale
-    _check_finite(scores, "attention")
+    out_data, (xhat, inv, wqd, wkd, wvd, wod, q, kt, v, s, att_keep, ctx,
+               out_keep) = _attention_fwd(x.data, gd, bd, wq.data, wk.data,
+                                          wv.data, wo.data, n_heads, p, train, rng)
     allowed = _causal_allowed(S)
-    s = _softmax_fwd(np.where(allowed, scores, DTYPE(-1e9)))
-    att_keep = _dropout_keep(s.shape, p, train, rng)
-    att = s if att_keep is None else _dropped(s, att_keep, p)
-    ctx = _row_major(np.matmul(att, v).transpose(0, 2, 1, 3).reshape(B, S, d))
-    del att
-    out_data = np.matmul(ctx, wod)
-    out_keep = _dropout_keep(out_data.shape, p, train, rng)
-    if out_keep is not None:
-        _dropped(out_data, out_keep, p, out=out_data)
+    scale = DTYPE(1.0 / math.sqrt(hd))
 
     def back(g, sink):
         # inputs: 0 x, 1 ln_g, 2 ln_b, 3 wq, 4 wk, 5 wv, 6 wo
@@ -693,6 +689,38 @@ def attention(x, ln_g, ln_b, wq, wk, wv, wo, n_heads, p, train, rng):
     return _result(out_data, "attention", (x, ln_g, ln_b, wq, wk, wv, wo), back)
 
 
+def _attention_fwd(x, gd, bd, wq, wk, wv, wo, n_heads, p, train, rng):
+    """attention's forward on arrays of checked shapes: (out, saved), with
+    saved = (xhat, inv, wq, wk, wv, wo (row-major), q, k^T, v, softmax, its
+    keep mask, ctx, the output's keep mask), what backward reads. Checks
+    every intermediate the kernel does; the caller checks out."""
+    B, S, d = x.shape
+    H, hd = n_heads, d // n_heads
+    h, xhat, inv = _layer_norm_fwd(x, gd, bd)
+    _check_finite(h, "layer_norm")
+    wq, wk, wv, wo = (_row_major(w) for w in (wq, wk, wv, wo))
+    # heads as (B, H, S, hd) views; k^T as (B, H, hd, S) in row-major order
+    q = np.matmul(h, wq).reshape(B, S, H, hd).transpose(0, 2, 1, 3)
+    kt = _row_major(np.matmul(h, wk).reshape(B, S, H, hd).transpose(0, 2, 3, 1))
+    v = np.matmul(h, wv).reshape(B, S, H, hd).transpose(0, 2, 1, 3)
+    del h
+    _check_finite(v, "attention")
+    scores = np.matmul(q, kt)
+    scores *= DTYPE(1.0 / math.sqrt(hd))
+    _check_finite(scores, "attention")
+    s = _softmax_fwd(np.where(_causal_allowed(S), scores, DTYPE(-1e9)))
+    del scores
+    att_keep = _dropout_keep(s.shape, p, train, rng)
+    att = s if att_keep is None else _dropped(s, att_keep, p)
+    ctx = _row_major(np.matmul(att, v).transpose(0, 2, 1, 3).reshape(B, S, d))
+    del att
+    out = np.matmul(ctx, wo)
+    out_keep = _dropout_keep(out.shape, p, train, rng)
+    if out_keep is not None:
+        _dropped(out, out_keep, p, out=out)
+    return out, (xhat, inv, wq, wk, wv, wo, q, kt, v, s, att_keep, ctx, out_keep)
+
+
 def ffn(x, ln_g, ln_b, w1, b1, w2, b2, p, train, rng):
     """Position-wise feed-forward dropout(gelu(h w1 + b1) w2 + b2) of
     h = layer_norm(x, ln_g, ln_b) as one kernel.
@@ -702,7 +730,8 @@ def ffn(x, ln_g, ln_b, w1, b1, w2, b2, p, train, rng):
     gradients equal that chain's bit for bit. One tape entry, which saves
     xhat, inv, the pre-activation and the keep mask; backward rebuilds h and
     the GELU with the forward's own operations. The finite guard checks the
-    layer-norm variance and h, the pre-activation and the output.
+    layer-norm variance and h, the pre-activation (in _ffn_fwd) and the
+    output.
     """
     d, f = w1.shape
     if (x.shape[-1] != d or ln_g.shape != (d,) or ln_b.shape != (d,)
@@ -711,18 +740,8 @@ def ffn(x, ln_g, ln_b, w1, b1, w2, b2, p, train, rng):
                          f"ln_b {ln_b.shape}, w1 {w1.shape}, b1 {b1.shape}, "
                          f"w2 {w2.shape}, b2 {b2.shape}")
     gd, bd = ln_g.data, ln_b.data
-    h, xhat, inv = _layer_norm_fwd(x.data, gd, bd)
-    _check_finite(h, "layer_norm")
-    w1d, w2d = _row_major(w1.data), _row_major(w2.data)
-    pre = np.matmul(h, w1d)
-    del h
-    pre += b1.data
-    _check_finite(pre, "ffn")
-    out_data = np.matmul(_gelu_fwd(pre)[0], w2d)
-    out_data += b2.data
-    keep = _dropout_keep(out_data.shape, p, train, rng)
-    if keep is not None:
-        _dropped(out_data, keep, p, out=out_data)
+    out_data, (xhat, inv, w1d, w2d, pre, keep) = _ffn_fwd(
+        x.data, gd, bd, w1.data, b1.data, w2.data, b2.data, p, train, rng)
 
     def back(g, sink):
         # inputs: 0 x, 1 ln_g, 2 ln_b, 3 w1, 4 b1, 5 w2, 6 b2
@@ -741,3 +760,23 @@ def ffn(x, ln_g, ln_b, w1, b1, w2, b2, p, train, rng):
         _layer_norm_bwd(xhat, inv, gd, (g_rows @ w1d.T).reshape(xhat.shape), sink)
 
     return _result(out_data, "ffn", (x, ln_g, ln_b, w1, b1, w2, b2), back)
+
+
+def _ffn_fwd(x, gd, bd, w1, b1, w2, b2, p, train, rng):
+    """ffn's forward on arrays of checked shapes: (out, saved), with saved =
+    (xhat, inv, w1, w2 (row-major), the pre-activation, the keep mask), what
+    backward reads. Checks every intermediate the kernel does; the caller
+    checks out."""
+    h, xhat, inv = _layer_norm_fwd(x, gd, bd)
+    _check_finite(h, "layer_norm")
+    w1, w2 = _row_major(w1), _row_major(w2)
+    pre = np.matmul(h, w1)
+    del h
+    pre += b1
+    _check_finite(pre, "ffn")
+    out = np.matmul(_gelu_fwd(pre)[0], w2)
+    out += b2
+    keep = _dropout_keep(out.shape, p, train, rng)
+    if keep is not None:
+        _dropped(out, keep, p, out=out)
+    return out, (xhat, inv, w1, w2, pre, keep)

@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 
-from occlm import bpe, cli, corpus, model, train
+from occlm import bpe, cli, corpus, metrics, model, train
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -66,3 +66,28 @@ def test_tracer_counts_the_tokens_of_a_traced_encode(monkeypatch):
         tracer.uninstall()
     assert ids and tracer.counts["encode_tokens"] == len(ids)
     assert "bpe.encode" in {span[0] for span in tracer.spans}
+
+
+def test_tracer_sees_one_forward_per_generated_token(monkeypatch):
+    """gen_tokens_per_s is read from one model.forward call per generated
+    token: a decode loop that stopped calling model.forward would report 0
+    instead of failing. A traced greedy decode of k tokens, sliding past
+    block_size, records k forward spans over k contexts."""
+    tracing = _tracing(monkeypatch)
+    cfg = model.ModelConfig(vocab_size=16, block_size=8, d_model=8, n_layers=1,
+                            n_heads=2, dropout=0.0, ffn_mult=2).check()
+    params = model.init(cfg, seed=0)
+    prompt, k = [3, 4, 5, 6, 7], 6
+    tracer = tracing.Tracer("t")
+    tracer.install()
+    try:
+        out = metrics.generate(params, cfg, None, prompt,
+                               metrics.GenerationConfig(max_new_tokens=k))
+    finally:
+        tracer.uninstall()
+    assert len(out) == len(prompt) + k and bpe.EOT_ID not in out
+    names = [span[0] for span in tracer.spans]
+    assert names.count("model.forward.eval") == k
+    assert "model.forward.train" not in names
+    assert tracer.counts["gen_positions"] == sum(
+        min(len(prompt) + j, cfg.block_size) for j in range(k))

@@ -880,6 +880,16 @@ def _without(key):
     return edit
 
 
+def _huge_blob(edit):
+    """A header edit whose blob sizes exceed the file: the reader must say
+    so before it reads, instead of running out of memory."""
+    def apply(header):
+        edit(header)
+        return header
+
+    return apply
+
+
 # case -> (header edit, length prefix or None for the header's own)
 MALFORMED_HEADERS = {
     "list": (lambda h: [h], None),
@@ -891,6 +901,11 @@ MALFORMED_HEADERS = {
     "no-vocab-hash": (_without("vocab_hash"), None),
     "int-vocab-hash": (lambda h: {**h, "vocab_hash": 7}, None),
     "huge-length-prefix": (lambda h: h, 10**12),
+    "huge-tensor": (_huge_blob(
+        lambda h: h["tensors"][0].update(shape=[1000000, 1000000])), None),
+    "huge-extra": (_huge_blob(lambda h: h["extras"].append(
+        {"name": "adam.m.tok_emb", "shape": [100000, 100000, 100],
+         "dtype": "<f8"})), None),
 }
 
 

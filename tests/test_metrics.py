@@ -502,6 +502,26 @@ def test_protocol_memorized_model_scores_one(memorized_setup):
     assert result.n_skipped == 0
 
 
+def test_protocol_lays_out_the_tied_table_once_per_pass(monkeypatch,
+                                                        memorized_setup):
+    """bleu_eval_protocol makes generate's column-major table once and every
+    sentence's generate decodes from it as it is; the caller's table stays
+    row-major."""
+    sentence, vocab, cfg, params, _ = memorized_setup
+    tables, forward = [], model.forward
+
+    def recording(p, c, ids, **kw):
+        tables.append(p["tok_emb"].data)
+        return forward(p, c, ids, **kw)
+
+    monkeypatch.setattr(model, "forward", recording)
+    result = metrics.bleu_eval_protocol(params, cfg, vocab, [sentence] * 3)
+    assert result.bleu == pytest.approx(1.0) and len(tables) > 3
+    assert all(t is tables[0] for t in tables)
+    assert tables[0].flags.f_contiguous
+    assert params["tok_emb"].data.flags.c_contiguous
+
+
 def test_protocol_random_model_scores_near_zero():
     lines = demo.make_sentences(400, seed=0, style="mono")
     vocab = bpe.train_bpe(lines, target_size=512)

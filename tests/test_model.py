@@ -1,5 +1,6 @@
 """Model tests: init, forward oracles, causality, grads, checkpoints."""
 
+import contextlib
 import dataclasses
 import re
 import tracemalloc
@@ -9,13 +10,14 @@ import numpy as np
 import pytest
 
 from helpers import edit_checkpoint_config, fd_grad, max_rel_err
-from occlm import model
+from occlm import metrics, model
 from occlm import tensor as T
 from occlm.errors import (
     CheckpointError,
     ConfigError,
     LengthError,
     NumericsError,
+    ShapeError,
     TokenIndexError,
 )
 
@@ -363,6 +365,127 @@ def test_tape_saves_each_block_activation_once(monkeypatch):
         wide = [a for a in arrays if a.shape == (16, 64, 256)]
         assert len(wide) == 1 and wide[0].dtype == T.DTYPE
     assert block_normed == [None] * 4
+
+
+# the ac4 model and the sweep's 2-layer model, with dropout on for train mode
+PINNED_SHAPES = {
+    "ac4": dict(vocab_size=512, block_size=64, d_model=64, n_layers=2,
+                dropout=0.1, ffn_mult=4),
+    "sweep": dict(vocab_size=384, block_size=32, d_model=32, n_layers=2,
+                  dropout=0.1, ffn_mult=2),
+}
+
+
+def _pinned_params(shape, n_heads, seed=0):
+    """A checked config and its parameters, every one (layer-norm gains and
+    biases too) moved off its init value."""
+    cfg = model.ModelConfig(n_heads=n_heads, **PINNED_SHAPES[shape]).check()
+    params = model.init(cfg, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for _, t in params.items():
+        t.data += rng.normal(0.0, 0.05, size=t.shape).astype(T.DTYPE)
+    return cfg, params
+
+
+def _outcomes(params, cfg, ids, train=False, seed=None):
+    """model.forward with no tape open, then inside one: per path, the
+    logits' dtype, shape and bytes and the rng's final state, or the
+    exception's type and message."""
+    seen = []
+    for taped in (False, True):
+        rng = None if seed is None else np.random.default_rng(seed)
+        with contextlib.ExitStack() as stack:
+            if taped:
+                stack.enter_context(T.Tape())
+            try:
+                out = model.forward(params, cfg, ids, train=train, rng=rng).data
+            except Exception as exc:  # compared across the two paths
+                seen.append((type(exc), str(exc)))
+                continue
+        seen.append((out.dtype, out.shape, out.tobytes(),
+                     rng and rng.bit_generator.state))
+    return seen
+
+
+@pytest.mark.parametrize("table", ["c-order", "decoding"])
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+@pytest.mark.parametrize("shape", list(PINNED_SHAPES))
+def test_forward_without_a_tape_equals_the_kernel_path(shape, n_heads, table):
+    """With no tape open forward runs the kernels' array forwards directly;
+    its logits (and, in train mode, its dropout draws) are the kernel
+    path's bit for bit, at batch 1 and 16, length 1 and block_size, on the
+    caller's table and on generate's column-major copy."""
+    cfg, params = _pinned_params(shape, n_heads)
+    if table == "decoding":
+        params = metrics._decoding_params(params)
+        assert params["tok_emb"].data.flags.f_contiguous
+    rng = np.random.default_rng(7)
+    for rows in (1, 16):
+        for length in (1, cfg.block_size):
+            ids = rng.integers(0, cfg.vocab_size, size=(rows, length))
+            untaped, taped = _outcomes(params, cfg, ids)
+            assert untaped[0] == T.DTYPE and untaped[1] == (rows, length,
+                                                             cfg.vocab_size)
+            assert untaped == taped
+            untaped, taped = _outcomes(params, cfg, ids, train=True, seed=3)
+            assert untaped[3] is not None and untaped == taped
+
+
+def test_forward_without_a_tape_runs_no_kernel(monkeypatch):
+    """The two paths the test above compares are two: with no tape open no
+    kernel runs and only the logits become a Tensor."""
+    calls = []
+    for op in ("attention", "ffn", "embedding_lookup", "add", "dropout",
+               "layer_norm", "matmul", "transpose"):
+        kernel = getattr(T, op)
+        monkeypatch.setattr(T, op, lambda *a, _k=kernel, _op=op, **kw:
+                            calls.append(_op) or _k(*a, **kw))
+    wrapped = []
+    result = T._result
+    monkeypatch.setattr(T, "_result", lambda *a: wrapped.append(a[1]) or result(*a))
+    cfg, params = _pinned_params("sweep", 2)
+    ids = np.arange(8)[None, :]
+    model.forward(params, cfg, ids, train=True, rng=np.random.default_rng(0))
+    assert calls == [] and wrapped == ["matmul"]
+    with T.Tape():
+        model.forward(params, cfg, ids)
+    assert calls.count("attention") == calls.count("ffn") == cfg.n_layers
+
+
+@pytest.mark.parametrize("name", model.param_shapes(model.ModelConfig(
+    n_heads=2, **PINNED_SHAPES["sweep"])))
+def test_forward_paths_raise_alike_on_a_planted_nan(name):
+    cfg, params = _pinned_params("sweep", 2)
+    t = params[name]
+    t.data.reshape(-1)[t.size // 2] = np.nan
+    ids = np.random.default_rng(0).integers(0, cfg.vocab_size,
+                                            size=(2, cfg.block_size))
+    untaped, taped = _outcomes(params, cfg, ids)
+    assert untaped[0] is NumericsError and untaped == taped
+
+
+@pytest.mark.parametrize("bad", [384, -1, 10**6])
+def test_forward_paths_raise_alike_on_an_out_of_range_id(bad):
+    cfg, params = _pinned_params("sweep", 2)
+    untaped, taped = _outcomes(params, cfg, np.array([[3, bad, 4]]))
+    assert untaped[0] is TokenIndexError and untaped == taped
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("tok_emb", (384, 33)), ("pos_emb", (31, 32)), ("block1.attn.wo", (32, 16)),
+    ("block0.ffn.b1", (64, 1)),
+    # used to broadcast through the final layer norm without an error
+    ("ln_f.g", (1,)),
+])
+def test_forward_paths_raise_alike_on_a_wrong_shaped_parameter(name, shape):
+    cfg, params = _pinned_params("sweep", 2)
+    tensors = dict(params.items())
+    tensors[name] = T.Tensor(np.ones(shape))
+    bad = model.ParameterSet(cfg, tensors)
+    untaped, taped = _outcomes(bad, cfg, np.array([[3, 4, 5]]))
+    assert untaped == taped == (
+        ShapeError, f"parameter {name} has shape {shape}, config implies "
+                    f"{params[name].shape}")
 
 
 def test_one_shard_step_stays_under_its_memory_bound():
