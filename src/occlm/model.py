@@ -161,20 +161,6 @@ def init(config, seed):
     return ParameterSet(config, tensors)
 
 
-def _block(params, config, i, x, train, rng):
-    p = f"block{i}"
-    x = T.add(x, T.attention(
-        x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"], params[f"{p}.attn.wq"],
-        params[f"{p}.attn.wk"], params[f"{p}.attn.wv"], params[f"{p}.attn.wo"],
-        config.n_heads, config.dropout, train, rng,
-    ))
-    return T.add(x, T.ffn(
-        x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"], params[f"{p}.ffn.w1"],
-        params[f"{p}.ffn.b1"], params[f"{p}.ffn.w2"], params[f"{p}.ffn.b2"],
-        config.dropout, train, rng,
-    ))
-
-
 def forward(params, config, ids, train=False, rng=None):
     """Run the decoder; returns logits of shape B x T x V.
 
@@ -183,40 +169,46 @@ def forward(params, config, ids, train=False, rng=None):
     raises TokenIndexError, and a parameter whose shape config does not
     imply raises ShapeError.
 
-    With a tape open on this thread the forward runs through the kernels,
-    which record it. With none, nothing would be recorded, so it runs the
-    kernels' array forwards directly (_forward_arrays): the same arithmetic
-    and rng draws, the same finite checks under the same op names, and no
-    Tensor, shape check or backward closure per op.
+    The forward is four fused kernels: T.embed, then T.attention and T.ffn
+    per block (each with its pre-layer-norm and residual), then T.head.
+    Each checks its output and records one tape entry when a tape is open
+    on this thread, and none when no tape is, so a training forward and a
+    decoding step run the same arithmetic, rng draws and checks.
     """
     ids = np.asarray(ids)
     if ids.ndim == 1:
         ids = ids[None, :]
     if ids.ndim != 2:
         raise LengthError(f"ids must be 1-D or 2-D, got shape {ids.shape}")
-    B, S = ids.shape
+    S = ids.shape[1]
     if S < 1:
         raise LengthError("forward needs at least one token")
     if S > config.block_size:
         raise LengthError(f"sequence length {S} exceeds block_size {config.block_size}")
     _check_shapes(params, config)
+    p = config.dropout
 
     with np.errstate(all="ignore"):  # the kernels' finite guard is the loud path
-        if T.active_tape() is None:
-            return _forward_arrays(params, config, ids, train, rng)
-        tok = T.embedding_lookup(params["tok_emb"], ids)
-        pos = T.embedding_lookup(params["pos_emb"], np.arange(S))
-        x = T.dropout(T.add(tok, pos), config.dropout, train, rng)
+        x = T.embed(params["tok_emb"], params["pos_emb"], ids, p, train, rng)
         for i in range(config.n_layers):
-            x = _block(params, config, i, x, train, rng)
-        x = T.layer_norm(x, params["ln_f.g"], params["ln_f.b"])
-        return T.matmul(x, T.transpose(params["tok_emb"], (1, 0)))
+            b = f"block{i}"
+            x = T.attention(
+                x, params[f"{b}.ln1.g"], params[f"{b}.ln1.b"],
+                params[f"{b}.attn.wq"], params[f"{b}.attn.wk"],
+                params[f"{b}.attn.wv"], params[f"{b}.attn.wo"],
+                config.n_heads, p, train, rng)
+            x = T.ffn(
+                x, params[f"{b}.ln2.g"], params[f"{b}.ln2.b"],
+                params[f"{b}.ffn.w1"], params[f"{b}.ffn.b1"],
+                params[f"{b}.ffn.w2"], params[f"{b}.ffn.b2"], p, train, rng)
+        return T.head(x, params["ln_f.g"], params["ln_f.b"], params["tok_emb"])
 
 
 def _check_shapes(params, config):
     """ShapeError unless every parameter has the shape config implies and
-    d_model splits into n_heads heads: what the kernels' shape checks catch,
-    once per forward."""
+    d_model splits into n_heads heads, once per forward: the only check of
+    the embedding tables and ln_f, whose kernels (embed, head) check no
+    shapes, and an earlier, clearer one for the blocks' parameters."""
     c = config
     for name, shape in _shape_items(c.vocab_size, c.block_size, c.d_model,
                                     c.n_layers, c.ffn_mult):
@@ -235,50 +227,6 @@ def _shape_items(vocab_size, block_size, d_model, n_layers, ffn_mult):
     costs more than the check that reads it at every generated token."""
     return tuple(param_shapes(ModelConfig(
         vocab_size, block_size, d_model, n_layers, ffn_mult=ffn_mult)).items())
-
-
-def _forward_arrays(params, config, ids, train, rng):
-    """forward with no tape open, on arrays: the ops of the kernel path in
-    its order, each output checked as its kernel's _result checks it.
-    Bit-identical to the kernel path, rng state included."""
-    check, p = T._check_finite, config.dropout
-    w = {name: t.data for name, t in params.items()}
-    table = w["tok_emb"]
-    T._check_ids(ids, table.shape[0])
-    x = table[ids]
-    check(x, "embedding_lookup")
-    pos = w["pos_emb"][: ids.shape[1]]
-    check(pos, "embedding_lookup")
-    x += pos
-    check(x, "add")
-    keep = T._dropout_keep(x.shape, p, train, rng)
-    if keep is not None:
-        T._dropped(x, keep, p, out=x)
-        check(x, "dropout")
-    for i in range(config.n_layers):
-        b = f"block{i}"
-        out = T._attention_fwd(
-            x, w[f"{b}.ln1.g"], w[f"{b}.ln1.b"], w[f"{b}.attn.wq"],
-            w[f"{b}.attn.wk"], w[f"{b}.attn.wv"], w[f"{b}.attn.wo"],
-            config.n_heads, p, train, rng)[0]
-        check(out, "attention")
-        out += x  # x + out: float addition commutes, bit for bit
-        check(out, "add")
-        x = T._ffn_fwd(
-            out, w[f"{b}.ln2.g"], w[f"{b}.ln2.b"], w[f"{b}.ffn.w1"],
-            w[f"{b}.ffn.b1"], w[f"{b}.ffn.w2"], w[f"{b}.ffn.b2"],
-            p, train, rng)[0]
-        check(x, "ffn")
-        x += out
-        check(x, "add")
-    x = T._layer_norm_fwd(x, w["ln_f.g"], w["ln_f.b"])[0]
-    check(x, "layer_norm")
-    head = table.T
-    check(head, "transpose")
-    # the head's matmul kernel: row-major operands; _result checks the
-    # logits and wraps them (it records nothing with no tape open)
-    return T._result(np.matmul(T._row_major(x), T._row_major(head)),
-                     "matmul", (), None)
 
 
 def sequence_logprob(params, config, ids):

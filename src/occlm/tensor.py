@@ -10,49 +10,46 @@ letting it propagate. numpy's FP warnings are silenced once per engine pass
 so a kernel called outside one may warn before its NumericsError. Outputs
 keep numpy's strides: ``transpose`` returns a view.
 
-The decoder's attention sub-layer and FFN, each with the pre-layer-norm in
-front of it, are one kernel each (``attention``, ``ffn``): one tape entry and
-one hand-written backward per sub-layer instead of a chain of small ops.
-They reuse the primitives' array arithmetic (the shared ``_layer_norm_*``,
-``_softmax_*``, ``_gelu_*``, ``_dropout_keep`` and ``_dropped`` helpers) and
-make the same products in the same order, so they are bit-identical to the
-composition of primitives they replace. Each is a shape check and a tape
-record around an array-level forward (``_attention_fwd``, ``_ffn_fwd``) that
-does the arithmetic, the rng draws and the finite checks of every
-intermediate. A kernel call's bookkeeping (shape checks, a Tensor, a
-closure, ``_result``) is a fixed cost that a batch-1 decoding step, whose
-arrays are tiny, pays at each of its 14 kernel calls; ``model.forward``
-with no open tape records nothing, so it calls the array forwards directly
-and pays only the arithmetic and the checks. Each kernel saves every
-activation its backward reads once and rebuilds the cheap rest with the
-forward's own operations: both keep the layer norm's ``xhat`` and ``inv``
-and rebuild its output ``xhat * g + b``;
-``attention`` keeps q, k^T, v, the softmax, the context and the dropout
-masks and rebuilds the dropped softmax; ``ffn`` keeps the pre-activation and
-its dropout mask and reruns the GELU for its output and ``t``.
-``layer_norm`` serves only the decoder's final ``ln_f``. ``softmax_lastdim``,
-``causal_mask_fill``, ``gelu`` and ``reshape`` have no caller left in the
-decoder; they stay as public kernels because that composition, built from
-them, is the reference the fused kernels are tested against, and the
-benchmark's tracer times them by name.
+The decoder is four fused kernels: ``embed`` (the token and position
+lookups, their sum and the input dropout), ``attention`` and ``ffn`` (a
+block's sub-layers, each with its pre-layer-norm in front and its residual
+sum behind) and ``head`` (``ln_f`` and the tied projection). Each is one
+tape entry and one hand-written backward instead of a chain of small ops,
+and ``model.forward`` calls the same four whether or not a tape is open:
+with none, ``_result`` records nothing. They reuse the primitives' array
+arithmetic (the shared ``_layer_norm_*``, ``_softmax_*``, ``_gelu_*``,
+``_dropout_keep`` and ``_dropped`` helpers) and make the same products in
+the same order, so they are bit-identical to the composition of primitives
+they replace. Each saves every activation its backward reads once and
+rebuilds the cheap rest with the forward's own operations: all but
+``embed`` keep the layer norm's ``xhat`` and ``inv`` and rebuild its output
+``xhat * g + b``; ``attention`` keeps q, k^T, v, the softmax, the context
+and the dropout masks and rebuilds the dropped softmax; ``ffn`` keeps the
+pre-activation and its dropout mask and reruns the GELU for its output and
+``t``; ``head`` keeps the row-major transposed table. The primitives
+``add``, ``matmul``, ``transpose``, ``embedding_lookup``, ``layer_norm``,
+``dropout``, ``softmax_lastdim``, ``causal_mask_fill``, ``gelu`` and
+``reshape`` have no caller left in the decoder; they stay as public kernels
+because that composition, built from them, is the reference the fused
+kernels are tested against, and the benchmark's tracer times them by name.
 
 Kernels never write into their inputs; only the optimizer updates a
 parameter's data in place (``train.adamw_update``). A tape holds only what
 backward reads. Each entry holds its output's gradient handle (a shape, not
 the output array), its inputs' handles (a leaf tensor is its own handle) and
 a backward closure over just the arrays that backward needs, so an op output
-no backward reads (a residual sum, the embedding or dropout output, a
-block's layer-norm output, the attention or FFN output, the head logits) is
-freed as soon as the forward stops using it. Dropout keeps a bool keep mask.
-A forward with no open tape builds no handles. A tape belongs to one
-training context and serves one ``backward``, which consumes it: each entry,
-its saved arrays and its output's gradient are freed as soon as the walk has
-used them, so a step's peak holds the saved arrays plus only the live
-gradients. ``backward`` returns the gradients of the leaves (tensors no op
-recorded on that tape produced) as a ``{leaf: gradient}`` dict; a Tensor is
-only its data and its handle, and nothing writes a gradient onto it. The
-active-tape stack is thread-local, so independent contexts, such as two row
-shards over the same parameter tensors, can run on separate threads.
+no backward reads (the embedding output, a layer-norm output, each
+sub-layer's output, the head logits) is freed as soon as the forward stops
+using it. Dropout keeps a bool keep mask. A forward with no open tape
+builds no handles. A tape belongs to one training context and serves one
+``backward``, which consumes it: each entry, its saved arrays and its
+output's gradient are freed as soon as the walk has used them, so a step's
+peak holds the saved arrays plus only the live gradients. ``backward``
+returns the gradients of the leaves (tensors no op recorded on that tape
+produced) as a ``{leaf: gradient}`` dict; a Tensor is only its data and its
+handle, and nothing writes a gradient onto it. The active-tape stack is
+thread-local, so independent contexts, such as two row shards over the same
+parameter tensors, can run on separate threads.
 """
 
 from __future__ import annotations
@@ -623,21 +620,55 @@ def cross_entropy(logits, targets, ignore_mask=None):
 # ---------------------------------------------------------------------------
 
 
-def attention(x, ln_g, ln_b, wq, wk, wv, wo, n_heads, p, train, rng):
-    """Causal multi-head self-attention of layer_norm(x) (B, S, d) as one kernel.
+def embed(tok_emb, pos_emb, ids, p, train, rng):
+    """The decoder's input, dropout(tok_emb[ids] + pos_emb[:S]) for a (B, S)
+    id grid, as one kernel: the gathers, sum and rng draw of the chain
+    embedding_lookup, embedding_lookup, add, dropout, bit for bit. An id
+    outside tok_emb's rows raises TokenIndexError before the draw. Saves the
+    ids and the keep mask; checks only its output, which a non-finite
+    gathered row reaches, and no shape (model.forward's _check_shapes does).
+    """
+    table = tok_emb.data
+    _check_ids(ids, table.shape[0])
+    S = ids.shape[-1]
+    out = table[ids]
+    out += pos_emb.data[:S]
+    keep = _dropout_keep(out.shape, p, train, rng)
+    if keep is not None:
+        _dropped(out, keep, p, out=out)
+    tok_shape, pos_shape = table.shape, pos_emb.shape
 
-    With h = layer_norm(x, ln_g, ln_b), computes
-    dropout(dropout(softmax(mask(q k^T / sqrt(hd)))) v wo), with q, k, v =
-    h wq, h wk, h wv split into n_heads heads of hd = d / n_heads. It makes
-    the products, operand layouts and rng draws (probabilities first, then
-    output) of the primitive chain layer_norm, matmul, reshape, transpose,
-    scale, causal_mask_fill, softmax_lastdim, dropout, so its outputs and
-    gradients equal that chain's bit for bit. One tape entry; its backward
-    reuses the saved softmax and rebuilds the dropped weights from it and the
-    saved keep mask, and rebuilds h from the saved xhat. The finite guard
-    checks the layer-norm variance and h, v, the scores (in _attention_fwd)
-    and the output: a non-finite q row or k row spreads over a whole scores
-    row or column, but a non-finite v entry can hide behind a zero weight.
+    def back(g, sink):
+        # inputs: 0 tok_emb, 1 pos_emb
+        if keep is not None:
+            g = _dropped(g, keep, p)
+        grad = np.zeros(tok_shape, dtype=DTYPE)
+        np.add.at(grad, ids.reshape(-1), g.reshape(-1, tok_shape[1]))
+        sink(0, grad)
+        grad = np.zeros(pos_shape, dtype=DTYPE)
+        np.add.at(grad, np.arange(S), g.sum(axis=0))
+        sink(1, grad)
+
+    return _result(out, "embed", (tok_emb, pos_emb), back)
+
+
+def attention(x, ln_g, ln_b, wq, wk, wv, wo, n_heads, p, train, rng):
+    """A pre-LN attention sub-layer with its residual, x + attn(layer_norm(x)),
+    for x of shape (B, S, d), as one kernel.
+
+    With h = layer_norm(x, ln_g, ln_b), attn is the causal multi-head
+    self-attention dropout(dropout(softmax(mask(q k^T / sqrt(hd)))) v wo),
+    with q, k, v = h wq, h wk, h wv split into n_heads heads of hd = d /
+    n_heads. It makes the products, operand layouts and rng draws
+    (probabilities first, then output) of the primitive chain layer_norm,
+    matmul, reshape, transpose, scale, causal_mask_fill, softmax_lastdim,
+    dropout, add, so its output and gradients equal that chain's bit for
+    bit. One tape entry, which saves xhat, inv, q, k^T, v, the softmax, the
+    context and the keep masks; backward rebuilds the dropped weights from
+    the softmax and its mask, and h from xhat. The finite guard checks the
+    layer-norm variance and h, v, the scores and the output: a non-finite q
+    row or k row spreads over a whole scores row or column, but a non-finite
+    v entry can hide behind a zero weight.
     """
     if x.ndim != 3 or x.shape[-1] % n_heads:
         raise ShapeError(f"attention needs (B, S, d) with d divisible by "
@@ -650,14 +681,36 @@ def attention(x, ln_g, ln_b, wq, wk, wv, wo, n_heads, p, train, rng):
                          f"({d}, {d}) weights, got "
                          f"{[w.shape for w in (ln_g, ln_b, wq, wk, wv, wo)]}")
     gd, bd = ln_g.data, ln_b.data
-    out_data, (xhat, inv, wqd, wkd, wvd, wod, q, kt, v, s, att_keep, ctx,
-               out_keep) = _attention_fwd(x.data, gd, bd, wq.data, wk.data,
-                                          wv.data, wo.data, n_heads, p, train, rng)
-    allowed = _causal_allowed(S)
+    h, xhat, inv = _layer_norm_fwd(x.data, gd, bd)
+    _check_finite(h, "layer_norm")
+    wqd, wkd, wvd, wod = (_row_major(w.data) for w in (wq, wk, wv, wo))
+    # heads as (B, H, S, hd) views; k^T as (B, H, hd, S) in row-major order
+    q = np.matmul(h, wqd).reshape(B, S, H, hd).transpose(0, 2, 1, 3)
+    kt = _row_major(np.matmul(h, wkd).reshape(B, S, H, hd).transpose(0, 2, 3, 1))
+    v = np.matmul(h, wvd).reshape(B, S, H, hd).transpose(0, 2, 1, 3)
+    del h
+    _check_finite(v, "attention")
     scale = DTYPE(1.0 / math.sqrt(hd))
+    scores = np.matmul(q, kt)
+    scores *= scale
+    _check_finite(scores, "attention")
+    allowed = _causal_allowed(S)
+    s = _softmax_fwd(np.where(allowed, scores, DTYPE(-1e9)))
+    del scores
+    att_keep = _dropout_keep(s.shape, p, train, rng)
+    att = s if att_keep is None else _dropped(s, att_keep, p)
+    ctx = _row_major(np.matmul(att, v).transpose(0, 2, 1, 3).reshape(B, S, d))
+    del att
+    out = np.matmul(ctx, wod)
+    out_keep = _dropout_keep(out.shape, p, train, rng)
+    if out_keep is not None:
+        _dropped(out, out_keep, p, out=out)
+    out += x.data  # x + out: float addition commutes, bit for bit
 
     def back(g, sink):
-        # inputs: 0 x, 1 ln_g, 2 ln_b, 3 wq, 4 wk, 5 wv, 6 wo
+        # inputs: 0 x, 1 ln_g, 2 ln_b, 3 wq, 4 wk, 5 wv, 6 wo; the residual's
+        # gradient goes to x first, so x's sum is g + dx as in add's backward
+        sink(0, g)
         if out_keep is not None:
             g = _dropped(g, out_keep, p)
         g_rows = g.reshape(-1, d)
@@ -686,52 +739,20 @@ def attention(x, ln_g, ln_b, wq, wk, wv, wo, n_heads, p, train, rng):
         del h_rows
         _layer_norm_bwd(xhat, inv, gd, dh.reshape(B, S, d), sink)
 
-    return _result(out_data, "attention", (x, ln_g, ln_b, wq, wk, wv, wo), back)
-
-
-def _attention_fwd(x, gd, bd, wq, wk, wv, wo, n_heads, p, train, rng):
-    """attention's forward on arrays of checked shapes: (out, saved), with
-    saved = (xhat, inv, wq, wk, wv, wo (row-major), q, k^T, v, softmax, its
-    keep mask, ctx, the output's keep mask), what backward reads. Checks
-    every intermediate the kernel does; the caller checks out."""
-    B, S, d = x.shape
-    H, hd = n_heads, d // n_heads
-    h, xhat, inv = _layer_norm_fwd(x, gd, bd)
-    _check_finite(h, "layer_norm")
-    wq, wk, wv, wo = (_row_major(w) for w in (wq, wk, wv, wo))
-    # heads as (B, H, S, hd) views; k^T as (B, H, hd, S) in row-major order
-    q = np.matmul(h, wq).reshape(B, S, H, hd).transpose(0, 2, 1, 3)
-    kt = _row_major(np.matmul(h, wk).reshape(B, S, H, hd).transpose(0, 2, 3, 1))
-    v = np.matmul(h, wv).reshape(B, S, H, hd).transpose(0, 2, 1, 3)
-    del h
-    _check_finite(v, "attention")
-    scores = np.matmul(q, kt)
-    scores *= DTYPE(1.0 / math.sqrt(hd))
-    _check_finite(scores, "attention")
-    s = _softmax_fwd(np.where(_causal_allowed(S), scores, DTYPE(-1e9)))
-    del scores
-    att_keep = _dropout_keep(s.shape, p, train, rng)
-    att = s if att_keep is None else _dropped(s, att_keep, p)
-    ctx = _row_major(np.matmul(att, v).transpose(0, 2, 1, 3).reshape(B, S, d))
-    del att
-    out = np.matmul(ctx, wo)
-    out_keep = _dropout_keep(out.shape, p, train, rng)
-    if out_keep is not None:
-        _dropped(out, out_keep, p, out=out)
-    return out, (xhat, inv, wq, wk, wv, wo, q, kt, v, s, att_keep, ctx, out_keep)
+    return _result(out, "attention", (x, ln_g, ln_b, wq, wk, wv, wo), back)
 
 
 def ffn(x, ln_g, ln_b, w1, b1, w2, b2, p, train, rng):
-    """Position-wise feed-forward dropout(gelu(h w1 + b1) w2 + b2) of
-    h = layer_norm(x, ln_g, ln_b) as one kernel.
+    """A pre-LN feed-forward sub-layer with its residual, x +
+    dropout(gelu(h w1 + b1) w2 + b2) with h = layer_norm(x, ln_g, ln_b), as
+    one kernel.
 
     Same products, operand layouts and rng draw as the primitive chain
-    layer_norm, matmul, add, gelu, matmul, add, dropout, so its outputs and
-    gradients equal that chain's bit for bit. One tape entry, which saves
-    xhat, inv, the pre-activation and the keep mask; backward rebuilds h and
-    the GELU with the forward's own operations. The finite guard checks the
-    layer-norm variance and h, the pre-activation (in _ffn_fwd) and the
-    output.
+    layer_norm, matmul, add, gelu, matmul, add, dropout, add, so its output
+    and gradients equal that chain's bit for bit. One tape entry, which
+    saves xhat, inv, the pre-activation and the keep mask; backward rebuilds
+    h and the GELU with the forward's own operations. The finite guard
+    checks the layer-norm variance and h, the pre-activation and the output.
     """
     d, f = w1.shape
     if (x.shape[-1] != d or ln_g.shape != (d,) or ln_b.shape != (d,)
@@ -740,11 +761,24 @@ def ffn(x, ln_g, ln_b, w1, b1, w2, b2, p, train, rng):
                          f"ln_b {ln_b.shape}, w1 {w1.shape}, b1 {b1.shape}, "
                          f"w2 {w2.shape}, b2 {b2.shape}")
     gd, bd = ln_g.data, ln_b.data
-    out_data, (xhat, inv, w1d, w2d, pre, keep) = _ffn_fwd(
-        x.data, gd, bd, w1.data, b1.data, w2.data, b2.data, p, train, rng)
+    h, xhat, inv = _layer_norm_fwd(x.data, gd, bd)
+    _check_finite(h, "layer_norm")
+    w1d, w2d = _row_major(w1.data), _row_major(w2.data)
+    pre = np.matmul(h, w1d)
+    del h
+    pre += b1.data
+    _check_finite(pre, "ffn")
+    out = np.matmul(_gelu_fwd(pre)[0], w2d)
+    out += b2.data
+    keep = _dropout_keep(out.shape, p, train, rng)
+    if keep is not None:
+        _dropped(out, keep, p, out=out)
+    out += x.data  # x + out: float addition commutes, bit for bit
 
     def back(g, sink):
-        # inputs: 0 x, 1 ln_g, 2 ln_b, 3 w1, 4 b1, 5 w2, 6 b2
+        # inputs: 0 x, 1 ln_g, 2 ln_b, 3 w1, 4 b1, 5 w2, 6 b2; the residual's
+        # gradient goes to x first, so x's sum is g + dx as in add's backward
+        sink(0, g)
         if keep is not None:
             g = _dropped(g, keep, p)
         sink(6, g)
@@ -759,24 +793,32 @@ def ffn(x, ln_g, ln_b, w1, b1, w2, b2, p, train, rng):
         sink(3, _layer_norm_affine(xhat, gd, bd).reshape(-1, d).T @ g_rows)
         _layer_norm_bwd(xhat, inv, gd, (g_rows @ w1d.T).reshape(xhat.shape), sink)
 
-    return _result(out_data, "ffn", (x, ln_g, ln_b, w1, b1, w2, b2), back)
+    return _result(out, "ffn", (x, ln_g, ln_b, w1, b1, w2, b2), back)
 
 
-def _ffn_fwd(x, gd, bd, w1, b1, w2, b2, p, train, rng):
-    """ffn's forward on arrays of checked shapes: (out, saved), with saved =
-    (xhat, inv, w1, w2 (row-major), the pre-activation, the keep mask), what
-    backward reads. Checks every intermediate the kernel does; the caller
-    checks out."""
-    h, xhat, inv = _layer_norm_fwd(x, gd, bd)
-    _check_finite(h, "layer_norm")
-    w1, w2 = _row_major(w1), _row_major(w2)
-    pre = np.matmul(h, w1)
+def head(x, ln_g, ln_b, tok_emb):
+    """The tied output head, logits layer_norm(x, ln_g, ln_b) @ tok_emb^T, as
+    one kernel: the products and operand layouts of the chain layer_norm,
+    transpose, matmul, bit for bit, with the (d, V) operand row-major (a
+    copy of a C-order table's transpose; a column-major table's as it is).
+    Saves xhat, inv and that operand; backward rebuilds h from xhat. Checks
+    the layer-norm variance and the logits only, which any non-finite h or
+    table entry, gathered by an id or not, reaches; and no shape
+    (model.forward's _check_shapes does).
+    """
+    gd, bd = ln_g.data, ln_b.data
+    h, xhat, inv = _layer_norm_fwd(x.data, gd, bd)
+    wt = _row_major(tok_emb.data.T)
+    out = np.matmul(h, wt)
     del h
-    pre += b1
-    _check_finite(pre, "ffn")
-    out = np.matmul(_gelu_fwd(pre)[0], w2)
-    out += b2
-    keep = _dropout_keep(out.shape, p, train, rng)
-    if keep is not None:
-        _dropped(out, keep, p, out=out)
-    return out, (xhat, inv, w1, w2, pre, keep)
+    d, V = wt.shape
+
+    def back(g, sink):
+        # inputs: 0 x, 1 ln_g, 2 ln_b, 3 tok_emb
+        g_rows = g.reshape(-1, V)
+        h_rows = _layer_norm_affine(xhat, gd, bd).reshape(-1, d)
+        sink(3, (h_rows.T @ g_rows).T)
+        del h_rows
+        _layer_norm_bwd(xhat, inv, gd, (g_rows @ wt.T).reshape(xhat.shape), sink)
+
+    return _result(out, "head", (x, ln_g, ln_b, tok_emb), back)

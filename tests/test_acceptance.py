@@ -83,6 +83,21 @@ def test_ac1_gradient_integrity():
             for op_fn, inputs in fused:
                 check_op_grads(op_fn, inputs, h=1e-2, rtol=1e-3, seed=seed,
                                richardson=True)
+        # the decoder's input and output kernels, with the same oracle; their
+        # inputs come from a third generator, so the checks above keep theirs
+        io_rng = np.random.default_rng(seed + 3000)
+        io_ids = io_rng.integers(0, 7, size=(2, 3))
+        io_checks = [
+            (lambda tok, pos, tm=train_mode: T.embed(
+                tok, pos, io_ids, 0.3, tm, np.random.default_rng(99)),
+             [_randt(io_rng, 7, 4), _randt(io_rng, 5, 4)])
+            for train_mode in (False, True)
+        ] + [(lambda x, g, b, tok: T.head(x, g, b, tok),
+              [_randt(io_rng, 2, 3, 4), _randt(io_rng, 4), _randt(io_rng, 4),
+               _randt(io_rng, 7, 4)])]
+        for op_fn, inputs in io_checks:
+            check_op_grads(op_fn, inputs, h=1e-2, rtol=1e-3, seed=seed,
+                           richardson=True)
 
     for seed in range(10):
         p = model.init(TINY, seed=seed)

@@ -49,7 +49,7 @@ def test_tracer_records_op_and_forward_spans_of_a_train_step(monkeypatch):
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
-    assert {"tensor.matmul.fwd", "tensor.matmul.bwd",
+    assert {"tensor.cross_entropy.fwd", "tensor.cross_entropy.bwd",
             "model.forward.train"} <= names
 
 

@@ -14,6 +14,10 @@ PACKAGE = os.path.join(ROOT, "src", "occlm")
 PROGRAM = (PACKAGE, os.path.join(ROOT, "scripts"), os.path.join(ROOT, "perfbench"))
 TENSOR = os.path.join(PACKAGE, "tensor.py")
 
+# the reference ops the decoder's fused kernels replaced
+_TRACED_REFERENCE = ("the benchmark tracer's OPS wraps it by name, and ac1 and "
+                     "the fused-kernel reference chains build on it")
+
 # name -> why it stays without a caller in the program
 ALLOWED_UNREFERENCED = {
     "mul": "ac1 and the fused-kernel reference chain build on it",
@@ -26,6 +30,8 @@ ALLOWED_UNREFERENCED = {
     "sequence_logprob": "the golden greedy decode scores with it",
     "save_train_checkpoint": "waits for resumable CLI training runs",
     "load_train_checkpoint": "waits for resumable CLI training runs",
+    **dict.fromkeys(("add", "matmul", "transpose", "embedding_lookup",
+                     "layer_norm", "dropout"), _TRACED_REFERENCE),
 }
 
 

@@ -293,8 +293,7 @@ def test_tape_pins_no_op_output(monkeypatch):
 
         return wrapper
 
-    # model.forward calls matmul only for the head
-    for op in ("add", "attention", "ffn", "embedding_lookup", "dropout", "matmul"):
+    for op in ("embed", "attention", "ffn", "head"):
         monkeypatch.setattr(T, op, tracking(op))
     with T.Tape() as tape:
         loss = T.cross_entropy(
@@ -303,8 +302,7 @@ def test_tape_pins_no_op_output(monkeypatch):
         counts = {op: len(r) for op, r in refs.items()}
         alive = {op: sum(ref() is not None for ref in r) for op, r in refs.items()}
         T.backward(loss, tape)
-    assert counts == {"add": 5, "attention": 2, "ffn": 2, "embedding_lookup": 2,
-                      "dropout": 1, "matmul": 1}
+    assert counts == {"embed": 1, "attention": 2, "ffn": 2, "head": 1}
     assert alive == dict.fromkeys(counts, 0)
 
 
@@ -326,21 +324,23 @@ def test_forward_without_a_tape_builds_no_handle(monkeypatch):
     assert made == []
     with T.Tape() as tape:
         model.forward(p, AC4_SHARD, ids[:1])
-    assert len(made) == len(tape) == 14
+    # embed, then attention and ffn per block, then head
+    assert len(made) == len(tape) == 6
 
 
 def test_tape_saves_each_block_activation_once(monkeypatch):
     # on one 16-row ac4 shard each FFN closure holds the pre-activation as
-    # its one (16, 64, 256) float array, not GELU's t or output, and the
-    # blocks' four layer-norm outputs are freed once their kernel returns:
-    # backward rebuilds them from the saved xhat
+    # its one (16, 64, 256) float array, not GELU's t or output, and all
+    # five layer-norm outputs (the blocks' four and ln_f's) are freed once
+    # their kernel returns: backward rebuilds them from the saved xhat
     p, ids, targets = _ac4_shard()
-    normed = []
+    normed, normalized = [], []
     affine = T._layer_norm_affine
 
-    def tracking(*args):
-        out = affine(*args)
+    def tracking(xhat, gd, bd):
+        out = affine(xhat, gd, bd)
         normed.append(weakref.ref(out))
+        normalized.append(xhat)
         return out
 
     monkeypatch.setattr(T, "_layer_norm_affine", tracking)
@@ -354,17 +354,20 @@ def test_tape_saves_each_block_activation_once(monkeypatch):
             arrays = [cell.cell_contents for cell in fn.__closure__ or ()
                       if isinstance(cell.cell_contents, np.ndarray)]
             saved.setdefault(fn.__qualname__.split(".")[0], []).append(arrays)
-        block_normed = [ref() for ref in normed[:4]]
+        forward_normed = [ref() for ref in normed]
         T.backward(loss, tape)
-    # five layer norms in forward (four in the blocks, then ln_f), and the
-    # blocks' four rebuilt in backward
-    assert len(normed) == 9
-    assert sum(map(len, saved.values())) == 16
+    # five layer norms in forward, all five rebuilt in backward
+    assert len(normed) == 10
+    assert sum(map(len, saved.values())) == 7
     assert len(saved["ffn"]) == 2
     for arrays in saved["ffn"]:
         wide = [a for a in arrays if a.shape == (16, 64, 256)]
         assert len(wide) == 1 and wide[0].dtype == T.DTYPE
-    assert block_normed == [None] * 4
+    assert forward_normed == [None] * 5
+    # the head holds ln_f's xhat, and no other (16, 64, 64) array
+    (head_arrays,) = saved["head"]
+    held = [a for a in head_arrays if a.shape == (16, 64, 64)]
+    assert len(held) == 1 and held[0] is normalized[4]
 
 
 # the ac4 model and the sweep's 2-layer model, with dropout on for train mode
@@ -388,7 +391,7 @@ def _pinned_params(shape, n_heads, seed=0):
 
 
 def _outcomes(params, cfg, ids, train=False, seed=None):
-    """model.forward with no tape open, then inside one: per path, the
+    """model.forward with no tape open, then inside one: per run, the
     logits' dtype, shape and bytes and the rng's final state, or the
     exception's type and message."""
     seen = []
@@ -399,7 +402,7 @@ def _outcomes(params, cfg, ids, train=False, seed=None):
                 stack.enter_context(T.Tape())
             try:
                 out = model.forward(params, cfg, ids, train=train, rng=rng).data
-            except Exception as exc:  # compared across the two paths
+            except Exception as exc:  # compared across the two runs
                 seen.append((type(exc), str(exc)))
                 continue
         seen.append((out.dtype, out.shape, out.tobytes(),
@@ -411,10 +414,10 @@ def _outcomes(params, cfg, ids, train=False, seed=None):
 @pytest.mark.parametrize("n_heads", [1, 2, 4])
 @pytest.mark.parametrize("shape", list(PINNED_SHAPES))
 def test_forward_without_a_tape_equals_the_kernel_path(shape, n_heads, table):
-    """With no tape open forward runs the kernels' array forwards directly;
-    its logits (and, in train mode, its dropout draws) are the kernel
-    path's bit for bit, at batch 1 and 16, length 1 and block_size, on the
-    caller's table and on generate's column-major copy."""
+    """A forward that no tape records runs the kernels a recorded one runs;
+    its logits (and, in train mode, its dropout draws) are the recorded
+    forward's bit for bit, at batch 1 and 16, length 1 and block_size, on
+    the caller's table and on generate's column-major copy."""
     cfg, params = _pinned_params(shape, n_heads)
     if table == "decoding":
         params = metrics._decoding_params(params)
@@ -431,25 +434,26 @@ def test_forward_without_a_tape_equals_the_kernel_path(shape, n_heads, table):
             assert untaped[3] is not None and untaped == taped
 
 
-def test_forward_without_a_tape_runs_no_kernel(monkeypatch):
-    """The two paths the test above compares are two: with no tape open no
-    kernel runs and only the logits become a Tensor."""
-    calls = []
-    for op in ("attention", "ffn", "embedding_lookup", "add", "dropout",
-               "layer_norm", "matmul", "transpose"):
-        kernel = getattr(T, op)
-        monkeypatch.setattr(T, op, lambda *a, _k=kernel, _op=op, **kw:
-                            calls.append(_op) or _k(*a, **kw))
-    wrapped = []
-    result = T._result
-    monkeypatch.setattr(T, "_result", lambda *a: wrapped.append(a[1]) or result(*a))
-    cfg, params = _pinned_params("sweep", 2)
-    ids = np.arange(8)[None, :]
-    model.forward(params, cfg, ids, train=True, rng=np.random.default_rng(0))
-    assert calls == [] and wrapped == ["matmul"]
-    with T.Tape():
-        model.forward(params, cfg, ids)
-    assert calls.count("attention") == calls.count("ffn") == cfg.n_layers
+def _planted_op(name):
+    """The op name under which a finite guard reports a NaN planted mid-tensor
+    in the sweep model's parameter name, on _planted_ids: a block's
+    layer-norm gain or bias poisons h, which its kernel checks as
+    layer_norm; tok_emb's middle row is gathered by no id, so the head's
+    logits catch it."""
+    if name in ("tok_emb", "ln_f.g", "ln_f.b"):
+        return "head"
+    if name == "pos_emb":
+        return "embed"
+    if ".ln" in name:
+        return "layer_norm"
+    return "attention" if ".attn." in name else "ffn"
+
+
+def _planted_ids(cfg):
+    ids = np.random.default_rng(0).integers(0, cfg.vocab_size,
+                                            size=(2, cfg.block_size))
+    assert cfg.vocab_size // 2 not in ids
+    return ids
 
 
 @pytest.mark.parametrize("name", model.param_shapes(model.ModelConfig(
@@ -458,17 +462,40 @@ def test_forward_paths_raise_alike_on_a_planted_nan(name):
     cfg, params = _pinned_params("sweep", 2)
     t = params[name]
     t.data.reshape(-1)[t.size // 2] = np.nan
-    ids = np.random.default_rng(0).integers(0, cfg.vocab_size,
-                                            size=(2, cfg.block_size))
-    untaped, taped = _outcomes(params, cfg, ids)
-    assert untaped[0] is NumericsError and untaped == taped
+    for taped in (False, True):
+        with contextlib.ExitStack() as stack:
+            if taped:
+                stack.enter_context(T.Tape())
+            with pytest.raises(NumericsError, match=re.escape(
+                    f"{_planted_op(name)} produced a non-finite value at index (")):
+                model.forward(params, cfg, _planted_ids(cfg))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_forward_checks_the_tied_table_through_the_logits(value):
+    # no forward scans the whole tied table: a non-finite entry in a row no
+    # id gathers reaches the head's logits, at batch 1 too
+    cfg, params = _pinned_params("sweep", 2)
+    params["tok_emb"].data[7, 5] = value
+    for taped in (False, True):
+        with contextlib.ExitStack() as stack:
+            if taped:
+                stack.enter_context(T.Tape())
+            with pytest.raises(NumericsError, match=re.escape(
+                    "head produced a non-finite value at index (0, 0, 7)")):
+                model.forward(params, cfg, np.array([3, 4, 5]))
 
 
 @pytest.mark.parametrize("bad", [384, -1, 10**6])
 def test_forward_paths_raise_alike_on_an_out_of_range_id(bad):
     cfg, params = _pinned_params("sweep", 2)
-    untaped, taped = _outcomes(params, cfg, np.array([[3, bad, 4]]))
-    assert untaped[0] is TokenIndexError and untaped == taped
+    for taped in (False, True):
+        with contextlib.ExitStack() as stack:
+            if taped:
+                stack.enter_context(T.Tape())
+            with pytest.raises(TokenIndexError, match=re.escape(
+                    f"id {bad} outside table of 384 rows")):
+                model.forward(params, cfg, np.array([[3, bad, 4]]))
 
 
 @pytest.mark.parametrize("name, shape", [
@@ -482,10 +509,14 @@ def test_forward_paths_raise_alike_on_a_wrong_shaped_parameter(name, shape):
     tensors = dict(params.items())
     tensors[name] = T.Tensor(np.ones(shape))
     bad = model.ParameterSet(cfg, tensors)
-    untaped, taped = _outcomes(bad, cfg, np.array([[3, 4, 5]]))
-    assert untaped == taped == (
-        ShapeError, f"parameter {name} has shape {shape}, config implies "
-                    f"{params[name].shape}")
+    for taped in (False, True):
+        with contextlib.ExitStack() as stack:
+            if taped:
+                stack.enter_context(T.Tape())
+            with pytest.raises(ShapeError) as exc:
+                model.forward(bad, cfg, np.array([[3, 4, 5]]))
+        assert str(exc.value) == (f"parameter {name} has shape {shape}, "
+                                  f"config implies {params[name].shape}")
 
 
 def test_one_shard_step_stays_under_its_memory_bound():
